@@ -11,6 +11,11 @@ pays the import, the configuration expansion and every cache on each
 ``--seconds``, with a minimum of MIN_PASSES.  Set-up time is also sampled by
 SETUP_PROBES processes that stop once their inputs are ready.
 
+Times are in quiet-host seconds: wall seconds of the program's own work,
+scaled by how fast a fixed calibration kernel ran at the same time (see
+hostspeed.py), so that the host's drifting speed cancels out.  The raw wall
+times and the speed factor are printed in the table too.
+
 ``--trace 0`` reports the end-to-end metrics of untraced passes.
 ``--trace 1`` alternates untraced and traced passes, reports the per-layer
 metrics of the traced ones and the tracing overhead (traced minus untraced
@@ -41,7 +46,7 @@ sys.path.insert(0, str(HERE))
 from workloads import WORKLOADS  # noqa: E402
 
 MIN_PASSES = 2
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 RUN_LIMIT_S = 170  # a run still busy at this wall time is aborted
 SINGLE_THREAD = {
     name: "1"
@@ -51,6 +56,7 @@ SINGLE_THREAD = {
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
+HOST_UNITS = {"wall.pass_s": "s", "wall.setup_s": "s", "host.speed_factor": "1"}
 
 
 class PassFailed(RuntimeError):
@@ -106,6 +112,9 @@ def measure(args) -> tuple:
         "slowest_op_s": [max(p["op_s"]) for p in plain],
         "setup_s": [p["setup_s"] for p in probes + plain + traced],
         "peak_rss_mib": [p["peak_rss_mib"] for p in plain],
+        "wall.pass_s": [p["pass_wall_s"] for p in plain],
+        "wall.setup_s": [p["setup_wall_s"] for p in probes + plain + traced],
+        "host.speed_factor": [p["speed_factor"] for p in plain + traced],
     }
     if traced:
         for name in traced[0]["layers"]:
@@ -162,7 +171,8 @@ def main(argv=None) -> int:
     print(f"{'metric':<26} {'unit':>6} {'n':>3} {'median':>14} {'q1':>14} {'q3':>14}")
     for name, values in samples.items():
         count, med, q1, q3 = summary(values)
-        print(f"{name:<26} {UNITS[name]:>6} {count:>3} {med:>14.6g} {q1:>14.6g} {q3:>14.6g}")
+        unit = UNITS.get(name) or HOST_UNITS[name]
+        print(f"{name:<26} {unit:>6} {count:>3} {med:>14.6g} {q1:>14.6g} {q3:>14.6g}")
 
     reported = SPEC["per_layer" if args.trace else "end_to_end"]
     metrics = {m["name"]: {"value": summary(samples[m["name"]])[1], "unit": m["unit"]}

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import logging
-import time
 from contextlib import contextmanager
 
 
 class Tracer:
-    """Spans ``[name, start, end, parent index, op id]`` and integer counters."""
+    """Spans ``[name, start, end, parent index, op id]``, timed on ``clock``,
+    and integer counters."""
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.spans = []
         self.counters = {}
         self.op = None
@@ -26,14 +27,14 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str):
-        record = [name, time.perf_counter(), None,
+        record = [name, self.clock(), None,
                   self._stack[-1] if self._stack else None, self.op]
         self._stack.append(len(self.spans))
         self.spans.append(record)
         try:
             yield
         finally:
-            record[2] = time.perf_counter()
+            record[2] = self.clock()
             self._stack.pop()
 
     def innermost(self) -> str | None:

@@ -7,9 +7,13 @@
 this process, so set-up time covers interpreter start, the sphcover import
 and the generation of the inputs.  ``--probe`` stops after set-up.  Each
 operation is timed alone; its outputs are checked against the reference
-table afterwards, outside the timed region.  ``--trace`` records spans and
-counters (see tracing.py); ``--record`` reports the observed outputs
-instead of checking them.  The result is one JSON object on stdout.
+table afterwards, outside the timed region.  Times are reported in
+quiet-host seconds (see hostspeed.py): a Speedometer starts before the
+program is imported, and set-up, operations and spans are timed on its
+clock.  The wall times of set-up and of the operations are reported
+alongside.  ``--trace`` records spans and counters (see tracing.py);
+``--record`` reports the observed outputs instead of checking them.  The
+result is one JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -24,6 +28,14 @@ import time
 import traceback
 from math import comb
 from pathlib import Path
+
+from hostspeed import Speedometer
+
+# started before the program is imported, so that set-up is timed on the
+# quiet-host clock too
+SPEED = Speedometer()
+SPEED.start()
+SPEED_STARTED = time.monotonic()
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
@@ -124,9 +136,10 @@ def _layers(tracer: Tracer) -> dict:
 class Pass:
     """Runs one pass's operations, timing each alone, then checks them."""
 
-    def __init__(self, reference: dict, tracer: Tracer | None):
+    def __init__(self, reference: dict, tracer: Tracer | None, clock):
         self.reference = reference
         self.tracer = tracer
+        self.clock = clock
         self.reports, self.configs = [], []
         _capture(cli, "verify_bounds", self.reports)
         _capture(covering, "builtin_configuration", self.configs)
@@ -142,9 +155,8 @@ class Pass:
         return rc, out.getvalue()
 
     def run_oracle(self, op):
-        brute = oracle.brute_force_vertices(op["poly"])
-        engine = polytope.enumerate_vertices(op["poly"])
-        return brute, engine
+        return [(oracle.brute_force_vertices(poly), polytope.enumerate_vertices(poly))
+                for poly in op["polys"]]
 
     def run_sample(self, op):
         return oracle.sampled_covering_radius(op["config"], op["samples"], op["seed"])
@@ -199,11 +211,10 @@ class Pass:
         return problems
 
     def check_oracle(self, op, outcome) -> list:
-        brute, engine = outcome
-        if set(brute.vertices) != set(engine.vertices):
-            return [f"{op['key']}: brute force has {len(brute.vertices)} vertices, "
-                    f"engine {len(engine.vertices)}, sets differ"]
-        return []
+        return [f"{op['key']} #{i}: brute force has {len(brute.vertices)} vertices, "
+                f"engine {len(engine.vertices)}, sets differ"
+                for i, (brute, engine) in enumerate(outcome)
+                if set(brute.vertices) != set(engine.vertices)]
 
     def check_sample(self, op, sampled: float) -> list:
         if sampled <= op["certified"] + SAMPLE_EPS:
@@ -213,21 +224,23 @@ class Pass:
 
     def run(self, ops, record: bool) -> dict:
         tracer = self.tracer
-        op_s, failures, observations = [], [], {}
+        op_s, wall_s, failures, observations = [], [], [], {}
         failed = 0
         for index, op in enumerate(ops):
             if tracer is not None:
                 tracer.op = index
             vertices_before = tracer.counters.get("polytope.vertices_out", 0) if tracer else 0
-            start = time.perf_counter()
+            start, start_wall = self.clock(), time.perf_counter()
             try:
                 outcome = getattr(self, "run_" + op["kind"])(op)
             except Exception:
-                op_s.append(time.perf_counter() - start)
+                op_s.append(self.clock() - start)
+                wall_s.append(time.perf_counter() - start_wall)
                 failures.append(f"{op['key']}: raised\n{traceback.format_exc()}")
                 failed += 1
                 continue
-            op_s.append(time.perf_counter() - start)
+            op_s.append(self.clock() - start)
+            wall_s.append(time.perf_counter() - start_wall)
             try:
                 if op["kind"] == "verify":
                     observed = self.observe_verify(outcome, vertices_before)
@@ -241,6 +254,7 @@ class Pass:
             failed += bool(problems)
         result = {
             "pass_s": sum(op_s),
+            "pass_wall_s": sum(wall_s),
             "op_s": op_s,
             "op_keys": [op["key"] for op in ops],
             "attempted": len(ops),
@@ -263,26 +277,39 @@ def main(argv=None) -> int:
     parser.add_argument("--probe", action="store_true")
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)
+    try:
+        return run(args)
+    finally:
+        SPEED.stop()
 
+
+def run(args) -> int:
     path = Path(args.reference)
     reference = json.loads(path.read_text()) if path.exists() else {}
     ops = build_ops(args.workload, args.seed, args.scale, reference)
-    setup_s = time.monotonic() - args.spawned
+    setup = {
+        "setup_wall_s": time.monotonic() - args.spawned,
+        # interpreter start, before the Speedometer ran, at its first rate
+        "setup_s": (SPEED_STARTED - args.spawned) * SPEED.first_rate + SPEED.clock(),
+    }
     if args.probe:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps(setup))
         return 0
 
-    tracer = Tracer() if args.trace else None
-    bench = Pass(reference, tracer)
+    tracer = Tracer(SPEED.clock) if args.trace else None
+    bench = Pass(reference, tracer, SPEED.clock)
     if tracer is None:
         result = bench.run(ops, args.record)
     else:
         _instrument(tracer)
         with RayCounter(tracer).attached("sphcover.polytope"):
             result = bench.run(ops, args.record)
+    SPEED.stop()
+    if tracer is not None:
         result["layers"] = _layers(tracer)
         result["spans"] = tracer.spans
-    result["setup_s"] = setup_s
+    result["speed_factor"] = result["pass_s"] / result["pass_wall_s"]
+    result.update(setup)
     result["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(result))
     return 0

@@ -1,9 +1,10 @@
 """Workload definitions: which operations one benchmark pass runs.
 
 A pass is a list of operations.  ``verify`` operations are argument lists
-for ``sphcover.cli.main``; ``oracle`` operations are polar H-polytopes that
-are enumerated twice (brute force and double description); ``sample``
-operations bound a built-in's covering radius from below by sampling.
+for ``sphcover.cli.main``; an ``oracle`` operation is a group of random
+polar H-polytopes of one shape, each enumerated twice (brute force and
+double description); ``sample`` operations bound a built-in's covering
+radius from below by sampling.
 
 Every input is derived from the workload seed, so the same seed gives the
 same pass.  Only :func:`build_ops` imports sphcover; the names and sizes
@@ -27,17 +28,21 @@ WORKLOADS = (*VERIFY_DIMS, "oracle")  # why each exists: see BENCHMARK.json
 # oracle instances cycle through these shapes: (dimension, point pairs,
 # intersect with the symmetry cone).  Fixed shapes keep the number of
 # n-subsets of every instance independent of the seed; only the points move.
+# The brute force's time still depends on the points (how many subsets are
+# singular, how large the fractions grow), so the instances of one shape
+# form one operation: the pass runs three of each, and the slowest operation
+# is the mean of three random instances rather than a single one.
 ORACLE_SHAPES = (
     (2, 6, False),
     (2, 6, True),
-    (3, 7, False),
-    (3, 7, True),
-    (4, 7, False),
-    (4, 7, True),
-    (5, 7, False),
-    (5, 6, True),
+    (3, 6, False),
+    (3, 6, True),
+    (4, 6, False),
+    (4, 5, True),
+    (5, 6, False),
+    (5, 5, True),
 )
-ORACLE_SUBSETS = {"full": 12000, "tiny": 400}  # n-subsets per pass
+ORACLE_SUBSETS = {"full": 18000, "tiny": 400}  # n-subsets per pass
 # the built-in whose radius is sampled; one fixed choice keeps the
 # sampler's memory, and so peak RSS, the same for every seed
 SAMPLE_DIM = 8
@@ -72,10 +77,13 @@ def build_ops(workload: str, seed: int, scale: str, reference: dict) -> list:
         return [{"kind": "verify", "argv": a, "key": " ".join(a)} for a in argvs]
     if workload != "oracle":
         raise ValueError(f"unknown workload {workload!r}")
+    groups = {}
+    for n, pairs, cone in oracle_plan(scale):
+        groups.setdefault((n, pairs, cone), []).append(_polar_instance(rng, n, pairs, cone))
     ops = [
-        {"kind": "oracle", "key": f"oracle #{i} n={n}",
-         "poly": _polar_instance(rng, n, pairs, cone)}
-        for i, (n, pairs, cone) in enumerate(oracle_plan(scale))
+        {"kind": "oracle", "key": f"oracle n={n} pairs={pairs}{' cone' if cone else ''}",
+         "polys": polys}
+        for (n, pairs, cone), polys in groups.items()
     ]
     ops.append(_sample_op(rng, scale, reference))
     return ops
