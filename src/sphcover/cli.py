@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--samples", type=int, default=0, metavar="N")
     oracle.add_argument("--seed", type=int, default=0, metavar="S")
     oracle.add_argument("--timing", action="store_true")
-    oracle.add_argument("--threads", type=int, default=1, metavar="T")
     return parser
 
 
@@ -116,14 +115,6 @@ def _common_output_flags(cmd: argparse.ArgumentParser) -> None:
         action="store_true",
         help="include wall times in output and log progress to stderr",
     )
-    cmd.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="T",
-        help="reserved; the current implementation is single-threaded",
-    )
-    cmd.add_argument("--seed", type=int, default=0, metavar="S")
 
 
 def _configure_logging(timing: bool) -> None:
@@ -298,8 +289,6 @@ def _cmd_oracle(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be positive")
     _configure_logging(getattr(args, "timing", False))
     if args.command == "verify":
         return _cmd_verify(args, parser)

@@ -23,6 +23,7 @@ from .scalar import (
     RATIONAL,
     Scalar,
     Vector,
+    dot,
     format_scalar,
     quadratic_field,
     sign_of,
@@ -212,15 +213,8 @@ def make_configuration(
     points = sorted(merged.values())
     if not points:
         raise ConfigurationError("configuration has no points")
-    norm_sq = _norm_sq(points[0])
+    norm_sq = dot(points[0], points[0])
     return Configuration(dimension, field, rules, tuple(points), norm_sq, label)
-
-
-def _norm_sq(point: Vector) -> Scalar:
-    total = None
-    for x in point:
-        total = x * x if total is None else total + x * x
-    return total
 
 
 @dataclass(frozen=True)
@@ -250,18 +244,22 @@ def validate(config: Configuration) -> ValidationReport:
             return ValidationReport(False, "not origin-symmetric")
     if config.field.is_exact:
         for p in points:
-            if _norm_sq(p) != config.norm_sq:
+            if dot(p, p) != config.norm_sq:
                 return ValidationReport(False, "points do not share one norm")
         if sign_of(config.norm_sq) == 0:
             return ValidationReport(False, "points have zero norm")
     else:
         ref = float(config.norm_sq)
         for p in points:
-            if abs(_norm_sq(p) - ref) > 1e-9 * max(1.0, abs(ref)):
+            if abs(dot(p, p) - ref) > 1e-9 * max(1.0, abs(ref)):
                 return ValidationReport(False, "points do not share one norm")
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
-    if _linalg.rank(points, config.field) != config.dimension:
+    kernel = _linalg.kernel_for(config.field)
+    _, basis = kernel.greedy_basis(
+        map(kernel.vec_from_scalars, points), config.dimension
+    )
+    if len(basis) < config.dimension:
         return ValidationReport(False, "points do not span the whole space")
     return ValidationReport(True)
 
@@ -356,15 +354,11 @@ def config_to_float(config: Configuration) -> Configuration:
 # -- JSON configuration files ------------------------------------------------
 
 
-def _scalar_to_json(x: Scalar) -> str:
-    return format_scalar(x)
-
-
 def _rule_to_json(rule: GeneratorRule) -> dict:
     if isinstance(rule, Pattern):
         return {
             "type": "pattern",
-            "entries": [[_scalar_to_json(v), c] for v, c in rule.entries],
+            "entries": [[format_scalar(v), c] for v, c in rule.entries],
         }
     if isinstance(rule, SubsetSigns):
         out = {
@@ -373,13 +367,13 @@ def _rule_to_json(rule: GeneratorRule) -> dict:
             "sign_counts": sorted(rule.sign_counts),
         }
         if rule.value is not None:
-            out["value"] = _scalar_to_json(rule.value)
+            out["value"] = format_scalar(rule.value)
         return out
     return {
         "type": "subset_values",
         "support": rule.support,
-        "a": _scalar_to_json(rule.a),
-        "b": _scalar_to_json(rule.b),
+        "a": format_scalar(rule.a),
+        "b": format_scalar(rule.b),
     }
 
 

@@ -45,7 +45,7 @@ from .scalar import (
     Field,
     Scalar,
     Vector,
-    as_float,
+    dot,
     format_scalar,
     sign_of,
     to_decimal,
@@ -107,7 +107,7 @@ def threshold_check(n: int, cos2: Scalar, field: Field) -> ThresholdVerdict:
     threshold = _threshold_cos2(n, field)
     if field.is_exact:
         passes = sign_of(cos2 - threshold) >= 0
-        return ThresholdVerdict(passes, as_float(cos2 - threshold), False)
+        return ThresholdVerdict(passes, float(cos2 - threshold), False)
     margin = float(cos2) - threshold
     return ThresholdVerdict(margin >= 0, margin, abs(margin) < INCONCLUSIVE_MARGIN)
 
@@ -131,7 +131,7 @@ class CoveringReport:
 
     @property
     def radius_float(self) -> float:
-        return float(mpmath.acos(mpmath.sqrt(as_float(self.cos2_radius))))
+        return float(mpmath.acos(mpmath.sqrt(float(self.cos2_radius))))
 
 
 def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
@@ -232,11 +232,7 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
         return
     one = field.one
     for i, j in zip(*np.nonzero(products > 1.0 - 1e-6)):
-        point, vec = config.points[i], vertices.vertices[j]
-        total = None
-        for a, b in zip(point, vec):
-            total = a * b if total is None else total + a * b
-        if sign_of(total - one) > 0:
+        if sign_of(dot(config.points[i], vertices.vertices[j]) - one) > 0:
             raise RuntimeError(
                 "symmetry reduction produced an infeasible vertex; this is a bug"
             )
@@ -335,14 +331,10 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     vec = report.attaining_vertex
     best = None
     for point in config.points:
-        total = None
-        for a, b in zip(point, vec):
-            total = a * b if total is None else total + a * b
+        total = dot(point, vec)
         if best is None or sign_of(total - best) > 0:
             best = total
-    norm = None
-    for x in vec:
-        norm = x * x if norm is None else norm + x * x
+    norm = dot(vec, vec)
     # cos^2 of the hole angle is best^2 / (R^2 |x|^2); compare with cos^2 r
     if field.is_exact:
         if sign_of(best) <= 0:
@@ -409,16 +401,12 @@ def verify_bounds(
 # -- serialization -------------------------------------------------------------
 
 
-def _scalar_json(x: Scalar) -> str:
-    return format_scalar(x)
-
-
 def report_to_dict(report: CoveringReport, include_timing: bool = False) -> dict:
     out = {
         "dimension": report.dimension,
         "cardinality": report.cardinality,
         "backend": report.backend.to_json(),
-        "cos2_radius": _scalar_json(report.cos2_radius),
+        "cos2_radius": format_scalar(report.cos2_radius),
         "cos2_radius_decimal": to_decimal(report.cos2_radius, 10),
         "radius": report.radius,
         "threshold_radius": report.threshold_radius,
@@ -426,7 +414,7 @@ def report_to_dict(report: CoveringReport, include_timing: bool = False) -> dict
         "inconclusive": report.inconclusive,
         "margin_cos2": report.margin_cos2,
         "xray_bound": report.xray_bound,
-        "attaining_vertex": [_scalar_json(x) for x in report.attaining_vertex],
+        "attaining_vertex": [format_scalar(x) for x in report.attaining_vertex],
         "used_symmetry": report.used_symmetry,
         "label": report.label,
     }

@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from . import _linalg
 from .configgen import Configuration
 from .polytope import POLAR, HPolytope, VertexSet
-from .scalar import sign_of
+from .scalar import Field, dot, sign_of
 
 __all__ = [
     "InstanceTooLarge",
@@ -29,6 +28,7 @@ MAX_HALFSPACES = 40
 MAX_DIMENSION = 6
 
 FLOAT_FEAS_EPS = 1e-9
+FLOAT_SOLVE_EPS = 1e-9  # float pivots at or below this count as zero
 
 
 class InstanceTooLarge(ValueError):
@@ -60,7 +60,7 @@ def brute_force_vertices(poly: HPolytope) -> VertexSet:
     for subset in combinations(range(m), n):
         matrix = [rows[i] for i in subset]
         vector = [rhs[i] for i in subset]
-        candidate = _linalg.solve_square(matrix, vector, field)
+        candidate = _solve_square(matrix, vector, field)
         if candidate is None:
             continue
         if not _feasible(candidate, poly):
@@ -82,17 +82,42 @@ def brute_force_vertices(poly: HPolytope) -> VertexSet:
     )
 
 
-def _dot(u, v):
-    total = None
-    for a, b in zip(u, v):
-        total = a * b if total is None else total + a * b
-    return total
+def _solve_square(matrix, rhs, field: Field):
+    """Solve an n-by-n system; returns None when the matrix is singular."""
+    n = len(matrix)
+    work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = None
+        if field.is_exact:
+            for i in range(col, n):
+                if sign_of(work[i][col]) != 0:
+                    pivot_row = i
+                    break
+        else:
+            best = FLOAT_SOLVE_EPS
+            for i in range(col, n):
+                if abs(work[i][col]) > best:
+                    best = abs(work[i][col])
+                    pivot_row = i
+        if pivot_row is None:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        for i in range(n):
+            if i == col:
+                continue
+            factor = work[i][col] / pivot
+            if field.is_exact and sign_of(factor) == 0:
+                continue
+            for j in range(col, n + 1):
+                work[i][j] = work[i][j] - factor * work[col][j]
+    return tuple(work[i][n] / work[i][i] for i in range(n))
 
 
 def _feasible(point, poly: HPolytope) -> bool:
     field = poly.field
     for hs in poly.halfspaces:
-        s = _dot(point, hs.normal)
+        s = dot(point, hs.normal)
         if hs.kind == POLAR:
             if field.is_exact:
                 if sign_of(s - field.one) > 0:
@@ -109,7 +134,7 @@ def _feasible(point, poly: HPolytope) -> bool:
 
 
 def _is_tight(point, hs, field) -> bool:
-    s = _dot(point, hs.normal)
+    s = dot(point, hs.normal)
     target = field.one if hs.kind == POLAR else field.zero
     if field.is_exact:
         return sign_of(s - target) == 0

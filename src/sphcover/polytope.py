@@ -7,24 +7,22 @@ adjacent ray pairs that straddle each new hyperplane.  Adjacency is
 certified algebraically by the rank of the common tight set, so the heavily
 degenerate polytopes produced by symmetric configurations need no
 perturbation.  Exact backends run on integer (or integer-quadratic) ray
-coordinates; the float backend uses fixed relative tolerances.
+coordinates; the float backend uses fixed absolute tolerances on rows and
+rays scaled to unit max-norm.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
-from . import _linalg
+from ._linalg import kernel_for
 from .configgen import Configuration
 from .scalar import (
     Field,
-    Quadratic,
-    Scalar,
     Vector,
+    dot,
     format_scalar,
     parse_scalar,
     sign_of,
@@ -47,7 +45,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ZERO_EPS = 1e-9  # float tight/straddle classification, relative to row norms
 DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
 
 POLAR = "polar"  # <v, x> <= 1
@@ -123,250 +120,6 @@ def symmetry_cone(n: int, field: Field) -> tuple:
     return tuple(Halfspace(r, CONE) for r in rows)
 
 
-# -- raw arithmetic kernels --------------------------------------------------
-
-
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-class _RationalKernel:
-    """Rays as integer tuples with content 1."""
-
-    def vec_from_scalars(self, scalars) -> tuple:
-        fracs = []
-        for x in scalars:
-            if isinstance(x, Quadratic):
-                if x.b != 0:
-                    raise TypeError("quadratic value in a rational system")
-                x = x.a
-            fracs.append(Fraction(x))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return self.reduce(tuple(int(f * den) for f in fracs))
-
-    def reduce(self, vec: tuple) -> tuple:
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g > 1:
-            return tuple(x // g for x in vec)
-        return vec
-
-    def dot(self, u: tuple, v: tuple) -> int:
-        return sum(a * b for a, b in zip(u, v))
-
-    def sign(self, s: int) -> int:
-        return _int_sign(s)
-
-    def combine(self, sp: int, rm: tuple, sm: int, rp: tuple) -> tuple:
-        return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
-
-    def dehomogenize(self, ray: tuple) -> tuple:
-        t = ray[0]
-        return tuple(Fraction(x, t) for x in ray[1:])
-
-    def to_scalar(self, raw: int) -> Scalar:
-        return Fraction(raw)
-
-    def rank_at_least(self, rows, k: int) -> bool:
-        return _exact_rank_at_least(rows, k, self)
-
-    def row_sub(self, pivot_val, row, factor, pivot_row):
-        # pivot_val * row - factor * pivot_row, componentwise
-        return tuple(pivot_val * a - factor * b for a, b in zip(row, pivot_row))
-
-    def is_zero(self, x: int) -> bool:
-        return x == 0
-
-
-class _QuadraticKernel:
-    """Rays as tuples of (a, b) integer pairs meaning a + b*sqrt(d)."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def vec_from_scalars(self, scalars) -> tuple:
-        parts = []
-        for x in scalars:
-            if isinstance(x, Quadratic):
-                if x.d != self.d and x.b != 0:
-                    raise TypeError(f"sqrt({x.d}) value in a sqrt({self.d}) system")
-                parts.append((x.a, x.b))
-            else:
-                parts.append((Fraction(x), Fraction(0)))
-        den = 1
-        for a, b in parts:
-            den = den * a.denominator // gcd(den, a.denominator)
-            den = den * b.denominator // gcd(den, b.denominator)
-        return self.reduce(tuple((int(a * den), int(b * den)) for a, b in parts))
-
-    def reduce(self, vec: tuple) -> tuple:
-        g = 0
-        for a, b in vec:
-            g = gcd(gcd(g, a), b)
-        if g > 1:
-            return tuple((a // g, b // g) for a, b in vec)
-        return vec
-
-    def _mul(self, x, y):
-        return (x[0] * y[0] + x[1] * y[1] * self.d, x[0] * y[1] + x[1] * y[0])
-
-    def dot(self, u: tuple, v: tuple) -> tuple:
-        a = b = 0
-        d = self.d
-        for (xa, xb), (ya, yb) in zip(u, v):
-            a += xa * ya + xb * yb * d
-            b += xa * yb + xb * ya
-        return (a, b)
-
-    def sign(self, s: tuple) -> int:
-        a, b = s
-        if b == 0:
-            return _int_sign(a)
-        if a == 0:
-            return _int_sign(b)
-        sa, sb = _int_sign(a), _int_sign(b)
-        if sa == sb:
-            return sa
-        return sa * _int_sign(a * a - b * b * self.d)
-
-    def combine(self, sp: tuple, rm: tuple, sm: tuple, rp: tuple) -> tuple:
-        out = []
-        for a, b in zip(rp, rm):
-            pb = self._mul(sp, b)
-            ma = self._mul(sm, a)
-            out.append((pb[0] - ma[0], pb[1] - ma[1]))
-        return self.reduce(tuple(out))
-
-    def dehomogenize(self, ray: tuple) -> tuple:
-        t = Quadratic(ray[0][0], ray[0][1], self.d)
-        out = []
-        for a, b in ray[1:]:
-            q = Quadratic(a, b, self.d) / t
-            out.append(q.a if isinstance(q, Quadratic) and q.b == 0 else q)
-        return tuple(out)
-
-    def to_scalar(self, raw: tuple) -> Scalar:
-        a, b = raw
-        return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
-
-    def rank_at_least(self, rows, k: int) -> bool:
-        return _exact_rank_at_least(rows, k, self)
-
-    def row_sub(self, pivot_val, row, factor, pivot_row):
-        out = []
-        for a, b in zip(row, pivot_row):
-            pa = self._mul(pivot_val, a)
-            fb = self._mul(factor, b)
-            out.append((pa[0] - fb[0], pa[1] - fb[1]))
-        return tuple(out)
-
-    def is_zero(self, x: tuple) -> bool:
-        return x == (0, 0)
-
-
-class _FloatKernel:
-    """Rays as float tuples scaled to unit max-norm."""
-
-    def vec_from_scalars(self, scalars) -> tuple:
-        return self.reduce(tuple(float(x) for x in scalars))
-
-    def reduce(self, vec: tuple) -> tuple:
-        scale = max(abs(x) for x in vec)
-        if scale == 0.0 or scale == 1.0:
-            return vec
-        return tuple(x / scale for x in vec)
-
-    def dot(self, u: tuple, v: tuple) -> float:
-        return sum(a * b for a, b in zip(u, v))
-
-    def sign(self, s: float) -> int:
-        if s > ZERO_EPS:
-            return 1
-        if s < -ZERO_EPS:
-            return -1
-        return 0
-
-    def combine(self, sp: float, rm: tuple, sm: float, rp: tuple) -> tuple:
-        return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
-
-    def dehomogenize(self, ray: tuple) -> tuple:
-        t = ray[0]
-        return tuple(x / t for x in ray[1:])
-
-    def to_scalar(self, raw: float) -> Scalar:
-        return raw
-
-    def rank_at_least(self, rows, k: int) -> bool:
-        work = [list(r) for r in rows]
-        ncols = len(work[0]) if work else 0
-        rank = 0
-        for col in range(ncols):
-            best, pivot_row = ZERO_EPS, None
-            for i in range(rank, len(work)):
-                if abs(work[i][col]) > best:
-                    best, pivot_row = abs(work[i][col]), i
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            for i in range(rank + 1, len(work)):
-                f = work[i][col] / pivot
-                if f != 0.0:
-                    row = work[i]
-                    prow = work[rank]
-                    for j in range(col, ncols):
-                        row[j] -= f * prow[j]
-                    scale = max(abs(x) for x in row)
-                    if scale > 1.0:
-                        for j in range(ncols):
-                            row[j] /= scale
-            rank += 1
-            if rank >= k:
-                return True
-        return rank >= k
-
-    def is_zero(self, x: float) -> bool:
-        return abs(x) <= ZERO_EPS
-
-
-def _exact_rank_at_least(rows, k: int, kernel) -> bool:
-    """Streaming fraction-free elimination with early exit at rank k."""
-    if k <= 0:
-        return True
-    echelon = []  # list of (pivot_col, row)
-    remaining = len(rows)
-    for row in rows:
-        if len(echelon) + remaining < k:
-            return False
-        remaining -= 1
-        for pivot_col, pivot_row in echelon:
-            factor = row[pivot_col]
-            if kernel.is_zero(factor):
-                continue
-            row = kernel.row_sub(pivot_row[pivot_col], row, factor, pivot_row)
-            row = kernel.reduce(row)
-        pivot_col = next(
-            (j for j, x in enumerate(row) if not kernel.is_zero(x)), None
-        )
-        if pivot_col is None:
-            continue
-        echelon.append((pivot_col, row))
-        if len(echelon) >= k:
-            return True
-    return False
-
-
-def _kernel_for(field: Field):
-    if field.kind == "rational":
-        return _RationalKernel()
-    if field.kind == "quadratic":
-        return _QuadraticKernel(field.d)
-    return _FloatKernel()
-
-
 # -- double description core -------------------------------------------------
 
 
@@ -385,42 +138,6 @@ def _homogenized_rows(poly: HPolytope, kernel) -> list:
     return rows
 
 
-def _lineality_direction(poly: HPolytope) -> Vector:
-    """A nonzero x-direction orthogonal to every constraint normal."""
-    n = poly.dimension
-    field = poly.field
-    rows = [tuple(hs.normal) for hs in poly.halfspaces]
-    # find a free coordinate assignment via field-level elimination
-    work = [list(r) for r in rows]
-    pivots = {}
-    for row in work:
-        for col, piv_row in pivots.items():
-            factor = row[col]
-            if field.is_exact:
-                if sign_of(factor) == 0:
-                    continue
-            elif abs(factor) <= _linalg.FLOAT_PIVOT_TOL:
-                continue
-            for j in range(n):
-                row[j] = row[j] - factor * piv_row[j]
-        pivot_col = None
-        for j in range(n):
-            nz = sign_of(row[j]) != 0 if field.is_exact else abs(row[j]) > 1e-9
-            if nz:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            continue
-        piv = row[pivot_col]
-        pivots[pivot_col] = [x / piv for x in row]
-    free = next(j for j in range(n) if j not in pivots)
-    direction = [field.zero] * n
-    direction[free] = field.one
-    for col, piv_row in pivots.items():
-        direction[col] = -piv_row[free]
-    return tuple(direction)
-
-
 def enumerate_vertices(poly: HPolytope) -> VertexSet:
     """Complete vertex set of a bounded H-polytope, exact over its field.
 
@@ -431,34 +148,24 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     n = poly.dimension
     dim = n + 1
     field = poly.field
-    kernel = _kernel_for(field)
+    kernel = kernel_for(field)
     rows = _homogenized_rows(poly, kernel)
 
-    # greedy simplicial initialization from independent rows
-    selected = []
-    scalar_rows = []
-    for idx, row in enumerate(rows):
-        candidate = scalar_rows + [[kernel.to_scalar(x) for x in row]]
-        if _linalg.rank(candidate, field) > len(scalar_rows):
-            selected.append(idx)
-            scalar_rows = candidate
-            if len(selected) == dim:
-                break
+    # simplicial initialization: ray j is orthogonal to every selected row
+    # but row j, on its positive side
+    selected, basis = kernel.greedy_basis(rows, dim)
     if len(selected) < dim:
-        raise Unbounded(_lineality_direction(poly))
-
-    inverse = _linalg.invert([scalar_rows[i] for i in range(dim)], field)
-    if inverse is None:  # numerically singular float system
-        raise Unbounded(_lineality_direction(poly))
-
-    rays = []
+        # the t >= 0 row forces t = 0, so the rest of a null vector of all
+        # rows is orthogonal to every constraint normal
+        direction = kernel.null_vector(rows)[1:]
+        raise Unbounded(tuple(kernel.to_scalar(x) for x in direction))
     sel_mask = 0
     for idx in selected:
         sel_mask |= 1 << idx
-    for j in range(dim):
-        column = [inverse[i][j] for i in range(dim)]
-        vec = kernel.vec_from_scalars(column)
-        rays.append((vec, sel_mask & ~(1 << selected[j])))
+    rays = []
+    for j, idx in enumerate(selected):
+        vec = kernel.null_vector(basis[:j] + basis[j + 1:])
+        rays.append((kernel.orient(vec, basis[j]), sel_mask & ~(1 << idx)))
     rays.sort()
 
     remaining = [i for i in range(len(rows)) if i not in set(selected)]
@@ -574,9 +281,7 @@ def max_squared_norm(vertices: VertexSet):
     best_val = None
     best_vec = None
     for vec in vertices.vertices:
-        total = None
-        for x in vec:
-            total = x * x if total is None else total + x * x
+        total = dot(vec, vec)
         if best_val is None or sign_of(total - best_val) > 0:
             best_val, best_vec = total, vec
     return best_val, best_vec

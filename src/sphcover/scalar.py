@@ -26,7 +26,7 @@ __all__ = [
     "FLOAT",
     "Scalar",
     "Vector",
-    "as_float",
+    "dot",
     "format_scalar",
     "parse_scalar",
     "quadratic_field",
@@ -175,22 +175,6 @@ class Quadratic:
     def __pos__(self):
         return self
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = Quadratic(1, 0, self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def conjugate(self) -> "Quadratic":
-        return Quadratic(self.a, -self.b, self.d)
-
     # -- comparisons ------------------------------------------------------
 
     def sign(self) -> int:
@@ -251,8 +235,13 @@ def sign_of(x: Scalar) -> int:
     return 0
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
+def dot(u: Vector, v: Vector) -> Scalar:
+    """Inner product of two scalar vectors, summed left to right in their
+    own field; ``dot(v, v)`` is the squared norm."""
+    total = None
+    for a, b in zip(u, v):
+        total = a * b if total is None else total + a * b
+    return total
 
 
 # -- field descriptor ------------------------------------------------------
@@ -290,11 +279,6 @@ class Field:
     def one(self) -> Scalar:
         return 1.0 if self.kind == "float" else Fraction(1)
 
-    def sqrt_d(self) -> Quadratic:
-        if self.kind != "quadratic":
-            raise ValueError("sqrt_d is only defined for quadratic fields")
-        return Quadratic(0, 1, self.d)
-
     def coerce(self, value) -> Scalar:
         """Bring a value into this field, rejecting lossy conversions."""
         if isinstance(value, str):
@@ -318,9 +302,6 @@ class Field:
                 f"value with sqrt({value.d}) does not belong to {self}"
             )
         raise TypeError(f"cannot coerce {value!r} into {self}")
-
-    def sign(self, x: Scalar) -> int:
-        return sign_of(x)
 
     def inv_sqrt(self, m: int) -> Scalar:
         """The scalar 1/sqrt(m), when it exists in this field."""

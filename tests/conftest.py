@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
-from sphcover._linalg import rank
+import numpy as np
+
 from sphcover.polytope import POLAR, Halfspace, HPolytope, symmetry_cone
 from sphcover.scalar import RATIONAL
+
+
+def integer_rank(rows) -> int:
+    """Rank of a few small integer vectors, computed outside the engine."""
+    return int(np.linalg.matrix_rank(np.array([[float(x) for x in r] for r in rows])))
 
 
 def random_polar_instance(rng: random.Random) -> HPolytope:
@@ -12,7 +18,7 @@ def random_polar_instance(rng: random.Random) -> HPolytope:
     n = rng.randint(2, 5)
     count = rng.randint(n, 8)
     points = set()
-    while len(points) < 2 * count or rank(list(points), RATIONAL) < n:
+    while len(points) < 2 * count or integer_rank(points) < n:
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
         if any(v):
             points.add(v)

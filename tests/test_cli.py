@@ -194,7 +194,7 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_threads(self):
+    def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dim", "5", "--threads", "0"])
         assert exc.value.code == 2

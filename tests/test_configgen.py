@@ -185,9 +185,14 @@ class TestValidate:
         config = Configuration(2, RATIONAL, (), pts, Fraction(1))
         assert not validate(config).ok
 
-    def test_rank_deficient_fails(self):
-        # permutations of (2, -2, 0^3) span only the zero-sum hyperplane
-        config = make_configuration(5, RATIONAL, [Pattern(((2, 1), (-2, 1), (0, 3)))])
+    @pytest.mark.parametrize(
+        "field, s",
+        [(RATIONAL, 2), (quadratic_field(2), Quadratic(0, 2, 2)), (FLOAT, 2.0)],
+        ids=["Q", "Q(sqrt2)", "float"],
+    )
+    def test_rank_deficient_fails(self, field, s):
+        # permutations of (s, -s, 0^3) span only the zero-sum hyperplane
+        config = make_configuration(5, field, [Pattern(((s, 1), (-s, 1), (0, 3)))])
         report = validate(config)
         assert not report.ok
         assert "span" in report.failure

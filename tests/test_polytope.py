@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from sphcover._linalg import rank
 from sphcover.configgen import SubsetSigns, builtin_configuration, make_configuration
 from sphcover.oracle import brute_force_vertices
 from sphcover.polytope import (
@@ -21,7 +20,7 @@ from sphcover.polytope import (
     polar_hrep,
     symmetry_cone,
 )
-from sphcover.scalar import FLOAT, RATIONAL
+from sphcover.scalar import FLOAT, Quadratic, RATIONAL, dot, quadratic_field, sign_of
 
 F = Fraction
 
@@ -82,7 +81,7 @@ class TestBasics:
         sizes = {vec: len(t) for vec, t in zip(V.vertices, V.tight_sets)}
         assert sizes[frac_vec(1, 1, 1)] == 4
         corner_tights = dict(zip(V.vertices, V.tight_sets))[frac_vec(1, 1, 1)]
-        assert rank([P2.halfspaces[i].normal for i in corner_tights], RATIONAL) == 3
+        assert integer_rank([P2.halfspaces[i].normal for i in corner_tights]) == 3
 
     def test_vertices_sorted_and_distinct(self):
         V = enumerate_vertices(cube_hrep(4))
@@ -120,16 +119,29 @@ class TestUnbounded:
         with pytest.raises(Unbounded):
             enumerate_vertices(P)
 
-    def test_rank_deficient_polar(self):
-        # all normals orthogonal to (1,1): lineality along it
-        hs = (
-            Halfspace(frac_vec(1, -1), POLAR),
-            Halfspace(frac_vec(-1, 1), POLAR),
+    @pytest.mark.parametrize(
+        "field, s",
+        [(RATIONAL, F(1)), (quadratic_field(2), Quadratic(1, 1, 2)), (FLOAT, 1.0)],
+        ids=["Q", "Q(sqrt2)", "float"],
+    )
+    def test_rank_deficient_polar(self, field, s):
+        # all normals orthogonal to (1, 1, -1): lineality along it
+        zero = field.zero
+        normals = [(s, -s, zero), (zero, s, s)]
+        hs = tuple(
+            Halfspace(tuple(sgn * x for x in v), POLAR)
+            for v in normals
+            for sgn in (1, -1)
         )
         with pytest.raises(Unbounded) as err:
-            enumerate_vertices(HPolytope(2, hs, RATIONAL))
+            enumerate_vertices(HPolytope(3, hs, field))
         direction = err.value.direction
-        assert sum(a * b for a, b in zip(direction, frac_vec(1, -1))) == 0
+        assert any(sign_of(x) != 0 for x in direction)
+        for v in normals:
+            if field.is_exact:
+                assert sign_of(dot(direction, v)) == 0
+            else:
+                assert abs(dot(direction, v)) <= 1e-12
 
     def test_non_interior_origin_config(self):
         # permutations of (2,-2,0,0,0) span only the zero-sum hyperplane,
@@ -178,7 +190,7 @@ class TestAgainstOracle:
                     assert s >= 0
                     assert (s == 0) == (i in tight)
             assert (
-                rank([P.halfspaces[i].normal for i in tight], RATIONAL)
+                integer_rank([P.halfspaces[i].normal for i in tight])
                 == P.dimension
             )
 
@@ -202,7 +214,7 @@ class TestAgainstOracle:
         assert set(recovered.vertices) == set(config.points)
 
 
-from conftest import random_polar_instance  # noqa: E402
+from conftest import integer_rank, random_polar_instance  # noqa: E402
 
 
 class TestFloatBackend:
