@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .scalar import Field, Quadratic, Scalar
 
@@ -52,12 +53,14 @@ class _Kernel:
         width = len(rows[0])
         pivots = {col for col, _ in echelon}
         free = min(j for j in range(width) if j not in pivots)
-        x = self.vec_from_scalars([Fraction(j == free) for j in range(width)])
+        x = self.unit(width, free)
         for col, row in reversed(echelon):
             # x[col] is still zero: pivot * x - (row . x) * e_col zeroes row . x
-            unit = self.vec_from_scalars([Fraction(j == col) for j in range(width)])
-            x = self.combine(row[col], x, self.dot(row, x), unit)
+            x = self.combine(row[col], x, self.dot(row, x), self.unit(width, col))
         return x
+
+    def unit(self, width: int, j: int) -> tuple:
+        return self.vec_from_scalars([Fraction(i == j) for i in range(width)])
 
     def orient(self, vec: tuple, row: tuple) -> tuple:
         """The multiple of ``vec`` whose product with ``row`` is positive."""
@@ -121,7 +124,7 @@ class _RationalKernel(_ExactKernel):
         return vec
 
     def dot(self, u: tuple, v: tuple) -> int:
-        return sum(a * b for a, b in zip(u, v))
+        return sum(map(mul, u, v))
 
     def sign(self, s: int) -> int:
         return _int_sign(s)
@@ -252,7 +255,7 @@ class _FloatKernel(_Kernel):
         return tuple(x / scale for x in vec)
 
     def dot(self, u: tuple, v: tuple) -> float:
-        return sum(a * b for a, b in zip(u, v))
+        return sum(map(mul, u, v))
 
     def sign(self, s: float) -> int:
         if s > ZERO_EPS:

@@ -47,8 +47,6 @@ __all__ = [
     "validate",
 ]
 
-FLOAT_DEDUP_TOL = 1e-12
-
 
 class ConfigurationError(ValueError):
     """A configuration file or generator rule is malformed."""
@@ -324,18 +322,15 @@ def _rule_to_float(rule: GeneratorRule) -> GeneratorRule:
     return SubsetValues(rule.support, float(rule.a), float(rule.b))
 
 
-def builtin_configuration(n: int, force_float: bool = False) -> Configuration:
+def builtin_configuration(n: int) -> Configuration:
     """The built-in configuration for dimension n in 5..15.
 
-    With ``force_float`` the exact coordinates are converted to doubles,
-    which trades the exact certificate for speed.
+    :func:`config_to_float` converts it to doubles, which trades the exact
+    certificate for speed.
     """
     if n not in builtin_dimensions():
         raise ValueError(f"built-in configurations cover dimensions 5..15, got {n}")
     field, rules = _builtin_recipe(n)
-    if force_float and field.kind != "float":
-        field = FLOAT
-        rules = [_rule_to_float(r) for r in rules]
     return make_configuration(n, field, rules, label=f"table1:{n}")
 
 

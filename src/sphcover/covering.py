@@ -20,15 +20,20 @@ import io
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import factorial
 
 import mpmath
 
+from ._linalg import kernel_for
 from .configgen import (
     Configuration,
     ConfigurationError,
     builtin_configuration,
+    config_to_float,
     validate,
 )
 from .polytope import (
@@ -164,78 +169,69 @@ def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
     return f"{sign}{ip}.{fp:0{digits}d}" if digits else f"{sign}{q}"
 
 
-def _signed_permutation_invariant(config: Configuration) -> bool:
-    """Closed under all coordinate permutations and under negation."""
-    points = set(config.points)
-    for p in config.points:
-        if tuple(-x for x in p) not in points:
-            return False
-    # permutation closure: each sorted pattern must appear with the full
-    # orbit size (product of multiplicities dividing n!)
-    groups: dict = {}
-    for p in config.points:
-        groups.setdefault(tuple(sorted(p)), []).append(p)
-    n = config.dimension
-    for pattern, members in groups.items():
-        mult = 1
-        run = 1
-        for i in range(1, n):
-            if pattern[i] == pattern[i - 1]:
-                run += 1
-            else:
-                mult *= _factorial(run)
-                run = 1
-        mult *= _factorial(run)
-        orbit = _factorial(n) // mult
-        if len(members) != orbit:
-            return False
-    return True
+def _orbit_representatives(config: Configuration) -> list | None:
+    """The descending-sorted point patterns, in ascending order, or None
+    when the points are not closed under negation and under every
+    coordinate permutation.
 
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _dominant_representatives(config: Configuration) -> list:
-    """One polar constraint per descending-sorted point pattern.
-
-    Inside the fundamental cone the descending arrangement of a point
-    dominates all other permutations of it (rearrangement), so the rest are
-    redundant there.  Soundness is re-checked against every original point
-    after enumeration.
+    Each coordinate is replaced by its rank among the configuration's
+    distinct values, which keeps the order, so sorting, grouping and the
+    negation lookup compare small integers.  Inside the fundamental cone the
+    descending arrangement of a point dominates all other permutations of it
+    (rearrangement), so one polar constraint per pattern suffices there;
+    soundness is re-checked against every original point after enumeration.
     """
-    reps = {tuple(sorted(p, reverse=True)) for p in config.points}
-    return sorted(reps)
+    values = sorted(set(chain.from_iterable(config.points)))
+    # on a symmetric set value i negates to value top - i
+    if any(-x != y for x, y in zip(values, reversed(values))):
+        return None
+    rank = {x: i for i, x in enumerate(values)}.__getitem__
+    first: dict = {}  # pattern of ranks -> its first point
+    members = Counter()
+    for p in config.points:
+        key = tuple(sorted(map(rank, p), reverse=True))
+        first.setdefault(key, p)
+        members[key] += 1
+    top = len(values) - 1
+    for key, count in members.items():
+        orbit = factorial(config.dimension)
+        for run in Counter(key).values():
+            orbit //= factorial(run)
+        if count != orbit or tuple(top - r for r in reversed(key)) not in first:
+            return None
+    return [tuple(sorted(first[key], key=rank, reverse=True)) for key in sorted(first)]
 
 
 def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
     """Every enumerated vertex must satisfy every original polar constraint.
 
-    A float screen first isolates the near-boundary inner products (within
-    1e-6 of 1, seven orders above double roundoff at these magnitudes); on
-    exact backends only those are re-confirmed in exact arithmetic.
+    On exact backends each vertex v is lifted to the kernel ray (1, v) and
+    each point p to the polar row (1, -p), and every product is checked
+    nonnegative in integer arithmetic.  The float backend bounds the inner
+    products by 1 + FLOAT_CHECK_EPS.
     """
-    import numpy as np
-
     field = config.field
-    pts = np.array([[float(x) for x in p] for p in config.points])
-    vs = np.array([[float(x) for x in v] for v in vertices.vertices])
-    products = pts @ vs.T
     if not field.is_exact:
-        if products.max() > 1.0 + FLOAT_CHECK_EPS:
-            raise RuntimeError(
-                "symmetry reduction produced an infeasible vertex; this is a bug"
-            )
-        return
-    one = field.one
-    for i, j in zip(*np.nonzero(products > 1.0 - 1e-6)):
-        if sign_of(dot(config.points[i], vertices.vertices[j]) - one) > 0:
-            raise RuntimeError(
-                "symmetry reduction produced an infeasible vertex; this is a bug"
-            )
+        import numpy as np
+
+        pts = np.array(config.points, dtype=float)
+        vs = np.array(vertices.vertices, dtype=float)
+        feasible = (pts @ vs.T).max() <= 1.0 + FLOAT_CHECK_EPS
+    else:
+        kernel = kernel_for(field)
+        one = field.one
+        rays = [kernel.vec_from_scalars((one,) + v) for v in vertices.vertices]
+        rows = (
+            kernel.vec_from_scalars((one,) + tuple(-x for x in p))
+            for p in config.points
+        )
+        feasible = all(
+            kernel.sign(kernel.dot(row, ray)) >= 0 for row in rows for ray in rays
+        )
+    if not feasible:
+        raise RuntimeError(
+            "symmetry reduction produced an infeasible vertex; this is a bug"
+        )
 
 
 def covering_radius(
@@ -258,7 +254,8 @@ def covering_radius(
     report = validate(config)
     if not report.ok:
         raise ConfigurationError(f"invalid configuration: {report.failure}")
-    if use_symmetry and not _signed_permutation_invariant(config):
+    representatives = _orbit_representatives(config) if use_symmetry else None
+    if use_symmetry and representatives is None:
         raise SymmetryError(
             "configuration is not invariant under coordinate permutations "
             "and negation; rerun without symmetry"
@@ -272,9 +269,7 @@ def covering_radius(
     field = config.field
     if use_symmetry and n >= 2:
         if reduce_dominated:
-            polar_rows = tuple(
-                Halfspace(p, POLAR) for p in _dominant_representatives(config)
-            )
+            polar_rows = tuple(Halfspace(p, POLAR) for p in representatives)
         else:
             polar_rows = polar_hrep(config).halfspaces
         halfspaces = symmetry_cone(n, field) + polar_rows
@@ -373,7 +368,9 @@ def verify_bounds(
         )
     reports = []
     for n in dims:
-        config = builtin_configuration(n, force_float=(backend == "float"))
+        config = builtin_configuration(n)
+        if backend == "float":
+            config = config_to_float(config)
         report = covering_radius(config, use_symmetry, digits=digits)
         if config.cardinality >= 2**n:
             raise BoundVerificationError(

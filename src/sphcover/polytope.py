@@ -156,8 +156,12 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     selected, basis = kernel.greedy_basis(rows, dim)
     if len(selected) < dim:
         # the t >= 0 row forces t = 0, so the rest of a null vector of all
-        # rows is orthogonal to every constraint normal
+        # rows is orthogonal to every constraint normal; oriented against
+        # e_j, j its first nonzero coordinate, it is primitive and that
+        # coordinate is rational and positive
         direction = kernel.null_vector(rows)[1:]
+        j = next(i for i, x in enumerate(direction) if kernel.sign(x) != 0)
+        direction = kernel.orient(direction, kernel.unit(n, j))
         raise Unbounded(tuple(kernel.to_scalar(x) for x in direction))
     sel_mask = 0
     for idx in selected:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,16 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "--dim", "5", "--format", "json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_json_matches_golden_file(self, capsys):
+        # tests/data/verify-5-10.json holds the output of
+        # `sphcover verify --dim 5 ... --dim 10 --format json`; refactors of
+        # the covering pipeline must keep it byte for byte
+        golden = Path(__file__).parent / "data" / "verify-5-10.json"
+        dims = [arg for n in range(5, 11) for arg in ("--dim", str(n))]
+        code, out, _ = run(capsys, "verify", *dims, "--format", "json")
+        assert code == 0
+        assert out.encode() == golden.read_bytes()
 
     def test_math_failure_exits_one(self, capsys, monkeypatch):
         import sphcover.cli as cli

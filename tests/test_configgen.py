@@ -16,6 +16,7 @@ from sphcover.configgen import (
     builtin_configuration,
     builtin_dimensions,
     config_from_json,
+    config_to_float,
     config_to_json,
     expand,
     load_configuration,
@@ -156,7 +157,7 @@ class TestBuiltins:
                 builtin_configuration(n)
 
     def test_force_float(self):
-        config = builtin_configuration(9, force_float=True)
+        config = config_to_float(builtin_configuration(9))
         assert config.field == FLOAT
         assert config.cardinality == 470
         assert config.norm_sq == pytest.approx(1.0)

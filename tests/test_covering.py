@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from sphcover.configgen import (
+    Configuration,
     ConfigurationError,
     Pattern,
     SubsetSigns,
     builtin_configuration,
+    builtin_dimensions,
+    config_to_float,
     make_configuration,
 )
 from sphcover.covering import (
     SymmetryError,
+    _certify_vertices,
+    _orbit_representatives,
     arccos_decimal,
     covering_radius,
     deep_hole_check,
@@ -22,6 +27,7 @@ from sphcover.covering import (
     threshold_check,
     verify_bounds,
 )
+from sphcover.polytope import VertexSet
 from sphcover.scalar import FLOAT, Quadratic, RATIONAL, quadratic_field
 
 F = Fraction
@@ -38,6 +44,16 @@ EXACT_COS2 = {
 
 def cross_polytope(n, field=RATIONAL):
     return make_configuration(n, field, [SubsetSigns(1, value=1)])
+
+
+def partial_orbit_config():
+    """Negation-closed, but only a partial permutation orbit."""
+    points = []
+    for a, b in ((3, 4), (4, 3)):
+        points.append((F(a), F(b), F(0)))
+        points.append((F(-a), F(-b), F(0)))
+    points += [(F(0), F(0), F(5)), (F(0), F(0), F(-5))]
+    return Configuration(3, RATIONAL, (), tuple(sorted(points)), F(25))
 
 
 class TestCoveringRadius:
@@ -74,23 +90,13 @@ class TestCoveringRadius:
             assert fast.cos2_radius == full.cos2_radius
 
     def test_symmetry_requires_invariance(self):
-        from sphcover.configgen import Configuration
-
-        # negation-closed but only a partial permutation orbit
-        points = []
-        for a, b in ((3, 4), (4, 3)):
-            points.append((F(a), F(b), F(0)))
-            points.append((F(-a), F(-b), F(0)))
-        points += [(F(0), F(0), F(5)), (F(0), F(0), F(-5))]
-        config = Configuration(3, RATIONAL, (), tuple(sorted(points)), F(25))
+        config = partial_orbit_config()
         with pytest.raises(SymmetryError):
             covering_radius(config, use_symmetry=True)
         report = covering_radius(config, use_symmetry=False)
         assert 0 < float(report.cos2_radius) <= 1
 
     def test_invalid_configuration_rejected(self):
-        from sphcover.configgen import Configuration
-
         e1 = (F(1), F(0))
         config = Configuration(2, RATIONAL, (), (e1,), F(1))
         with pytest.raises(ConfigurationError):
@@ -106,6 +112,67 @@ class TestCoveringRadius:
         assert report.backend == RATIONAL
         assert report.wall_time > 0
         assert len(report.attaining_vertex) == 8
+
+
+def _descending_patterns(config):
+    return sorted({tuple(sorted(p, reverse=True)) for p in config.points})
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("n", list(builtin_dimensions()))
+    def test_builtin_patterns(self, n):
+        config = builtin_configuration(n)
+        for cfg in (config, config_to_float(config)):
+            # repr also pins the scalar types and the sign of float zeros
+            reps = _orbit_representatives(cfg)
+            assert repr(reps) == repr(_descending_patterns(cfg))
+
+    def test_quadratic_pattern(self):
+        config = make_configuration(
+            4,
+            quadratic_field(2),
+            [Pattern(((Quadratic(1, 1, 2), 1), (-1, 2), (0, 1)))],
+        )
+        reps = _orbit_representatives(config)
+        assert reps == _descending_patterns(config)
+        assert len(reps) == 2  # the pattern and its negation
+
+    def test_partial_orbit_is_rejected(self):
+        assert _orbit_representatives(partial_orbit_config()) is None
+
+    def test_missing_negated_pattern_is_rejected(self):
+        # full permutation orbits, values closed under negation, but the
+        # negation of (2, -2, 1) is no permutation of a point
+        config = make_configuration(
+            3,
+            RATIONAL,
+            [Pattern(((2, 1), (-2, 1), (1, 1))), Pattern(((1, 2), (-1, 1)))],
+        )
+        points = tuple(p for p in config.points if sorted(p) != [-2, -1, 2])
+        partial = Configuration(3, RATIONAL, (), points, config.norm_sq)
+        assert _orbit_representatives(partial) is None
+
+
+class TestCertifyVertices:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: builtin_configuration(5),
+            lambda: builtin_configuration(10),
+            lambda: config_to_float(builtin_configuration(6)),
+        ],
+        ids=["Q", "Q(sqrt5)", "float"],
+    )
+    def test_rejects_tampered_vertex(self, make):
+        config = make()
+        vertex = covering_radius(config).attaining_vertex
+        _certify_vertices(VertexSet((vertex,), ((),)), config)
+        # the attaining vertex is tight on some point; pushed outward by
+        # 1e-6 it violates that point's polar constraint
+        scale = F(1000001, 1000000) if config.field.is_exact else 1 + 1e-6
+        pushed = tuple(scale * x for x in vertex)
+        with pytest.raises(RuntimeError, match="infeasible vertex"):
+            _certify_vertices(VertexSet((vertex, pushed), ((), ())), config)
 
 
 class TestThreshold:
@@ -203,8 +270,6 @@ class TestInvariants:
         # check cos^2 never grows
         import random
 
-        from sphcover.configgen import Configuration
-
         full = make_configuration(
             3,
             RATIONAL,
@@ -241,8 +306,6 @@ class TestInvariants:
         )
         ref = covering_radius(base, use_symmetry=False)
         perm, signs = (2, 0, 1), (-1, 1, -1)
-        from sphcover.configgen import Configuration
-
         mapped_points = tuple(
             sorted(tuple(s * p[i] for i, s in zip(perm, signs)) for p in base.points)
         )

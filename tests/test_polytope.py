@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from sphcover.configgen import SubsetSigns, builtin_configuration, make_configuration
+from sphcover.configgen import (
+    SubsetSigns,
+    builtin_configuration,
+    config_to_float,
+    make_configuration,
+)
 from sphcover.oracle import brute_force_vertices
 from sphcover.polytope import (
     CONE,
@@ -142,6 +147,13 @@ class TestUnbounded:
                 assert sign_of(dot(direction, v)) == 0
             else:
                 assert abs(dot(direction, v)) <= 1e-12
+        # normalized: a primitive rational multiple of (1, 1, -1), first
+        # coordinate positive, whatever field element scales the normals
+        if field.is_exact:
+            assert all(isinstance(x, F) for x in direction)
+            assert direction == (1, 1, -1)
+        else:
+            assert direction == pytest.approx((1.0, 1.0, -1.0), abs=1e-12)
 
     def test_non_interior_origin_config(self):
         # permutations of (2,-2,0,0,0) span only the zero-sum hyperplane,
@@ -232,7 +244,7 @@ class TestFloatBackend:
 
     def test_float_matches_exact_on_builtin(self):
         exact_cfg = builtin_configuration(6)
-        float_cfg = builtin_configuration(6, force_float=True)
+        float_cfg = config_to_float(exact_cfg)
 
         def cone_system(cfg):
             return HPolytope(
