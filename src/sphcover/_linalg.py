@@ -86,8 +86,7 @@ class _ExactKernel(_Kernel):
                 factor = row[pivot_col]
                 if self.is_zero(factor):
                     continue
-                row = self.row_sub(pivot_row[pivot_col], row, factor, pivot_row)
-                row = self.reduce(row)
+                row = self.combine(pivot_row[pivot_col], row, factor, pivot_row)
             pivot_col = next(
                 (j for j, x in enumerate(row) if not self.is_zero(x)), None
             )
@@ -138,10 +137,6 @@ class _RationalKernel(_ExactKernel):
 
     def to_scalar(self, raw: int) -> Scalar:
         return Fraction(raw)
-
-    def row_sub(self, pivot_val, row, factor, pivot_row):
-        # pivot_val * row - factor * pivot_row, componentwise
-        return tuple(pivot_val * a - factor * b for a, b in zip(row, pivot_row))
 
     def is_zero(self, x: int) -> bool:
         return x == 0
@@ -207,24 +202,21 @@ class _QuadraticKernel(_ExactKernel):
         return self.reduce(tuple(out))
 
     def dehomogenize(self, ray: tuple) -> tuple:
-        t = Quadratic(ray[0][0], ray[0][1], self.d)
+        """x / t for each coordinate x, as x * conj(t) over the integer
+        norm t * conj(t); a coordinate without a sqrt(d) part is a Fraction."""
+        ta, tb = ray[0]
+        d = self.d
+        norm = ta * ta - tb * tb * d
         out = []
         for a, b in ray[1:]:
-            q = Quadratic(a, b, self.d) / t
-            out.append(q.a if isinstance(q, Quadratic) and q.b == 0 else q)
+            qa = Fraction(a * ta - b * tb * d, norm)
+            qb = b * ta - a * tb
+            out.append(qa if qb == 0 else Quadratic(qa, Fraction(qb, norm), d))
         return tuple(out)
 
     def to_scalar(self, raw: tuple) -> Scalar:
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
-
-    def row_sub(self, pivot_val, row, factor, pivot_row):
-        out = []
-        for a, b in zip(row, pivot_row):
-            pa = self._mul(pivot_val, a)
-            fb = self._mul(factor, b)
-            out.append((pa[0] - fb[0], pa[1] - fb[1]))
-        return tuple(out)
 
     def is_zero(self, x: tuple) -> bool:
         return x == (0, 0)

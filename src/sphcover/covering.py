@@ -238,17 +238,15 @@ def covering_radius(
     config: Configuration,
     use_symmetry: bool = True,
     *,
-    reduce_dominated: bool | None = None,
     digits: int = 5,
 ) -> CoveringReport:
     """Covering radius of a configuration via its polar vertices.
 
     With ``use_symmetry`` the configuration must be invariant under all
-    coordinate permutations and under global negation; enumeration is then
-    restricted to the fundamental cone.  ``reduce_dominated`` additionally
-    drops polar constraints that are redundant inside the cone (on by
-    default in symmetric mode); every dropped constraint is re-verified
-    against the final vertices.
+    coordinate permutations and under global negation.  Enumeration then
+    always runs on the fundamental cone with one polar constraint per orbit
+    representative, and every enumerated vertex is certified against all
+    original polar constraints.  Without it the full polar is enumerated.
     """
     start = time.perf_counter()
     report = validate(config)
@@ -260,19 +258,13 @@ def covering_radius(
             "configuration is not invariant under coordinate permutations "
             "and negation; rerun without symmetry"
         )
-    if reduce_dominated is None:
-        reduce_dominated = use_symmetry
-    if reduce_dominated and not use_symmetry:
-        raise ValueError("dominance reduction requires the symmetry cone")
 
     n = config.dimension
     field = config.field
     if use_symmetry and n >= 2:
-        if reduce_dominated:
-            polar_rows = tuple(Halfspace(p, POLAR) for p in representatives)
-        else:
-            polar_rows = polar_hrep(config).halfspaces
-        halfspaces = symmetry_cone(n, field) + polar_rows
+        halfspaces = symmetry_cone(n, field) + tuple(
+            Halfspace(p, POLAR) for p in representatives
+        )
     else:
         halfspaces = polar_hrep(config).halfspaces
         if len(halfspaces) > 1000:
@@ -290,7 +282,7 @@ def covering_radius(
     )
     vertices = enumerate_vertices(poly)
     m_max, attaining = max_squared_norm(vertices)
-    if reduce_dominated:
+    if use_symmetry:
         _certify_vertices(vertices, config)
 
     one = field.one
@@ -324,11 +316,7 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     """
     field = config.field
     vec = report.attaining_vertex
-    best = None
-    for point in config.points:
-        total = dot(point, vec)
-        if best is None or sign_of(total - best) > 0:
-            best = total
+    best = max(dot(p, vec) for p in config.points)
     norm = dot(vec, vec)
     # cos^2 of the hole angle is best^2 / (R^2 |x|^2); compare with cos^2 r
     if field.is_exact:

@@ -34,10 +34,8 @@ __all__ = [
     "Unbounded",
     "VertexSet",
     "dump_hpolytope",
-    "dump_vertices",
     "enumerate_vertices",
     "load_hpolytope",
-    "load_vertices",
     "max_squared_norm",
     "polar_hrep",
     "symmetry_cone",
@@ -272,26 +270,21 @@ def _refine_float_rays(rows, rays):
         drift = np.abs(np.asarray(vec) / vec[0] - null).max()
         if drift < 1e-5:
             scale = np.abs(null).max()
-            refined.append((tuple(float(x) / scale for x in null), mask))
+            refined.append((tuple(float(x / scale) for x in null), mask))
         else:
             refined.append((vec, mask))
     return refined
 
 
 def max_squared_norm(vertices: VertexSet):
-    """Exact maximum of sum(x_i^2) over vertices, with one attaining vertex."""
+    """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex."""
     if not vertices.vertices:
         raise ValueError("empty vertex set")
-    best_val = None
-    best_vec = None
-    for vec in vertices.vertices:
-        total = dot(vec, vec)
-        if best_val is None or sign_of(total - best_val) > 0:
-            best_val, best_vec = total, vec
-    return best_val, best_vec
+    best = max(vertices.vertices, key=lambda v: dot(v, v))
+    return dot(best, best), best
 
 
-# -- debug dump format ---------------------------------------------------------
+# -- halfspace dump format (oracle --hrep) -------------------------------------
 
 
 def _field_tag(field: Field) -> str:
@@ -317,7 +310,17 @@ def load_hpolytope(path: str | Path) -> HPolytope:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("hpolytope "):
         raise ValueError(f"{path}: not an hpolytope dump")
-    header = dict(part.split("=", 1) for part in lines[0].split()[1:])
+    header = {}
+    for part in lines[0].split()[1:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(
+                f"{path}: malformed header token {part!r}, expected key=value"
+            )
+        header[key] = value
+    for key in ("dim", "field"):
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key}=")
     n = int(header["dim"])
     field = _field_from_tag(header["field"])
     halfspaces = []
@@ -333,32 +336,3 @@ def load_hpolytope(path: str | Path) -> HPolytope:
             raise ValueError(f"{path}:{lineno}: expected {n} coordinates")
         halfspaces.append(Halfspace(normal, kind))
     return HPolytope(n, tuple(halfspaces), field)
-
-
-def dump_vertices(vertices: VertexSet, dimension: int, field: Field,
-                  path: str | Path) -> None:
-    lines = [f"vertexset dim={dimension} field={_field_tag(field)}"]
-    for vec in vertices.vertices:
-        lines.append("vertex: " + " ".join(format_scalar(x) for x in vec))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_vertices(path: str | Path) -> tuple:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("vertexset "):
-        raise ValueError(f"{path}: not a vertexset dump")
-    header = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    n = int(header["dim"])
-    field = _field_from_tag(header["field"])
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        kind, _, rest = line.partition(":")
-        if kind.strip() != "vertex":
-            raise ValueError(f"{path}:{lineno}: unknown row kind")
-        vec = tuple(parse_scalar(tok, field) for tok in rest.split())
-        if len(vec) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} coordinates")
-        out.append(vec)
-    return tuple(out)

@@ -53,6 +53,9 @@ class TestVerify:
         rows = [line for line in out.splitlines() if line[:4].strip().isdigit()]
         assert len(rows) == 11
         assert all("pass" in row for row in rows)
+        # tests/data/verify-all.txt holds the output of `sphcover verify --all`
+        golden = Path(__file__).parent / "data" / "verify-all.txt"
+        assert out.encode() == golden.read_bytes()
 
     def test_dim_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -193,6 +196,19 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", "table1:5", "--hrep", str(path))
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize(
+        "header", ["hpolytope field=rational", "hpolytope dim=5 rational"]
+    )
+    def test_malformed_hrep_header_exit_two(self, capsys, tmp_path, header):
+        path = tmp_path / "dump.txt"
+        dump_hpolytope(_reduced_table1_5(), path)
+        lines = path.read_text().splitlines()
+        lines[0] = header
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "oracle", "table1:5", "--hrep", str(path))
+        assert code == 2
+        assert err.startswith("halfspace dump error")
 
     def test_missing_config_exit_two(self, capsys):
         code, _, err = run(capsys, "oracle", "no-such-file.json")

@@ -27,7 +27,14 @@ from sphcover.covering import (
     threshold_check,
     verify_bounds,
 )
-from sphcover.polytope import VertexSet
+from sphcover.polytope import (
+    HPolytope,
+    VertexSet,
+    enumerate_vertices,
+    max_squared_norm,
+    polar_hrep,
+    symmetry_cone,
+)
 from sphcover.scalar import FLOAT, Quadratic, RATIONAL, quadratic_field
 
 F = Fraction
@@ -83,11 +90,18 @@ class TestCoveringRadius:
             assert sym.cos2_radius == nosym.cos2_radius
 
     def test_reduction_on_off_agree(self):
+        # the orbit-reduced cone system gives the radius of the cone cut
+        # by every polar row
         for n in (5, 6):
             config = builtin_configuration(n)
             fast = covering_radius(config, use_symmetry=True)
-            full = covering_radius(config, use_symmetry=True, reduce_dominated=False)
-            assert fast.cos2_radius == full.cos2_radius
+            cone = HPolytope(
+                n,
+                symmetry_cone(n, config.field) + polar_hrep(config).halfspaces,
+                config.field,
+            )
+            m_max, _ = max_squared_norm(enumerate_vertices(cone))
+            assert fast.cos2_radius == 1 / (config.norm_sq * m_max)
 
     def test_symmetry_requires_invariance(self):
         config = partial_orbit_config()
@@ -213,6 +227,11 @@ class TestDeepHole:
         config = builtin_configuration(n)
         report = covering_radius(config)
         assert deep_hole_check(config, report)
+
+    def test_float_hole_is_a_plain_bool(self):
+        config = config_to_float(builtin_configuration(6))
+        report = covering_radius(config)
+        assert deep_hole_check(config, report) is True
 
     def test_detects_corrupted_vertex(self):
         import dataclasses

@@ -144,6 +144,8 @@ class TestBruteForce:
         assert len(V.vertices) == len(E.vertices) == (6 if cone else 8)
         for v, e in zip(V.vertices, E.vertices):
             assert v == pytest.approx(e, abs=1e-9)
+        # the engine's float vertices are plain Python floats, as the oracle's
+        assert all(type(x) is float for e in E.vertices for x in e)
 
     def test_agrees_with_engine_on_cross_polytopes(self):
         for n in (2, 3, 4):

@@ -17,10 +17,8 @@ from sphcover.polytope import (
     HPolytope,
     Unbounded,
     dump_hpolytope,
-    dump_vertices,
     enumerate_vertices,
     load_hpolytope,
-    load_vertices,
     max_squared_norm,
     polar_hrep,
     symmetry_cone,
@@ -275,14 +273,23 @@ class TestDumps:
             h.normal for h in P.halfspaces
         ]
 
-    def test_vertex_roundtrip(self, tmp_path):
-        V = enumerate_vertices(cube_hrep(2))
-        path = tmp_path / "verts.txt"
-        dump_vertices(V, 2, RATIONAL, path)
-        assert load_vertices(path) == V.vertices
-
     def test_bad_dump_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a dump\n")
         with pytest.raises(ValueError):
+            load_hpolytope(path)
+
+    @pytest.mark.parametrize(
+        "header, key",
+        [
+            ("hpolytope field=rational", "dim"),
+            ("hpolytope dim=2", "field"),
+            ("hpolytope dim=2 rational", "'rational'"),
+        ],
+        ids=["no-dim", "no-field", "bare-token"],
+    )
+    def test_malformed_header_names_key(self, tmp_path, header, key):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\npolar: 1 0\n")
+        with pytest.raises(ValueError, match=key):
             load_hpolytope(path)
