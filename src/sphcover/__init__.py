@@ -26,6 +26,7 @@ from .configgen import (
 from .covering import (
     BoundVerificationError,
     CoveringReport,
+    RoundingUndecidedError,
     SymmetryError,
     ThresholdVerdict,
     arccos_decimal,
@@ -82,6 +83,7 @@ __all__ = [
     "Pattern",
     "Quadratic",
     "RATIONAL",
+    "RoundingUndecidedError",
     "SubsetSigns",
     "SubsetValues",
     "SymmetryError",

@@ -7,17 +7,28 @@ echelon routine, and every rank, basis and null-space question of the
 configuration check and the vertex enumerator is answered through it.  The
 exact kernels eliminate fraction-free, one row at a time; the float kernel
 pivots on the largest magnitude, column by column.
+
+A :class:`Lift` holds a whole configuration in the same integer form under
+one common denominator, as numpy matrices, so that the checks which read
+every point run as blocked integer matrix products.  numpy is imported
+only where a lift is built or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .scalar import Field, Quadratic, Scalar
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
+# product entries per block of rows, about 512 KiB either way: an exact
+# lifted product keeps some 16 int64 temporaries per entry, the float
+# certify one float64
+BLOCK_ENTRIES = 4096
+FLOAT_BLOCK_ENTRIES = 65536
 
 
 def _int_sign(x: int) -> int:
@@ -104,15 +115,17 @@ class _RationalKernel(_ExactKernel):
     def vec_from_scalars(self, scalars) -> tuple:
         fracs = []
         for x in scalars:
-            if isinstance(x, Quadratic):
-                if x.b != 0:
-                    raise TypeError("quadratic value in a rational system")
-                x = x.a
-            fracs.append(Fraction(x))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return self.reduce(tuple(int(f * den) for f in fracs))
+            if type(x) is not Fraction:
+                if isinstance(x, Quadratic):
+                    if x.b != 0:
+                        raise TypeError("quadratic value in a rational system")
+                    x = x.a
+                x = Fraction(x)
+            fracs.append(x)
+        den = lcm(*(f.denominator for f in fracs))
+        return self.reduce(
+            tuple(f.numerator * (den // f.denominator) for f in fracs)
+        )
 
     def reduce(self, vec: tuple) -> tuple:
         g = 0
@@ -128,6 +141,12 @@ class _RationalKernel(_ExactKernel):
     def sign(self, s: int) -> int:
         return _int_sign(s)
 
+    def signs(self, a, b):
+        """Elementwise sign of an integer array (``b`` is None over Q)."""
+        import numpy as np
+
+        return np.sign(a)
+
     def combine(self, sp: int, rm: tuple, sm: int, rp: tuple) -> tuple:
         return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
 
@@ -137,6 +156,11 @@ class _RationalKernel(_ExactKernel):
 
     def to_scalar(self, raw: int) -> Scalar:
         return Fraction(raw)
+
+    def squared_norm(self, ray: tuple) -> Scalar:
+        """|x|^2 / t^2 for a ray (t, x), such as the lift of (1, v)."""
+        t, *x = ray
+        return Fraction(self.dot(x, x), t * t)
 
     def is_zero(self, x: int) -> bool:
         return x == 0
@@ -156,12 +180,17 @@ class _QuadraticKernel(_ExactKernel):
                     raise TypeError(f"sqrt({x.d}) value in a sqrt({self.d}) system")
                 parts.append((x.a, x.b))
             else:
-                parts.append((Fraction(x), Fraction(0)))
-        den = 1
-        for a, b in parts:
-            den = den * a.denominator // gcd(den, a.denominator)
-            den = den * b.denominator // gcd(den, b.denominator)
-        return self.reduce(tuple((int(a * den), int(b * den)) for a, b in parts))
+                parts.append((x if type(x) is Fraction else Fraction(x), Fraction(0)))
+        den = lcm(*(x.denominator for x in chain.from_iterable(parts)))
+        return self.reduce(
+            tuple(
+                (
+                    a.numerator * (den // a.denominator),
+                    b.numerator * (den // b.denominator),
+                )
+                for a, b in parts
+            )
+        )
 
     def reduce(self, vec: tuple) -> tuple:
         g = 0
@@ -193,6 +222,20 @@ class _QuadraticKernel(_ExactKernel):
             return sa
         return sa * _int_sign(a * a - b * b * self.d)
 
+    def signs(self, a, b):
+        """``sign`` elementwise on integer arrays a, b (int64 or Python
+        ints): entries whose parts have opposite signs are decided by the
+        sign of a^2 - d b^2, computed on those entries only."""
+        import numpy as np
+
+        sa, sb = np.sign(a), np.sign(b)
+        out = np.sign(sa + sb)
+        mixed = sa * sb < 0
+        if mixed.any():
+            am, bm = a[mixed], b[mixed]
+            out[mixed] = sa[mixed] * np.sign(am * am - self.d * (bm * bm))
+        return out
+
     def combine(self, sp: tuple, rm: tuple, sm: tuple, rp: tuple) -> tuple:
         out = []
         for a, b in zip(rp, rm):
@@ -217,6 +260,16 @@ class _QuadraticKernel(_ExactKernel):
     def to_scalar(self, raw: tuple) -> Scalar:
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
+
+    def squared_norm(self, ray: tuple) -> Scalar:
+        """|x|^2 / t^2 for a ray (t, x) with rational t, such as the lift
+        of (1, v)."""
+        (t, _), *x = ray
+        u, w = self.dot(x, x)
+        t2 = t * t
+        if w == 0:
+            return Fraction(u, t2)
+        return Quadratic(Fraction(u, t2), Fraction(w, t2), self.d)
 
     def is_zero(self, x: tuple) -> bool:
         return x == (0, 0)
@@ -315,3 +368,118 @@ def rank(rows, field: Field) -> int:
     """
     kernel = kernel_for(field)
     return len(kernel.echelon([kernel.vec_from_scalars(r) for r in rows]))
+
+
+def _int_dtype(bound: int):
+    """int64 when ``bound`` shows every intermediate fits, else Python ints."""
+    import numpy as np
+
+    return np.int64 if bound < 2**62 else object
+
+
+def row_blocks(rows: int, width: int, entries: int = BLOCK_ENTRIES):
+    """Slices of at most ``entries / width`` rows (at least one), so that a
+    block's product with ``width`` columns stays small."""
+    step = max(1, entries // max(1, width))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+class Lift:
+    """Equal-length vectors p = (a + b*sqrt(d)) / scale, one row each.
+
+    On exact fields ``a`` and ``b`` are integer matrices (``b`` is None over
+    Q), int64 when their entries fit and Python ints otherwise, and ``top``
+    bounds those entries.  On the float field ``a`` is the plain float64
+    matrix of the vectors and ``scale`` is 1.
+    """
+
+    __slots__ = ("scale", "a", "b", "top")
+
+    def __init__(self, scale: int, a, b, top: int):
+        self.scale, self.a, self.b, self.top = scale, a, b, top
+
+    def row_keys(self) -> tuple:
+        """One integer per exact vector, equal only for equal vectors, and
+        the integer of each vector's negation: the row's entries (a part,
+        then b part) shifted by ``top`` are the digits of a number in base
+        2 * top + 1, and negating every digit's entry maps a key k to
+        ``full - k``."""
+        import numpy as np
+
+        parts = self.a if self.b is None else np.hstack((self.a, self.b))
+        base = 2 * self.top + 1
+        width = parts.shape[1]
+        dtype = _int_dtype(base**width)
+        weights = np.array([base**j for j in range(width)], dtype=dtype)
+        keys = (parts.astype(dtype) + self.top) @ weights
+        full = base**width - 1  # every digit 2 * top
+        return keys.tolist(), (full - keys).tolist()
+
+    def squared_norms(self, d: int) -> tuple:
+        """Row sums (u, w) with scale^2 * |p|^2 = u + w*sqrt(d): a^2 + d b^2
+        and 2 a b (w is None over Q)."""
+        dtype = _int_dtype(self.a.shape[1] * (1 + d) * self.top**2)
+        a = self.a.astype(dtype, copy=False)
+        if self.b is None:
+            return (a * a).sum(axis=1), None
+        b = self.b.astype(dtype, copy=False)
+        return (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
+
+    def polar_products(self, kernel: _ExactKernel, rays):
+        """Products of the polar rows (scale, -p) with kernel rays (t, x),
+        a block of rows at a time: (a, b) parts of shape (block, len(rays)),
+        b None over Q.
+
+        The dtype is chosen once, from a bound on every intermediate; over
+        Q(sqrt d) that includes the squares ``kernel.signs`` takes of the
+        products.
+        """
+        import numpy as np
+
+        d = 0 if self.b is None else kernel.d
+        r = np.array(rays)
+        bound = int(np.abs(r).max()) * (
+            self.scale + (1 + d) * self.a.shape[1] * self.top
+        )
+        dtype = _int_dtype(bound if self.b is None else (1 + d) * bound * bound)
+        r = r.astype(dtype, copy=False)
+        a = self.a.astype(dtype, copy=False)
+        blocks = row_blocks(len(a), len(rays))
+        if self.b is None:
+            t, x = self.scale * r[:, 0], r[:, 1:].T
+            for rows in blocks:
+                yield t - a[rows] @ x, None
+            return
+        b = self.b.astype(dtype, copy=False)
+        ta, tb = self.scale * r[:, 0, 0], self.scale * r[:, 0, 1]
+        xa, xb = r[:, 1:, 0].T, r[:, 1:, 1].T
+        for rows in blocks:
+            ar, br = a[rows], b[rows]
+            yield ta - ar @ xa - d * (br @ xb), tb - ar @ xb - br @ xa
+
+
+def lift(vectors, field: Field) -> Lift:
+    """Lift equal-length scalar vectors to a :class:`Lift`.
+
+    Each distinct coordinate value is converted once: the kernel vector of
+    (1, values...) has the common denominator as its first entry and the
+    values' numerators after it, and every vector is lifted by table
+    lookup.
+    """
+    import numpy as np
+
+    if not field.is_exact:
+        return Lift(1, np.array(vectors, dtype=float), None, 0)
+    index: dict = {}
+    idx = np.array(
+        [[index.setdefault(x, len(index)) for x in v] for v in vectors], dtype=np.intp
+    )
+    table = kernel_for(field).vec_from_scalars((field.one, *index))
+    if field.kind == "rational":
+        scale, parts = table[0], [table[1:]]
+    else:
+        scale, parts = table[0][0], list(zip(*table[1:]))
+    top = max(map(abs, chain.from_iterable(parts)))
+    dtype = np.int64 if top < 2**63 else object
+    a, *b = (np.array(p, dtype=dtype)[idx] for p in parts)
+    return Lift(scale, a, b[0] if b else None, top)

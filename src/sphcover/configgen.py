@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable, Union
@@ -195,6 +196,12 @@ class Configuration:
     def cardinality(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def lift(self) -> _linalg.Lift:
+        """The points lifted once to the kernels' integer form (float64 on
+        the float field); the exact checks that read every point use it."""
+        return _linalg.lift(self.points, self.field)
+
 
 def make_configuration(
     dimension: int,
@@ -233,24 +240,32 @@ def validate(config: Configuration) -> ValidationReport:
         return ValidationReport(False, "configuration has no points")
     if any(len(p) != config.dimension for p in points):
         return ValidationReport(False, "point dimension mismatch")
-    keys = {_dedup_key(p, config.field) for p in points}
-    if len(keys) != len(points):
+    field = config.field
+    lift = config.lift
+    if field.is_exact:
+        keys, negated = lift.row_keys()
+    else:
+        keys = [_dedup_key(p, field) for p in points]
+        negated = (tuple(-x for x in key) for key in keys)
+    seen = set(keys)
+    if len(seen) != len(points):
         return ValidationReport(False, "points are not pairwise distinct")
-    for p in points:
-        neg = tuple(-x for x in p)
-        if _dedup_key(neg, config.field) not in keys:
-            return ValidationReport(False, "not origin-symmetric")
-    if config.field.is_exact:
-        for p in points:
-            if dot(p, p) != config.norm_sq:
-                return ValidationReport(False, "points do not share one norm")
+    if any(key not in seen for key in negated):
+        return ValidationReport(False, "not origin-symmetric")
+    if field.is_exact:
+        # scale^2 |p|^2 = u + w sqrt(d) must be the integer pair of the norm
+        u, w = lift.squared_norms(field.d or 0)
+        target = config.norm_sq * lift.scale**2
+        ta, tb = (target.a, target.b) if isinstance(target, Quadratic) else (target, 0)
+        if (u != ta).any() or (w is not None and (w != tb).any()):
+            return ValidationReport(False, "points do not share one norm")
         if sign_of(config.norm_sq) == 0:
             return ValidationReport(False, "points have zero norm")
     else:
         ref = float(config.norm_sq)
-        for p in points:
-            if abs(dot(p, p) - ref) > 1e-9 * max(1.0, abs(ref)):
-                return ValidationReport(False, "points do not share one norm")
+        norms = (lift.a * lift.a).sum(axis=1)
+        if (abs(norms - ref) > 1e-9 * max(1.0, abs(ref))).any():
+            return ValidationReport(False, "points do not share one norm")
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
     kernel = _linalg.kernel_for(config.field)

@@ -28,7 +28,7 @@ from math import factorial
 
 import mpmath
 
-from ._linalg import kernel_for
+from ._linalg import FLOAT_BLOCK_ENTRIES, kernel_for, row_blocks
 from .configgen import (
     Configuration,
     ConfigurationError,
@@ -59,6 +59,7 @@ from .scalar import (
 __all__ = [
     "BoundVerificationError",
     "CoveringReport",
+    "RoundingUndecidedError",
     "SymmetryError",
     "ThresholdVerdict",
     "arccos_decimal",
@@ -76,10 +77,16 @@ logger = logging.getLogger(__name__)
 
 INCONCLUSIVE_MARGIN = 1e-6  # float cos^2 margin below which a verdict is void
 FLOAT_CHECK_EPS = 1e-9
+ARCCOS_MAX_DPS = 4096  # working digits beyond which arccos_decimal gives up
 
 
 class SymmetryError(ValueError):
     """The configuration lacks the symmetry required for cone reduction."""
+
+
+class RoundingUndecidedError(ValueError):
+    """An angle lies too close to a rounding boundary to be rounded within
+    ``ARCCOS_MAX_DPS`` working digits."""
 
 
 class BoundVerificationError(RuntimeError):
@@ -162,6 +169,11 @@ def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
     q = rounded_at(dps)
     while q != rounded_at(2 * dps):  # near a rounding boundary; sharpen
         dps *= 2
+        if dps > ARCCOS_MAX_DPS:
+            raise RoundingUndecidedError(
+                f"arccos(sqrt({cos2})) is not rounded to {digits} digits "
+                f"within {ARCCOS_MAX_DPS} working digits"
+            )
         q = rounded_at(dps)
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -205,28 +217,29 @@ def _orbit_representatives(config: Configuration) -> list | None:
 def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
     """Every enumerated vertex must satisfy every original polar constraint.
 
-    On exact backends each vertex v is lifted to the kernel ray (1, v) and
-    each point p to the polar row (1, -p), and every product is checked
-    nonnegative in integer arithmetic.  The float backend bounds the inner
-    products by 1 + FLOAT_CHECK_EPS.
+    On exact backends each vertex v is lifted to the kernel ray (1, v), and
+    the products of the configuration's lifted polar rows (scale, -p) with
+    those rays are checked nonnegative as blocked integer matrix products.
+    The float backend bounds the inner products by 1 + FLOAT_CHECK_EPS,
+    also a block of points at a time.
     """
     field = config.field
+    lift = config.lift
     if not field.is_exact:
         import numpy as np
 
-        pts = np.array(config.points, dtype=float)
-        vs = np.array(vertices.vertices, dtype=float)
-        feasible = (pts @ vs.T).max() <= 1.0 + FLOAT_CHECK_EPS
+        vs = np.array(vertices.vertices, dtype=float).T
+        feasible = all(
+            (lift.a[rows] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS
+            for rows in row_blocks(len(lift.a), vs.shape[1], FLOAT_BLOCK_ENTRIES)
+        )
     else:
         kernel = kernel_for(field)
         one = field.one
         rays = [kernel.vec_from_scalars((one,) + v) for v in vertices.vertices]
-        rows = (
-            kernel.vec_from_scalars((one,) + tuple(-x for x in p))
-            for p in config.points
-        )
         feasible = all(
-            kernel.sign(kernel.dot(row, ray)) >= 0 for row in rows for ray in rays
+            (kernel.signs(a, b) >= 0).all()
+            for a, b in lift.polar_products(kernel, rays)
         )
     if not feasible:
         raise RuntimeError(
@@ -312,17 +325,31 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
 
     The vertex direction is compared against every configuration point: the
     largest inner product must reproduce cos^2 of the covering radius
-    exactly (within 1e-9 on the float backend).
+    exactly (within 1e-9 on the float backend).  The inner products are
+    taken on the configuration's lift.
     """
     field = config.field
     vec = report.attaining_vertex
-    best = max(dot(p, vec) for p in config.points)
+    lift = config.lift
     norm = dot(vec, vec)
     # cos^2 of the hole angle is best^2 / (R^2 |x|^2); compare with cos^2 r
     if field.is_exact:
+        kernel = kernel_for(field)
+        ray = kernel.vec_from_scalars((field.one,) + vec)
+        # the polar products scale*t - p.x of the ray (t, x) of vec are
+        # scale*t*(1 - p.vec), least where p.vec is largest
+        slacks = set()
+        for a, b in lift.polar_products(kernel, [ray]):
+            a = a[:, 0].tolist()
+            slacks.update(a if b is None else zip(a, b[:, 0].tolist()))
+        least = min(map(kernel.to_scalar, slacks))
+        best = field.one - least / (lift.scale * kernel.to_scalar(ray[0]))
         if sign_of(best) <= 0:
             return False
         return best * best == config.norm_sq * norm * report.cos2_radius
+    import numpy as np
+
+    best = float((lift.a @ np.array(vec, dtype=float)).max())
     if best <= 0:
         return False
     lhs = best * best / (float(config.norm_sq) * norm)
@@ -337,9 +364,9 @@ def verify_bounds(
 ) -> list:
     """Certify the built-in configurations for the requested dimensions.
 
-    For each dimension this checks |A| < 2^n and that the covering radius
-    clears arccos(sqrt((n-1)/(2n))), raising
-    :class:`BoundVerificationError` at the first failure.
+    For each dimension this checks |A| < 2^n, that the covering radius
+    clears arccos(sqrt((n-1)/(2n))) and that the attaining vertex is a deep
+    hole, raising :class:`BoundVerificationError` at the first failure.
     """
     if dims is None:
         dims = range(5, 16)
@@ -372,6 +399,8 @@ def verify_bounds(
             raise BoundVerificationError(
                 n, "covering radius exceeds the threshold"
             )
+        if not deep_hole_check(config, report):
+            raise BoundVerificationError(n, "attaining vertex is not a deep hole")
         logger.info(
             "n=%d certified: radius %s <= %s in %.2fs",
             n,

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import floordiv, mul, truediv
+from operator import mul
 
 import numpy as np
 
 from .configgen import Configuration
 from .polytope import POLAR, HPolytope, VertexSet
-from .scalar import Field, Quadratic, dot, sign_of
+from .scalar import Field, Quadratic, dot
 
 __all__ = [
     "InstanceTooLarge",
@@ -76,16 +76,15 @@ def _exact_vertices(poly: HPolytope) -> list:
     field = poly.field
     rows = [_lift(hs, field) for hs in poly.halfspaces]
     rational = field.kind == "rational"
-    divide = floordiv if rational else truediv
     found = {}
     for subset in combinations(rows, poly.dimension):
-        solution = _bareiss(subset, divide)
+        solution = _bareiss(subset)
         if solution is None:
             continue
         numer, denom = solution
         tight = []
         for i, row in enumerate(rows):
-            side = sign_of(sum(map(mul, row, numer)) - row[-1] * denom)
+            side = _sign(sum(map(mul, row, numer), -(row[-1] * denom)))
             if side > 0:
                 break
             if side == 0:
@@ -105,11 +104,74 @@ def _exact_vertices(poly: HPolytope) -> list:
     return list(found.items())
 
 
+class _Surd:
+    """a + b*sqrt(d) with integers a and b, the ring of the lifted Q(sqrt d)
+    rows.  Bareiss quotients are exact in it, so ``//`` multiplies by the
+    conjugate and divides both parts by the integer norm once; ``/`` gives
+    the quotient as a field value."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def __add__(self, other):
+        return _Surd(self.a + other.a, self.b + other.b, self.d)
+
+    def __sub__(self, other):
+        return _Surd(self.a - other.a, self.b - other.b, self.d)
+
+    def __neg__(self):
+        return _Surd(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        return _Surd(
+            self.a * other.a + self.d * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+            self.d,
+        )
+
+    def _times_conjugate(self, other) -> tuple:
+        """self * conj(other) as an integer pair, and the norm of other."""
+        if isinstance(other, int):
+            return self.a, self.b, other
+        d = self.d
+        return (
+            self.a * other.a - d * self.b * other.b,
+            self.b * other.a - self.a * other.b,
+            other.a * other.a - d * other.b * other.b,
+        )
+
+    def __floordiv__(self, other):
+        a, b, norm = self._times_conjugate(other)
+        return _Surd(a // norm, b // norm, self.d)
+
+    def __truediv__(self, other):
+        a, b, norm = self._times_conjugate(other)
+        return Quadratic(Fraction(a, norm), Fraction(b, norm), self.d)
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def sign(self) -> int:
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa * sb >= 0:
+            return _sign(sa + sb)
+        # opposite signs: sign(a + b sqrt(d)) = sign(a) * sign(a^2 - d b^2)
+        return sa * _sign(self.a * self.a - self.d * self.b * self.b)
+
+
+def _sign(x) -> int:
+    if isinstance(x, _Surd):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
 def _lift(hs, field: Field) -> tuple:
     """A halfspace as one row (a_1, ..., a_n, b) meaning a . x <= b, scaled
     by the lcm of its denominators: (v, 1) for a polar row <v, x> <= 1 and
     (-c, 0) for a cone row <c, x> >= 0.  The entries are integers over Q
-    and Quadratic values with integer parts over Q(sqrt d)."""
+    and :class:`_Surd` values over Q(sqrt d)."""
     parts = [(x.a, x.b) if isinstance(x, Quadratic) else (x, 0) for x in hs.normal]
     scale = math.lcm(*(Fraction(p).denominator for pair in parts for p in pair))
     sign = 1 if hs.kind == POLAR else -1
@@ -117,25 +179,25 @@ def _lift(hs, field: Field) -> tuple:
     if field.kind == "rational":
         return tuple(int(sign * scale * a) for a, _ in parts) + (rhs,)
     return tuple(
-        Quadratic(sign * scale * a, sign * scale * b, field.d) for a, b in parts
-    ) + (Quadratic(rhs, 0, field.d),)
+        _Surd(int(sign * scale * a), int(sign * scale * b), field.d) for a, b in parts
+    ) + (_Surd(rhs, 0, field.d),)
 
 
-def _bareiss(rows, divide):
+def _bareiss(rows):
     """Solve the n boundaries a . x = b of n lifted rows by fraction-free
     Gauss-Jordan elimination (Bareiss 1968).
 
-    Every entry stays a minor of the input, so ``divide`` by the previous
-    pivot is exact: floor division on integers, field division on Quadratic
-    values.  Returns (N, D) with D > 0 and x = N / D, or None when the
-    boundaries are linearly dependent.
+    Every entry stays a minor of the input, so ``//`` by the previous pivot
+    is exact, on integers and on :class:`_Surd` values alike.  Returns
+    (N, D) with D > 0 and x = N / D, or None when the boundaries are
+    linearly dependent.
     """
     work = [list(r) for r in rows]
     n = len(work)
     prev = 1
     for k in range(n):
         p = k
-        while work[p][k] == 0:
+        while not work[p][k]:
             p += 1
             if p == n:
                 return None
@@ -146,10 +208,10 @@ def _bareiss(rows, divide):
             if i != k:
                 f = row[k]
                 for j in range(k + 1, n + 1):
-                    row[j] = divide(pivot * row[j] - f * top[j], prev)
+                    row[j] = (pivot * row[j] - f * top[j]) // prev
         prev = pivot
     numer = [row[n] for row in work]
-    if prev < 0:
+    if _sign(prev) < 0:
         return [-x for x in numer], -prev
     return numer, prev
 
@@ -244,12 +306,15 @@ def sampled_covering_radius(
     rng = np.random.default_rng(seed)
     worst_cos = 1.0
     chunk = max(1, min(samples, SAMPLE_BATCH_PRODUCTS // max(1, points.shape[1])))
+    # one product buffer for every batch, so that the peak memory does not
+    # depend on where the allocator places each batch's product
+    products = np.empty((chunk, points.shape[1]))
     remaining = samples
     while remaining > 0:
         batch = min(chunk, remaining)
         remaining -= batch
         g = rng.standard_normal((batch, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        best = (g @ points).max(axis=1)
+        best = np.matmul(g, points, out=products[:batch]).max(axis=1)
         worst_cos = min(worst_cos, float(best.min()))
     return math.acos(min(1.0, max(-1.0, worst_cos)))

@@ -15,16 +15,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from ._linalg import kernel_for
 from .configgen import Configuration
 from .scalar import (
+    RATIONAL,
     Field,
+    Quadratic,
     Vector,
     dot,
     format_scalar,
     parse_scalar,
+    quadratic_field,
     sign_of,
 )
 
@@ -277,10 +281,28 @@ def _refine_float_rays(rows, rays):
 
 
 def max_squared_norm(vertices: VertexSet):
-    """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex."""
+    """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex.
+
+    Exact vertices are compared by one scalar each, |x|^2 / t^2 from the
+    vertex's integer lift (t, x), the ray of (1, v); float vertices by their
+    float dot product.
+    """
     if not vertices.vertices:
         raise ValueError("empty vertex set")
-    best = max(vertices.vertices, key=lambda v: dot(v, v))
+    if isinstance(vertices.vertices[0][0], float):
+        best = max(vertices.vertices, key=lambda v: dot(v, v))
+    else:
+        d = next(
+            (x.d for v in vertices.vertices for x in v if isinstance(x, Quadratic)),
+            None,
+        )
+        kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
+        one = Fraction(1)
+        keys = [
+            kernel.squared_norm(kernel.vec_from_scalars((one,) + v))
+            for v in vertices.vertices
+        ]
+        best = vertices.vertices[max(range(len(keys)), key=keys.__getitem__)]
     return dot(best, best), best
 
 

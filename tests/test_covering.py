@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from sphcover import covering
 from sphcover.configgen import (
     Configuration,
     ConfigurationError,
@@ -14,6 +16,8 @@ from sphcover.configgen import (
     make_configuration,
 )
 from sphcover.covering import (
+    BoundVerificationError,
+    RoundingUndecidedError,
     SymmetryError,
     _certify_vertices,
     _orbit_representatives,
@@ -269,6 +273,20 @@ class TestVerifyBounds:
         assert report.backend == FLOAT
         assert float(report.radius) == pytest.approx(0.84107, abs=1e-5)
 
+    def test_failed_deep_hole_check_raises(self, monkeypatch):
+        calls = []
+
+        def failing(config, report):
+            calls.append(config.dimension)
+            return False
+
+        monkeypatch.setattr(covering, "deep_hole_check", failing)
+        with pytest.raises(BoundVerificationError, match="not a deep hole") as info:
+            verify_bounds(dims=[5, 6])
+        assert info.value.dimension == 5
+        assert info.value.reason == "attaining vertex is not a deep hole"
+        assert calls == [5]
+
 
 class TestInvariants:
     def test_monotonicity_under_point_removal(self):
@@ -350,6 +368,18 @@ class TestRendering:
         assert arccos_decimal(F(1, 4)) == "1.04720"
         assert arccos_decimal(F(1, 2), 7) == "0.7853982"
         assert arccos_decimal(Fraction(1)) == "0.00000"
+
+    def test_sharpening_is_capped(self, monkeypatch):
+        # the angle is 1e-31 above the midpoint 0.888085: at the first
+        # working precision it reads as the midpoint and rounds down
+        with mpmath.workdps(80):
+            theta = mpmath.mpf("0.888085") + mpmath.mpf(10) ** -31
+            cos2 = Fraction(mpmath.nstr(mpmath.cos(theta) ** 2, 70))
+        assert arccos_decimal(cos2) == "0.88809"
+        monkeypatch.setattr(covering, "ARCCOS_MAX_DPS", 30)
+        with pytest.raises(RoundingUndecidedError, match="within 30 working digits"):
+            arccos_decimal(cos2)
+        assert issubclass(RoundingUndecidedError, ValueError)
 
     def test_json_roundtrips_and_is_schema_stable(self):
         reports = verify_bounds(dims=[5, 11])

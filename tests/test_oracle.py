@@ -136,6 +136,23 @@ class TestBruteForce:
         assert any(isinstance(x, Quadratic) for v in V.vertices for x in v)
 
     @pytest.mark.parametrize("cone", [False, True], ids=["full", "cone"])
+    def test_quadratic_field_matches_engine_3d(self, cone):
+        # +-e_i and the 12 points (+-r, +-r, 0) up to order, r = sqrt(2)/2:
+        # three-row eliminations divide by Q(sqrt 2) pivots
+        field = quadratic_field(2)
+        r = Quadratic(0, F(1, 2), 2)
+        config = make_configuration(
+            3, field, [SubsetSigns(1, value=1), SubsetSigns(2, value=r)]
+        )
+        halfspaces = polar_hrep(config).halfspaces
+        if cone:
+            halfspaces = symmetry_cone(3, field) + halfspaces
+        P = HPolytope(3, halfspaces, field)
+        V = brute_force_vertices(P)
+        assert V == enumerate_vertices(P)
+        assert any(isinstance(x, Quadratic) for v in V.vertices for x in v)
+
+    @pytest.mark.parametrize("cone", [False, True], ids=["full", "cone"])
     def test_float_matches_engine(self, cone):
         P = octagon_polar(FLOAT, cone)
         V = brute_force_vertices(P)
