@@ -2,11 +2,16 @@
 
 A kernel holds the vectors of one field in raw form: integer tuples with
 content 1 for Q, tuples of integer pairs (a, b) meaning a + b*sqrt(d) for
-Q(sqrt(d)), and float tuples scaled to unit max-norm.  Each kernel has one
-echelon routine, and every rank, basis and null-space question of the
-configuration check and the vertex enumerator is answered through it.  The
-exact kernels eliminate fraction-free, one row at a time; the float kernel
-pivots on the largest magnitude, column by column.
+Q(sqrt(d)), and float tuples scaled to unit max-norm.  Stacks of them are
+numpy arrays of the same shape: int64 when a bound shows every intermediate
+fits and Python ints in ``dtype=object`` otherwise, with a trailing (a, b)
+axis over Q(sqrt(d)), and float64.  The vertex enumerator classifies,
+rank-tests and combines whole stacks at once (``classify``, ``ranks``,
+``combine_rays``).  Exact ranks come from one fraction-free (Bareiss)
+elimination over a stack of matrices, over Q(sqrt(d)) on the rational
+regular representation, whose rank is twice the Q(sqrt(d)) rank; the float
+kernel keeps its partial-pivoting ``echelon`` for every matrix.  Null
+vectors come from the exact kernels' streaming fraction-free echelon.
 
 A :class:`Lift` holds a whole configuration in the same integer form under
 one common denominator, as numpy matrices, so that the checks which read
@@ -17,8 +22,8 @@ only where a lift is built or read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, islice
+from math import gcd, lcm, prod
 from operator import mul
 
 from .scalar import Field, Quadratic, Scalar
@@ -36,22 +41,38 @@ def _int_sign(x: int) -> int:
 
 
 class _Kernel:
-    """Rank, basis and null-space questions, answered through ``echelon``."""
-
-    def rank_at_least(self, rows, k: int) -> bool:
-        return k <= 0 or len(self.echelon(rows, k)) >= k
+    """Rank, basis and null-space questions: ranks through ``ranks``, null
+    vectors through ``echelon``."""
 
     def greedy_basis(self, rows, k: int) -> tuple:
         """Indices and rows of the first linearly independent rows, scanned
         in order and taken greedily, at most k of them.  ``rows`` may be a
-        lazy iterable; it is read no further than the k-th pick."""
-        indices, basis = [], []
-        for idx, row in enumerate(rows):
-            if self.rank_at_least(basis + [row], len(basis) + 1):
+        lazy iterable; it is read no further than the k-th pick.
+
+        Each round ranks, in one batch, the basis followed by each prefix
+        of the next rows, as many as picks are missing; zero rows pad the
+        shorter prefixes, and exact rows stay Python ints.  The rows before
+        the first one that adds no rank are taken, that one is passed over
+        and the rest wait for the next round, so that every decision is the
+        rank of the basis so far plus one row."""
+        import numpy as np
+
+        rows = enumerate(rows)
+        indices, basis, pending = [], [], []
+        while len(basis) < k:
+            pending += islice(rows, k - len(basis) - len(pending))
+            if not pending:
+                break
+            matrix = self.array(basis + [row for _, row in pending])
+            b, height = len(basis), len(matrix)
+            keep = np.arange(height) <= np.arange(b, height)[:, None]
+            keep = keep.reshape(keep.shape + (1,) * (matrix.ndim - 1))
+            ranks = self.ranks(np.where(keep, matrix, 0)).tolist()
+            taken = next((j for j, r in enumerate(ranks) if r <= b + j), len(ranks))
+            for idx, row in pending[:taken]:
                 indices.append(idx)
                 basis.append(row)
-                if len(basis) == k:
-                    break
+            pending = pending[taken + 1:]
         return indices, basis
 
     def null_vector(self, rows) -> tuple:
@@ -70,29 +91,39 @@ class _Kernel:
             x = self.combine(row[col], x, self.dot(row, x), self.unit(width, col))
         return x
 
-    def unit(self, width: int, j: int) -> tuple:
-        return self.vec_from_scalars([Fraction(i == j) for i in range(width)])
-
     def orient(self, vec: tuple, row: tuple) -> tuple:
         """The multiple of ``vec`` whose product with ``row`` is positive."""
         return vec if self.dot(row, vec) > 0 else tuple(-x for x in vec)
 
+    def rank_rows(self, rows):
+        """``rows`` and a zero row after them as one array, from which
+        ``ranks``' stacks are gathered; the zero row pads them."""
+        import numpy as np
+
+        matrix = self.array(list(rows))
+        return np.concatenate((matrix, np.zeros_like(matrix[:1])))
+
+    def vector(self, row) -> tuple:
+        """One row of a stack as a ray."""
+        return tuple(row.tolist())
+
 
 class _ExactKernel(_Kernel):
-    """Kernels with integer entries, eliminated without division."""
+    """Kernels with integer entries, eliminated without division.
 
-    def echelon(self, rows, k: int | None = None) -> list:
+    ``regular`` maps a stack of matrices to rational ones whose rank is
+    ``factor`` times theirs."""
+
+    factor = 1
+
+    def echelon(self, rows) -> list:
         """Streaming fraction-free elimination: (pivot column, row) pairs.
 
         Each kept row is zero in the pivot columns of the rows kept before
-        it.  Stops once k rows are kept or k can no longer be reached.
+        it.
         """
         echelon = []
-        remaining = len(rows)
         for row in rows:
-            if k is not None and len(echelon) + remaining < k:
-                break
-            remaining -= 1
             for pivot_col, pivot_row in echelon:
                 factor = row[pivot_col]
                 if self.is_zero(factor):
@@ -101,12 +132,100 @@ class _ExactKernel(_Kernel):
             pivot_col = next(
                 (j for j, x in enumerate(row) if not self.is_zero(x)), None
             )
-            if pivot_col is None:
-                continue
-            echelon.append((pivot_col, row))
-            if len(echelon) == k:
-                break
+            if pivot_col is not None:
+                echelon.append((pivot_col, row))
         return echelon
+
+    def array(self, vectors):
+        import numpy as np
+
+        return np.array(vectors, dtype=object)
+
+    def ranks(self, stack, k: int | None = None):
+        """Rank of each matrix of a stack, at most k when k is given."""
+        f = self.factor
+        return _bareiss_ranks(self.regular(stack), None if k is None else f * k) // f
+
+    def dehomogenize(self, ray: tuple, shared: dict) -> tuple:
+        """x / t for each coordinate x of a ray (t, x).  ``shared`` keeps
+        the quotient of every (x, t) met so far, so that vertices share
+        their equal coordinates: less memory, and sorting them compares
+        equal coordinates by identity."""
+        t = ray[0]
+        out = []
+        for x in ray[1:]:
+            q = shared.get((x, t))
+            if q is None:
+                q = shared[x, t] = self.quotient(x, t)
+            out.append(q)
+        return tuple(out)
+
+    def rank_rows(self, rows):
+        """As ``_Kernel.rank_rows``, int64 when the first elimination step
+        on its regular form stays in int64 (``ranks`` checks every later
+        step)."""
+        matrix = super().rank_rows(rows)
+        top = _top(self.regular(matrix[None]))
+        return matrix.astype(_int_dtype(2 * top * top))
+
+
+def _top(stack) -> int:
+    """The largest absolute entry of an integer array."""
+    return int(max(stack.max(), -stack.min()))
+
+
+def _bareiss_ranks(stack, k: int | None):
+    """Ranks of a stack of integer matrices (count, rows, columns), at most
+    k, by one fraction-free elimination run on all of them at once.
+
+    Column by column, each matrix below k takes its first row with a
+    nonzero entry there as pivot row, takes that row out (it is zeroed) and
+    replaces every row r by (pivot * r - r[col] * pivot_row) / previous
+    pivot.  The division is exact, because every entry stays a minor of the
+    matrix; zero rows, such as padding, stay zero.  An int64 stack moves to
+    Python ints before a step whose products could leave int64: both
+    products are at most the square of its largest entry.
+    """
+    import numpy as np
+
+    stack = stack.copy()
+    count, _, width = stack.shape
+    rank = np.zeros(count, dtype=np.intp)
+    previous = np.ones(count, dtype=stack.dtype)
+    live = np.arange(count)
+    for col in range(width):
+        if k is not None:
+            live = live[rank[live] < k]
+        if not live.size:
+            break
+        if stack.dtype != object:
+            top = _top(stack)
+            if _int_dtype(2 * top * top) is object:
+                stack, previous = stack.astype(object), previous.astype(object)
+        nonzero = stack[live, :, col] != 0
+        has = nonzero.any(axis=1)
+        items = live[has]
+        if not items.size:
+            continue
+        pick = nonzero[has].argmax(axis=1)
+        pivot_rows = stack[items, pick, col:]
+        stack[items, pick] = 0
+        rest = stack[items, :, col + 1:]
+        rest *= pivot_rows[:, :1, None]
+        rest -= stack[items, :, col, None] * pivot_rows[:, None, 1:]
+        rest //= previous[items, None, None]
+        stack[items, :, col + 1:] = rest
+        previous[items] = pivot_rows[:, 0]
+        rank[items] += 1
+    return rank
+
+
+def _primitive(stack):
+    """Each vector of a stack divided by the gcd of its entries."""
+    import numpy as np
+
+    g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
+    return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
 
 class _RationalKernel(_ExactKernel):
@@ -126,6 +245,9 @@ class _RationalKernel(_ExactKernel):
         return self.reduce(
             tuple(f.numerator * (den // f.denominator) for f in fracs)
         )
+
+    def unit(self, width: int, j: int) -> tuple:
+        return tuple(int(i == j) for i in range(width))
 
     def reduce(self, vec: tuple) -> tuple:
         g = 0
@@ -150,9 +272,29 @@ class _RationalKernel(_ExactKernel):
     def combine(self, sp: int, rm: tuple, sm: int, rp: tuple) -> tuple:
         return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
 
-    def dehomogenize(self, ray: tuple) -> tuple:
-        t = ray[0]
-        return tuple(Fraction(x, t) for x in ray[1:])
+    def classify(self, rays, row: tuple) -> tuple:
+        """Products of ``row`` with a stack of rays and their signs, and the
+        rays in the dtype in which ``combine_rays`` on them cannot overflow:
+        a product is at most S = width * max|row| * max|ray|, a combined
+        entry at most 2 * S * max|ray|."""
+        import numpy as np
+
+        top = _top(rays)
+        bound = len(row) * max(map(abs, row)) * top
+        dtype = _int_dtype(2 * bound * top)
+        rays = rays.astype(dtype, copy=False)
+        products = rays @ np.array(row, dtype=dtype)
+        return rays, products, np.sign(products)
+
+    def combine_rays(self, sp, rm, sm, rp):
+        """``combine`` on stacks, one (sp, rm, sm, rp) per row."""
+        return _primitive(sp[:, None] * rm - sm[:, None] * rp)
+
+    def regular(self, stack):
+        return stack
+
+    def quotient(self, x: int, t: int) -> Fraction:
+        return Fraction(x, t)
 
     def to_scalar(self, raw: int) -> Scalar:
         return Fraction(raw)
@@ -168,6 +310,8 @@ class _RationalKernel(_ExactKernel):
 
 class _QuadraticKernel(_ExactKernel):
     """Rays as tuples of (a, b) integer pairs meaning a + b*sqrt(d)."""
+
+    factor = 2
 
     def __init__(self, d: int):
         self.d = d
@@ -191,6 +335,9 @@ class _QuadraticKernel(_ExactKernel):
                 for a, b in parts
             )
         )
+
+    def unit(self, width: int, j: int) -> tuple:
+        return tuple((int(i == j), 0) for i in range(width))
 
     def reduce(self, vec: tuple) -> tuple:
         g = 0
@@ -244,18 +391,61 @@ class _QuadraticKernel(_ExactKernel):
             out.append((pb[0] - ma[0], pb[1] - ma[1]))
         return self.reduce(tuple(out))
 
-    def dehomogenize(self, ray: tuple) -> tuple:
-        """x / t for each coordinate x, as x * conj(t) over the integer
-        norm t * conj(t); a coordinate without a sqrt(d) part is a Fraction."""
-        ta, tb = ray[0]
+    def classify(self, rays, row: tuple) -> tuple:
+        """As the rational ``classify``, on (a, b) parts: a product's parts
+        are at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
+        squares them and a combined entry is at most 2 (1 + d) S max|ray|."""
+        import numpy as np
+
+        d = self.d
+        top = _top(rays)
+        bound = len(row) * (1 + d) * max(map(abs, chain.from_iterable(row))) * top
+        dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
+        rays = rays.astype(dtype, copy=False)
+        w = np.array(row, dtype=dtype)
+        ra, rb = rays[..., 0], rays[..., 1]
+        a = ra @ w[:, 0] + d * (rb @ w[:, 1])
+        b = ra @ w[:, 1] + rb @ w[:, 0]
+        return rays, np.stack((a, b), axis=-1), self.signs(a, b)
+
+    def combine_rays(self, sp, rm, sm, rp):
+        """``combine`` on stacks of (a, b) rays, one (sp, rm, sm, rp) per
+        row."""
+        import numpy as np
+
+        d = self.d
+        pa, pb = sp[:, None, 0], sp[:, None, 1]
+        ma, mb = sm[:, None, 0], sm[:, None, 1]
+        xa, xb = rm[..., 0], rm[..., 1]
+        ya, yb = rp[..., 0], rp[..., 1]
+        a = pa * xa + d * (pb * xb) - ma * ya - d * (mb * yb)
+        b = pa * xb + pb * xa - ma * yb - mb * ya
+        return _primitive(np.stack((a, b), axis=-1))
+
+    def vector(self, row) -> tuple:
+        return tuple(map(tuple, row.tolist()))
+
+    def regular(self, stack):
+        """Each matrix A + sqrt(d) B of a stack of (a, b) matrices as the
+        rational matrix [[A, B], [d B, A]]: its rows span the rows r and
+        sqrt(d) r over Q, so its rank is twice that of A + sqrt(d) B."""
+        import numpy as np
+
+        a, b = stack[..., 0], stack[..., 1]
+        return np.concatenate(
+            (np.concatenate((a, b), axis=2), np.concatenate((self.d * b, a), axis=2)),
+            axis=1,
+        )
+
+    def quotient(self, x: tuple, t: tuple) -> Scalar:
+        """x / t as x * conj(t) over the integer norm t * conj(t); a Fraction
+        when it has no sqrt(d) part."""
+        (a, b), (ta, tb) = x, t
         d = self.d
         norm = ta * ta - tb * tb * d
-        out = []
-        for a, b in ray[1:]:
-            qa = Fraction(a * ta - b * tb * d, norm)
-            qb = b * ta - a * tb
-            out.append(qa if qb == 0 else Quadratic(qa, Fraction(qb, norm), d))
-        return tuple(out)
+        qa = Fraction(a * ta - b * tb * d, norm)
+        qb = b * ta - a * tb
+        return qa if qb == 0 else Quadratic(qa, Fraction(qb, norm), d)
 
     def to_scalar(self, raw: tuple) -> Scalar:
         a, b = raw
@@ -293,6 +483,9 @@ class _FloatKernel(_Kernel):
     def vec_from_scalars(self, scalars) -> tuple:
         return self.reduce(tuple(float(x) for x in scalars))
 
+    def unit(self, width: int, j: int) -> tuple:
+        return tuple(float(i == j) for i in range(width))
+
     def reduce(self, vec: tuple) -> tuple:
         scale = max(abs(x) for x in vec)
         if scale == 0.0 or scale == 1.0:
@@ -312,7 +505,42 @@ class _FloatKernel(_Kernel):
     def combine(self, sp: float, rm: tuple, sm: float, rp: tuple) -> tuple:
         return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
 
-    def dehomogenize(self, ray: tuple) -> tuple:
+    def array(self, vectors):
+        import numpy as np
+
+        return np.array(vectors, dtype=float)
+
+    def ranks(self, stack, k: int | None = None):
+        """``echelon`` on each matrix of the stack without its zero
+        (padding) rows, so every float decision is the per-matrix one."""
+        import numpy as np
+
+        return np.array(
+            [len(self.echelon([r for r in m.tolist() if any(r)], k)) for m in stack],
+            dtype=int,
+        )
+
+    def classify(self, rays, row: tuple) -> tuple:
+        """Products of ``row`` with a stack of rays, summed column by column
+        as ``dot`` sums them, and their ``sign``s."""
+        import numpy as np
+
+        products = np.zeros(len(rays))
+        for j, x in enumerate(row):
+            products += rays[:, j] * x
+        signs = (products > ZERO_EPS).astype(int) - (products < -ZERO_EPS)
+        return rays, products, signs
+
+    def combine_rays(self, sp, rm, sm, rp):
+        """``combine`` on stacks, one (sp, rm, sm, rp) per row."""
+        out = sp[:, None] * rm - sm[:, None] * rp
+        scale = abs(out).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        return out / scale[:, None]
+
+    def dehomogenize(self, ray: tuple, shared: dict) -> tuple:
+        """x / t for each coordinate x of a ray (t, x).  Nothing is shared:
+        0.0 and -0.0 are one dictionary key but print differently."""
         t = ray[0]
         return tuple(x / t for x in ray[1:])
 

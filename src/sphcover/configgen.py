@@ -222,6 +222,19 @@ def make_configuration(
     return Configuration(dimension, field, rules, tuple(points), norm_sq, label)
 
 
+def _float_row_keys(a) -> tuple:
+    """The bytes of each float row rounded as ``_dedup_key`` rounds it, and
+    of its negation; -0.0 becomes 0.0, so the bytes are equal exactly when
+    the rounded rows are."""
+    import numpy as np
+
+    rounded = np.round(a, 12) + 0.0
+    row = np.dtype((np.void, rounded.itemsize * rounded.shape[1]))
+    keys = np.ascontiguousarray(rounded).view(row).ravel().tolist()
+    negated = np.ascontiguousarray(0.0 - rounded).view(row).ravel().tolist()
+    return keys, negated
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -245,8 +258,7 @@ def validate(config: Configuration) -> ValidationReport:
     if field.is_exact:
         keys, negated = lift.row_keys()
     else:
-        keys = [_dedup_key(p, field) for p in points]
-        negated = (tuple(-x for x in key) for key in keys)
+        keys, negated = _float_row_keys(lift.a)
     seen = set(keys)
     if len(seen) != len(points):
         return ValidationReport(False, "points are not pairwise distinct")

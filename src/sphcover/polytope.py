@@ -9,6 +9,16 @@ degenerate polytopes produced by symmetric configurations need no
 perturbation.  Exact backends run on integer (or integer-quadratic) ray
 coordinates; the float backend uses fixed absolute tolerances on rows and
 rays scaled to unit max-norm.
+
+Each insertion runs on whole arrays.  The rays are one matrix (int64 while
+a bound shows every product fits, Python ints otherwise; an (a, b) axis
+over Q(sqrt d); float64) and their tight sets are bit masks packed into
+uint64 words.  One product classifies every ray.  Pairs whose masks share
+fewer than n-1 rows are dropped by popcounts of word ANDs, a block of plus
+rays at a time.  The common tight rows of the remaining pairs go through
+one batched fraction-free (Bareiss) rank elimination per chunk, over
+Q(sqrt d) on the rational regular representation, and the adjacent pairs
+are combined in one array step with a row gcd.
 """
 
 from __future__ import annotations
@@ -48,6 +58,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
+# plus x minus mask pairs per block of the adjacency pre-filter
+PAIR_BLOCK = 1 << 16
+# matrix entries per chunk of the batched rank test
+RANK_ENTRIES = 1 << 12
 
 POLAR = "polar"  # <v, x> <= 1
 CONE = "cone"  # <c, x> >= 0
@@ -147,6 +161,8 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     insertions, which for a pure polar system means the origin is not
     interior to the convex hull of the defining points.
     """
+    import numpy as np
+
     n = poly.dimension
     dim = n + 1
     field = poly.field
@@ -165,76 +181,76 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         j = next(i for i, x in enumerate(direction) if kernel.sign(x) != 0)
         direction = kernel.orient(direction, kernel.unit(n, j))
         raise Unbounded(tuple(kernel.to_scalar(x) for x in direction))
-    sel_mask = 0
-    for idx in selected:
-        sel_mask |= 1 << idx
-    rays = []
+    rays = kernel.array(
+        [
+            kernel.orient(kernel.null_vector(basis[:j] + basis[j + 1:]), basis[j])
+            for j in range(dim)
+        ]
+    )
+    # ray j is tight on every selected row but row j
+    masks = np.zeros((dim, -(-len(rows) // 64)), dtype=np.uint64)
     for j, idx in enumerate(selected):
-        vec = kernel.null_vector(basis[:j] + basis[j + 1:])
-        rays.append((kernel.orient(vec, basis[j]), sel_mask & ~(1 << idx)))
-    rays.sort()
+        for i in selected:
+            if i != idx:
+                masks[j, i >> 6] |= np.uint64(1 << (i & 63))
 
-    remaining = [i for i in range(len(rows)) if i not in set(selected)]
     need = dim - 2
+    tight_rows = kernel.rank_rows(rows)
+    remaining = [i for i in range(len(rows)) if i not in set(selected)]
     for step, idx in enumerate(remaining):
-        w = rows[idx]
-        bit = 1 << idx
-        plus, zero, minus = [], [], []
-        for vec, mask in rays:
-            s = kernel.dot(w, vec)
-            sg = kernel.sign(s)
-            if sg > 0:
-                plus.append((vec, mask, s))
-            elif sg < 0:
-                minus.append((vec, mask, s))
-            else:
-                zero.append((vec, mask | bit))
-        if not minus:
-            rays = [(v, m) for v, m, _ in plus] + zero
-            rays.sort()
+        rays, products, signs = kernel.classify(rays, rows[idx])
+        word, bit = idx >> 6, np.uint64(1 << (idx & 63))
+        masks[signs == 0, word] |= bit
+        minus = np.flatnonzero(signs < 0)
+        if not minus.size:
             continue
-        fresh = []
-        for vp, mp, sp in plus:
-            for vm, mm, sm in minus:
-                common = mp & mm
-                if common.bit_count() < need:
-                    continue
-                tight_rows = []
-                m = common
-                while m:
-                    low = m & -m
-                    tight_rows.append(rows[low.bit_length() - 1])
-                    m ^= low
-                if not kernel.rank_at_least(tight_rows, need):
-                    continue
-                fresh.append((kernel.combine(sp, vm, sm, vp), common | bit))
-        rays = [(v, m) for v, m, _ in plus] + zero + fresh
-        if not rays:
-            raise ValueError("constraint system is infeasible")
-        rays.sort()
+        plus = np.flatnonzero(signs > 0)
+        fresh_rays, fresh_masks = [], []
+        pairs = _candidate_pairs(masks[plus], masks[minus], need, len(rows))
+        for p, m, common in pairs:
+            adjacent = _adjacent(kernel, tight_rows, common, need)
+            p, m = plus[p[adjacent]], minus[m[adjacent]]
+            fresh_rays.append(
+                kernel.combine_rays(products[p], rays[m], products[m], rays[p])
+            )
+            common = common[adjacent]
+            common[:, word] |= bit
+            fresh_masks.append(common)
+        keep = signs >= 0
+        rays = np.concatenate([rays[keep], *fresh_rays])
+        masks = np.concatenate([masks[keep], *fresh_masks])
         logger.debug(
             "inserted %d/%d halfspaces, %d rays", step + 1, len(remaining), len(rays)
         )
 
-    for vec, _ in rays:
-        if kernel.sign(vec[0]) == 0:
-            raise Unbounded(tuple(kernel.to_scalar(x) for x in vec[1:]))
+    _, _, t_signs = kernel.classify(rays, rows[0])
+    if (t_signs == 0).any():
+        # the first unbounded ray in (ray, mask) order
+        vec = min(kernel.vector(rays[i]) for i in np.flatnonzero(t_signs == 0))
+        raise Unbounded(tuple(kernel.to_scalar(x) for x in vec[1:]))
 
+    # the output stage turns one ray at a time into Python scalars
+    order = range(len(rays))
     if field.kind == "float":
-        rays = _refine_float_rays(rows, rays)
-
-    results = []
-    for vec, mask in rays:
-        coords = kernel.dehomogenize(vec)
+        # deduplication keeps the first ray in (ray, mask) order
+        keys = [masks[:, j] for j in range(masks.shape[1])]
+        keys += [rays[:, j] for j in reversed(range(dim))]
+        order = np.lexsort(keys)
+    masks = masks.astype("<u8", copy=False)
+    results, shared = [], {}
+    for r in order:
+        vec = kernel.vector(rays[r])
         tight = []
-        m = mask >> 1  # drop the t >= 0 row; halfspace i sits at bit i+1
-        i = 0
-        while m:
-            if m & 1:
-                tight.append(i)
-            m >>= 1
-            i += 1
-        results.append((coords, tuple(tight)))
+        mask = int.from_bytes(masks[r].tobytes(), "little")
+        while mask:
+            low = mask & -mask
+            tight.append(low.bit_length() - 1)
+            mask ^= low
+        if field.kind == "float":
+            vec = _refine_float_ray(tight_rows[tight], vec)
+        coords = kernel.dehomogenize(vec, shared)
+        # drop the t >= 0 row; halfspace i is row i+1
+        results.append((coords, tuple(i - 1 for i in tight if i)))
 
     if field.kind == "float":
         deduped = {}
@@ -250,34 +266,81 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     )
 
 
-def _refine_float_rays(rows, rays):
-    """Re-solve each float ray from its tight rows to remove drift."""
+def _candidate_pairs(plus, minus, need: int, rows: int):
+    """(plus index, minus index, common mask) of every pair of packed tight
+    masks over ``rows`` rows sharing at least ``need`` of them, a block of
+    plus rows at a time.
+
+    The popcounts of the word ANDs are summed one word at a time into
+    uint8 (uint16 from 256 rows on).
+    """
     import numpy as np
 
-    dim = len(rays[0][0]) if rays else 0
-    refined = []
-    for vec, mask in rays:
-        tight = []
-        m = mask
-        while m:
-            low = m & -m
-            tight.append(rows[low.bit_length() - 1])
-            m ^= low
-        matrix = np.array(tight, dtype=float)
-        _, svals, vt = np.linalg.svd(matrix)
-        rank_est = int((svals > 1e-9 * svals[0]).sum()) if len(svals) else 0
-        null = vt[-1]
-        if rank_est != dim - 1 or abs(null[0]) < 1e-12:
-            refined.append((vec, mask))
-            continue
-        null = null / null[0]
-        drift = np.abs(np.asarray(vec) / vec[0] - null).max()
-        if drift < 1e-5:
-            scale = np.abs(null).max()
-            refined.append((tuple(float(x / scale) for x in null), mask))
-        else:
-            refined.append((vec, mask))
-    return refined
+    words = plus.shape[1]
+    dtype = np.uint8 if rows < 256 else np.uint16
+    step = max(1, PAIR_BLOCK // len(minus))
+    for start in range(0, len(plus), step):
+        block = plus[start:start + step]
+        counts = np.zeros((len(block), len(minus)), dtype=dtype)
+        for j in range(words):
+            counts += np.bitwise_count(block[:, j, None] & minus[None, :, j])
+        p, m = np.nonzero(counts >= need)
+        if p.size:
+            yield p + start, m, block[p] & minus[m]
+
+
+def _adjacent(kernel, tight_rows, common, need: int):
+    """Whether the rows of each packed mask have rank ``need``:
+    ``tight_rows`` ends in a zero row, which pads the shorter sets.  The
+    masks are taken in order of their popcount, a chunk of at most
+    ``RANK_ENTRIES`` matrix entries at a time."""
+    import numpy as np
+
+    index, counts = _tight_indices(common, len(tight_rows) - 1)
+    order = np.argsort(counts, kind="stable")
+    step = max(1, RANK_ENTRIES // max(1, index.shape[1] * tight_rows[0].size))
+    adjacent = np.empty(len(order), dtype=bool)
+    for start in range(0, len(order), step):
+        chunk = order[start:start + step]
+        stack = tight_rows[index[chunk, : counts[chunk[-1]]]]
+        adjacent[chunk] = kernel.ranks(stack, need) >= need
+    return adjacent
+
+
+def _tight_indices(masks, rows: int):
+    """Row indices of the set bits of each packed mask over ``rows`` rows,
+    in increasing order and padded with ``rows`` to equal length, and the
+    popcount of each mask."""
+    import numpy as np
+
+    bits = np.unpackbits(
+        masks.astype("<u8", copy=False).view(np.uint8),
+        axis=1,
+        count=rows,
+        bitorder="little",
+    )
+    item, row = np.nonzero(bits)
+    counts = np.bincount(item, minlength=len(masks))
+    index = np.full((len(masks), counts.max(initial=0)), rows)
+    index[item, np.arange(len(row)) - (np.cumsum(counts) - counts)[item]] = row
+    return index, counts
+
+
+def _refine_float_ray(tight_rows, vec):
+    """Re-solve a float ray from its tight rows to remove drift."""
+    import numpy as np
+
+    _, svals, vt = np.linalg.svd(tight_rows)
+    rank_est = int((svals > 1e-9 * svals[0]).sum()) if len(svals) else 0
+    null = vt[-1]
+    if rank_est != len(vec) - 1 or abs(null[0]) < 1e-12:
+        return vec
+    null = null / null[0]
+    drift = np.abs(np.asarray(vec) / vec[0] - null).max()
+    if drift < 1e-5:
+        scale = np.abs(null).max()
+        return tuple(float(x / scale) for x in null)
+    return vec
 
 
 def max_squared_norm(vertices: VertexSet):

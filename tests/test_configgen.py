@@ -202,6 +202,32 @@ class TestValidate:
         config = make_configuration(5, RATIONAL, [SubsetValues(2, 2, 0)])
         assert validate(config).ok
 
+    @pytest.mark.parametrize("n", list(builtin_dimensions()))
+    def test_float_builtin_passes(self, n):
+        assert validate(config_to_float(builtin_configuration(n))).ok
+
+    def test_float_duplicate_point_fails(self):
+        config = config_to_float(builtin_configuration(5))
+        points = tuple(sorted(config.points + config.points[:1]))
+        broken = Configuration(5, FLOAT, (), points, config.norm_sq)
+        assert validate(broken).failure == "points are not pairwise distinct"
+
+    def test_float_missing_negation_fails(self):
+        config = config_to_float(builtin_configuration(5))
+        negated = tuple(-x for x in config.points[0])
+        points = tuple(p for p in config.points if p != negated)
+        assert len(points) == len(config.points) - 1
+        broken = Configuration(5, FLOAT, (), points, config.norm_sq)
+        assert validate(broken).failure == "not origin-symmetric"
+
+    def test_float_negative_zero_is_zero(self):
+        # -(1.0, 0.0) is (-1.0, -0.0), stored here as (-1.0, 0.0)
+        square = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+        assert validate(Configuration(2, FLOAT, (), square, 1.0)).ok
+        twice = square + ((-0.0, 1.0),)
+        report = validate(Configuration(2, FLOAT, (), twice, 1.0))
+        assert report.failure == "points are not pairwise distinct"
+
 
 class TestJson:
     def test_roundtrip_builtin(self):

@@ -1,0 +1,224 @@
+"""The double description engine against recorded outputs, and its batched
+exact rank against the streaming echelon.
+
+``data/dd-golden.json`` holds, for each system below, the vertex count, the
+sha256 of ``repr(VertexSet)`` and the ray count after every cutting
+insertion (read from the engine's DEBUG record).
+"""
+
+import hashlib
+import json
+import logging
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphcover import _linalg
+from sphcover.configgen import (
+    builtin_configuration,
+    builtin_dimensions,
+    config_to_float,
+)
+from sphcover.covering import _orbit_representatives
+from sphcover.polytope import (
+    POLAR,
+    Halfspace,
+    HPolytope,
+    enumerate_vertices,
+    polar_hrep,
+    symmetry_cone,
+)
+from sphcover.scalar import FLOAT, RATIONAL, Quadratic, quadratic_field
+
+GOLDEN = Path(__file__).parent / "data" / "dd-golden.json"
+INSERTED = "inserted %d/%d halfspaces, %d rays"
+
+
+def cone_system(config) -> HPolytope:
+    """The fundamental cone plus one polar row per orbit representative."""
+    n, field = config.dimension, config.field
+    reps = _orbit_representatives(config)
+    return HPolytope(
+        n, symmetry_cone(n, field) + tuple(Halfspace(p, POLAR) for p in reps), field
+    )
+
+
+def dd_system(name: str) -> HPolytope:
+    """``full-<n>``, ``cone-<n>-exact`` or ``cone-<n>-float`` of the built-in."""
+    kind, n, *field = name.split("-")
+    config = builtin_configuration(int(n))
+    if kind == "full":
+        return polar_hrep(config)
+    return cone_system(config_to_float(config) if field == ["float"] else config)
+
+
+def dd_names() -> list:
+    names = ["full-5", "full-6"]
+    for n in builtin_dimensions():
+        if builtin_configuration(n).field.is_exact:
+            names.append(f"cone-{n}-exact")
+        names.append(f"cone-{n}-float")
+    return names
+
+
+def dd_record(poly: HPolytope, caplog) -> dict:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sphcover.polytope"):
+        vertices = enumerate_vertices(poly)
+    records = [r for r in caplog.records if r.msg == INSERTED]
+    for r in records:
+        assert r.getMessage() == "inserted %d/%d halfspaces, %d rays" % r.args
+        assert all(type(x) is int for x in r.args)
+    return {
+        "vertices": len(vertices.vertices),
+        "sha256": hashlib.sha256(repr(vertices).encode()).hexdigest(),
+        "rays": [r.args[2] for r in records],
+    }
+
+
+@pytest.mark.parametrize("name", dd_names())
+def test_matches_golden(name, caplog):
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+
+
+# -- batched exact rank ---------------------------------------------------------
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def planted_stacks(draw, d):
+    """A stack of integer matrices in the kernel's form (pairs (a, b) for
+    a + b sqrt(d) when d is given): a few random rows, rows that are
+    Q(sqrt d)-combinations of them, and zero rows padding every matrix to
+    the same height."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(st.integers(min_value=1, max_value=8))
+    entry = small if d is None else st.tuples(small, small)
+    matrices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        rows = [
+            draw(st.lists(entry, min_size=width, max_size=width))
+            for _ in range(draw(st.integers(min_value=0, max_value=height)))
+        ]
+        for _ in range(height - len(rows)):
+            if rows and draw(st.booleans()):
+                u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+                rows.append(combination(draw(entry), u, draw(entry), v, d))
+            else:
+                rows.append([0 if d is None else (0, 0)] * width)
+        matrices.append(draw(st.permutations(rows)))
+    return matrices
+
+
+def combination(s, u, t, v, d):
+    """s u + t v, entrywise, over Z or Z[sqrt d]."""
+    if d is None:
+        return [s * x + t * y for x, y in zip(u, v)]
+
+    def mul(p, x):
+        return (p[0] * x[0] + d * p[1] * x[1], p[0] * x[1] + p[1] * x[0])
+
+    return [tuple(map(sum, zip(mul(s, x), mul(t, y)))) for x, y in zip(u, v)]
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 5, 6], ids=["Q", "d2", "d3", "d5", "d6"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_rank_and_basis_match_echelon(d, data):
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    matrices = data.draw(planted_stacks(d))
+    want = [len(kernel.echelon([tuple(r) for r in m])) for m in matrices]
+    # times 2^20 + 1 the entries fit int64 but later elimination products
+    # do not; the rank is the same
+    scale = data.draw(st.sampled_from([1, 2**20 + 1]))
+    for dtype in (np.int64, object):
+        stack = (np.array(matrices, dtype=object) * scale).astype(dtype)
+        assert kernel.ranks(stack).tolist() == want
+        k = data.draw(st.integers(min_value=0, max_value=6))
+        assert kernel.ranks(stack, k).tolist() == [min(r, k) for r in want]
+    # greedy_basis takes a row where the rank of the rows so far grows
+    rows = [tuple(r) for r in matrices[0]]
+    grows = [len(kernel.echelon(rows[: i + 1])) for i in range(len(rows))]
+    picks = [i for i, r in enumerate(grows) if r > (grows[i - 1] if i else 0)][:k]
+    assert kernel.greedy_basis(iter(rows), k) == (picks, [rows[i] for i in picks])
+
+
+# -- the Python-int path --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["full-5", "full-6", "cone-7-exact"])
+def test_python_ints_give_the_same_vertices(name, monkeypatch):
+    poly = dd_system(name)
+    want = enumerate_vertices(poly)
+    chosen = []
+    monkeypatch.setattr(
+        _linalg, "_int_dtype", lambda bound: chosen.append(bound) or object
+    )
+    got = enumerate_vertices(poly)
+    assert chosen and repr(got) == repr(want)
+
+
+S = 2**40 + 1
+
+
+def scaled(poly: HPolytope, s) -> HPolytope:
+    """Every polar row's point multiplied by s > 0: the vertices shrink by
+    the factor s and keep their order and tight sets."""
+    return HPolytope(
+        poly.dimension,
+        tuple(
+            Halfspace(tuple(s * x for x in hs.normal), POLAR)
+            if hs.kind == POLAR
+            else hs
+            for hs in poly.halfspaces
+        ),
+        poly.field,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, s, dtypes",
+    [
+        ("full-5", Fraction(2**20 + 1), {np.int64, object}),
+        ("full-5", Fraction(S), {object}),
+        ("cone-7-exact", Fraction(S, 3), {np.int64, object}),
+        ("cone-6-exact", Quadratic(S, 2**39, 6), {object}),
+    ],
+    ids=["full-5-2^20", "full-5", "cone-7", "cone-6"],
+)
+def test_scaled_system_matches_known_vertices(name, s, dtypes, monkeypatch):
+    """Entries near 2^20 keep the products of an insertion in int64 but not
+    always its combined rays; entries near 2^40 take the rank test and the
+    insertions of polar rows out of int64.
+    The vertices of the unscaled system are pinned by the golden file."""
+    known = enumerate_vertices(dd_system(name))
+    poly = scaled(dd_system(name), s)
+    chosen, original = [], _linalg._int_dtype
+    monkeypatch.setattr(
+        _linalg,
+        "_int_dtype",
+        lambda bound: chosen.append(original(bound)) or chosen[-1],
+    )
+    got = enumerate_vertices(poly)
+    assert set(chosen) == dtypes
+    assert got.tight_sets == known.tight_sets
+    assert got.vertices == tuple(tuple(x / s for x in v) for v in known.vertices)
+
+
+def test_float_products_are_dot_products():
+    """The float kernel's batched products round as ``dot`` rounds, so no
+    sign decision moves."""
+    kernel = _linalg.kernel_for(FLOAT)
+    rng = np.random.default_rng(7)
+    rays = rng.standard_normal((200, 9))
+    row = tuple(rng.standard_normal(9).tolist())
+    _, products, signs = kernel.classify(rays, row)
+    want = [kernel.dot(row, tuple(r)) for r in rays.tolist()]
+    assert products.tolist() == want
+    assert signs.tolist() == [kernel.sign(x) for x in want]
