@@ -13,16 +13,16 @@ regular representation, whose rank is twice the Q(sqrt(d)) rank; the float
 kernel keeps its partial-pivoting ``echelon`` for every matrix.  Null
 vectors come from the exact kernels' streaming fraction-free echelon.
 
-A :class:`Lift` holds a whole configuration in the same integer form under
-one common denominator, as numpy matrices, so that the checks which read
-every point run as blocked integer matrix products.  numpy is imported
-only where a lift is built or read.
+A :class:`Lift` holds a whole configuration, or vertex set, in the same
+integer form under one common denominator, as numpy matrices, so that the
+checks which read every point or vertex run as blocked integer matrix
+products.  numpy is imported only where a lift is built or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -146,19 +146,19 @@ class _ExactKernel(_Kernel):
         f = self.factor
         return _bareiss_ranks(self.regular(stack), None if k is None else f * k) // f
 
-    def dehomogenize(self, ray: tuple, shared: dict) -> tuple:
-        """x / t for each coordinate x of a ray (t, x).  ``shared`` keeps
-        the quotient of every (x, t) met so far, so that vertices share
-        their equal coordinates: less memory, and sorting them compares
-        equal coordinates by identity."""
-        t = ray[0]
-        out = []
-        for x in ray[1:]:
-            q = shared.get((x, t))
-            if q is None:
-                q = shared[x, t] = self.quotient(x, t)
-            out.append(q)
-        return tuple(out)
+    def quotient_slots(self, rays, shared: dict):
+        """The slot of x / t for each coordinate x of each ray (t, x) of a
+        stack.  ``shared`` numbers the distinct raw pairs (x, t) met so far,
+        each to become one ``quotient``, so that vertices share their equal
+        coordinates; equal values met as different pairs, such as 1/2 and
+        2/4, get different slots."""
+        import numpy as np
+
+        return np.array(
+            [[shared.setdefault(key, len(shared)) for key in keys]
+             for keys in self._pairs(rays)],
+            dtype=np.intp,
+        )
 
     def rank_rows(self, rows):
         """As ``_Kernel.rank_rows``, int64 when the first elimination step
@@ -293,16 +293,16 @@ class _RationalKernel(_ExactKernel):
     def regular(self, stack):
         return stack
 
+    def _pairs(self, rays):
+        """The raw (x, t) pairs of the coordinates of each ray (t, x)."""
+        for t, *x in rays.tolist():
+            yield zip(x, repeat(t))
+
     def quotient(self, x: int, t: int) -> Fraction:
         return Fraction(x, t)
 
     def to_scalar(self, raw: int) -> Scalar:
         return Fraction(raw)
-
-    def squared_norm(self, ray: tuple) -> Scalar:
-        """|x|^2 / t^2 for a ray (t, x), such as the lift of (1, v)."""
-        t, *x = ray
-        return Fraction(self.dot(x, x), t * t)
 
     def is_zero(self, x: int) -> bool:
         return x == 0
@@ -437,10 +437,16 @@ class _QuadraticKernel(_ExactKernel):
             axis=1,
         )
 
-    def quotient(self, x: tuple, t: tuple) -> Scalar:
-        """x / t as x * conj(t) over the integer norm t * conj(t); a Fraction
-        when it has no sqrt(d) part."""
-        (a, b), (ta, tb) = x, t
+    def _pairs(self, rays):
+        """The raw parts (a, b, ta, tb) of the coordinates a + b sqrt(d) of
+        each ray (ta + tb sqrt(d), x)."""
+        parts = zip(rays[..., 0].tolist(), rays[..., 1].tolist())
+        for (ta, *xa), (tb, *xb) in parts:
+            yield zip(xa, xb, repeat(ta), repeat(tb))
+
+    def quotient(self, a: int, b: int, ta: int, tb: int) -> Scalar:
+        """(a + b sqrt(d)) / (ta + tb sqrt(d)) as x * conj(t) over the
+        integer norm t * conj(t); a Fraction when it has no sqrt(d) part."""
         d = self.d
         norm = ta * ta - tb * tb * d
         qa = Fraction(a * ta - b * tb * d, norm)
@@ -450,16 +456,6 @@ class _QuadraticKernel(_ExactKernel):
     def to_scalar(self, raw: tuple) -> Scalar:
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
-
-    def squared_norm(self, ray: tuple) -> Scalar:
-        """|x|^2 / t^2 for a ray (t, x) with rational t, such as the lift
-        of (1, v)."""
-        (t, _), *x = ray
-        u, w = self.dot(x, x)
-        t2 = t * t
-        if w == 0:
-            return Fraction(u, t2)
-        return Quadratic(Fraction(u, t2), Fraction(w, t2), self.d)
 
     def is_zero(self, x: tuple) -> bool:
         return x == (0, 0)
@@ -538,12 +534,6 @@ class _FloatKernel(_Kernel):
         scale[scale == 0.0] = 1.0
         return out / scale[:, None]
 
-    def dehomogenize(self, ray: tuple, shared: dict) -> tuple:
-        """x / t for each coordinate x of a ray (t, x).  Nothing is shared:
-        0.0 and -0.0 are one dictionary key but print differently."""
-        t = ray[0]
-        return tuple(x / t for x in ray[1:])
-
     def to_scalar(self, raw: float) -> Scalar:
         return raw
 
@@ -615,16 +605,16 @@ def row_blocks(rows: int, width: int, entries: int = BLOCK_ENTRIES):
 class Lift:
     """Equal-length vectors p = (a + b*sqrt(d)) / scale, one row each.
 
-    On exact fields ``a`` and ``b`` are integer matrices (``b`` is None over
-    Q), int64 when their entries fit and Python ints otherwise, and ``top``
-    bounds those entries.  On the float field ``a`` is the plain float64
-    matrix of the vectors and ``scale`` is 1.
+    On exact fields ``a`` and ``b`` are integer matrices (``b`` is None and
+    ``d`` is 0 over Q), int64 when their entries fit and Python ints
+    otherwise, and ``top`` bounds those entries.  On the float field ``a``
+    is the plain float64 matrix of the vectors and ``scale`` is 1.
     """
 
-    __slots__ = ("scale", "a", "b", "top")
+    __slots__ = ("scale", "a", "b", "top", "d")
 
-    def __init__(self, scale: int, a, b, top: int):
-        self.scale, self.a, self.b, self.top = scale, a, b, top
+    def __init__(self, scale: int, a, b, top: int, d: int = 0):
+        self.scale, self.a, self.b, self.top, self.d = scale, a, b, top, d
 
     def row_keys(self) -> tuple:
         """One integer per exact vector, equal only for equal vectors, and
@@ -643,9 +633,10 @@ class Lift:
         full = base**width - 1  # every digit 2 * top
         return keys.tolist(), (full - keys).tolist()
 
-    def squared_norms(self, d: int) -> tuple:
+    def squared_norms(self) -> tuple:
         """Row sums (u, w) with scale^2 * |p|^2 = u + w*sqrt(d): a^2 + d b^2
         and 2 a b (w is None over Q)."""
+        d = self.d
         dtype = _int_dtype(self.a.shape[1] * (1 + d) * self.top**2)
         a = self.a.astype(dtype, copy=False)
         if self.b is None:
@@ -653,18 +644,35 @@ class Lift:
         b = self.b.astype(dtype, copy=False)
         return (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
 
-    def polar_products(self, kernel: _ExactKernel, rays):
+    def rays(self, pairs: bool):
+        """The primitive integer ray (t, x) of (1, p) for each vector p:
+        the row (scale, a) over its gcd, so that entries stay as small as
+        the vector's own denominators allow; as (a, b) pairs with
+        t = (scale, 0) when ``pairs``, also for a lift over Q."""
+        import numpy as np
+
+        dtype = self.a.dtype if self.scale < 2**63 else object
+        t = np.full((len(self.a), 1), self.scale, dtype=dtype)
+        a = np.hstack((t, self.a.astype(dtype, copy=False)))
+        if not pairs:
+            return _primitive(a)
+        b = np.zeros_like(a)
+        if self.b is not None:
+            b[:, 1:] = self.b
+        return _primitive(np.stack((a, b), axis=-1))
+
+    def polar_products(self, rays):
         """Products of the polar rows (scale, -p) with kernel rays (t, x),
         a block of rows at a time: (a, b) parts of shape (block, len(rays)),
         b None over Q.
 
         The dtype is chosen once, from a bound on every intermediate; over
-        Q(sqrt d) that includes the squares ``kernel.signs`` takes of the
-        products.
+        Q(sqrt d) that includes the squares ``_QuadraticKernel.signs`` takes
+        of the products.
         """
         import numpy as np
 
-        d = 0 if self.b is None else kernel.d
+        d = self.d
         r = np.array(rays)
         bound = int(np.abs(r).max()) * (
             self.scale + (1 + d) * self.a.shape[1] * self.top
@@ -692,22 +700,25 @@ def lift(vectors, field: Field) -> Lift:
     Each distinct coordinate value is converted once: the kernel vector of
     (1, values...) has the common denominator as its first entry and the
     values' numerators after it, and every vector is lifted by table
-    lookup.
+    lookup.  The table is reached through the identity of the coordinate
+    objects, so each distinct object is hashed by value once, not each
+    coordinate.
     """
     import numpy as np
 
     if not field.is_exact:
         return Lift(1, np.array(vectors, dtype=float), None, 0)
-    index: dict = {}
-    idx = np.array(
-        [[index.setdefault(x, len(index)) for x in v] for v in vectors], dtype=np.intp
-    )
-    table = kernel_for(field).vec_from_scalars((field.one, *index))
+    objects = {id(x): x for x in chain.from_iterable(vectors)}
+    values: dict = {}
+    value_of = [values.setdefault(x, len(values)) for x in objects.values()]
+    slot = dict(zip(objects, value_of)).__getitem__
+    idx = np.fromiter(map(slot, map(id, chain.from_iterable(vectors))), dtype=np.intp)
+    table = kernel_for(field).vec_from_scalars((field.one, *values))
     if field.kind == "rational":
         scale, parts = table[0], [table[1:]]
     else:
         scale, parts = table[0][0], list(zip(*table[1:]))
     top = max(map(abs, chain.from_iterable(parts)))
     dtype = np.int64 if top < 2**63 else object
-    a, *b = (np.array(p, dtype=dtype)[idx] for p in parts)
-    return Lift(scale, a, b[0] if b else None, top)
+    a, *b = (np.array(p, dtype=dtype)[idx].reshape(len(vectors), -1) for p in parts)
+    return Lift(scale, a, b[0] if b else None, top, field.d or 0)

@@ -23,7 +23,6 @@ from .scalar import (
     Quadratic,
     RATIONAL,
     Scalar,
-    Vector,
     dot,
     format_scalar,
     quadratic_field,
@@ -174,12 +173,6 @@ def expand(rule: GeneratorRule, n: int, field: Field) -> list:
     raise TypeError(f"unknown generator rule {rule!r}")
 
 
-def _dedup_key(point: Vector, field: Field):
-    if field.is_exact:
-        return point
-    return tuple(round(x, 12) for x in point)
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A finite origin-symmetric set of equal-norm vectors plus its
@@ -211,10 +204,15 @@ def make_configuration(
 ) -> Configuration:
     """Expand rules, merge and deduplicate, and fix the common norm."""
     rules = tuple(rules)
+    expanded = [p for rule in rules for p in expand(rule, dimension, field)]
+    if field.is_exact or not expanded:
+        keys = expanded
+    else:
+        # float points that agree to 12 decimals are one point, as in validate
+        keys, _ = _float_row_keys(expanded)
     merged = {}
-    for rule in rules:
-        for point in expand(rule, dimension, field):
-            merged.setdefault(_dedup_key(point, field), point)
+    for key, point in zip(keys, expanded):
+        merged.setdefault(key, point)
     points = sorted(merged.values())
     if not points:
         raise ConfigurationError("configuration has no points")
@@ -223,9 +221,9 @@ def make_configuration(
 
 
 def _float_row_keys(a) -> tuple:
-    """The bytes of each float row rounded as ``_dedup_key`` rounds it, and
-    of its negation; -0.0 becomes 0.0, so the bytes are equal exactly when
-    the rounded rows are."""
+    """The bytes of each float row rounded to 12 decimals, and of its
+    negation; -0.0 becomes 0.0, so the bytes are equal exactly when the
+    rounded rows are."""
     import numpy as np
 
     rounded = np.round(a, 12) + 0.0
@@ -266,7 +264,7 @@ def validate(config: Configuration) -> ValidationReport:
         return ValidationReport(False, "not origin-symmetric")
     if field.is_exact:
         # scale^2 |p|^2 = u + w sqrt(d) must be the integer pair of the norm
-        u, w = lift.squared_norms(field.d or 0)
+        u, w = lift.squared_norms()
         target = config.norm_sq * lift.scale**2
         ta, tb = (target.a, target.b) if isinstance(target, Quadratic) else (target, 0)
         if (u != ta).any() or (w is not None and (w != tb).any()):

@@ -217,29 +217,25 @@ def _orbit_representatives(config: Configuration) -> list | None:
 def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
     """Every enumerated vertex must satisfy every original polar constraint.
 
-    On exact backends each vertex v is lifted to the kernel ray (1, v), and
-    the products of the configuration's lifted polar rows (scale, -p) with
-    those rays are checked nonnegative as blocked integer matrix products.
-    The float backend bounds the inner products by 1 + FLOAT_CHECK_EPS,
-    also a block of points at a time.
+    On exact backends the products of the configuration's lifted polar
+    rows (scale, -p) with the rays of the vertices' lift (``VertexSet.lift``,
+    which ``max_squared_norm`` reads too) are checked nonnegative as blocked
+    integer matrix products.  The float backend bounds the inner products
+    by 1 + FLOAT_CHECK_EPS, also a block of points at a time.
     """
     field = config.field
     lift = config.lift
     if not field.is_exact:
-        import numpy as np
-
-        vs = np.array(vertices.vertices, dtype=float).T
+        vs = vertices.lift.a.T
         feasible = all(
             (lift.a[rows] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS
             for rows in row_blocks(len(lift.a), vs.shape[1], FLOAT_BLOCK_ENTRIES)
         )
     else:
         kernel = kernel_for(field)
-        one = field.one
-        rays = [kernel.vec_from_scalars((one,) + v) for v in vertices.vertices]
+        rays = vertices.lift.rays(pairs=lift.b is not None)
         feasible = all(
-            (kernel.signs(a, b) >= 0).all()
-            for a, b in lift.polar_products(kernel, rays)
+            (kernel.signs(a, b) >= 0).all() for a, b in lift.polar_products(rays)
         )
     if not feasible:
         raise RuntimeError(
@@ -339,7 +335,7 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
         # the polar products scale*t - p.x of the ray (t, x) of vec are
         # scale*t*(1 - p.vec), least where p.vec is largest
         slacks = set()
-        for a, b in lift.polar_products(kernel, [ray]):
+        for a, b in lift.polar_products([ray]):
             a = a[:, 0].tolist()
             slacks.update(a if b is None else zip(a, b[:, 0].tolist()))
         least = min(map(kernel.to_scalar, slacks))

@@ -19,18 +19,33 @@ rays at a time.  The common tight rows of the remaining pairs go through
 one batched fraction-free (Bareiss) rank elimination per chunk, over
 Q(sqrt d) on the rational regular representation, and the adjacent pairs
 are combined in one array step with a row gcd.
+
+The exact output stage stays on integers, a block of rays at a time: the
+tight sets come from the packed masks, and each coordinate x / t becomes a
+slot in a table of the distinct raw pairs (x, t), one shared quotient
+object each.  The quotients are ranked by value (put in order by their
+floats, the order confirmed by one exact comparison per neighbouring pair)
+and the vertices are ordered by ``np.lexsort`` on the matrix of their
+value ranks, so that the result is sorted by value with no comparison of
+vertex tuples.  Python scalars are made once, for the returned
+:class:`VertexSet`.  Its ``lift`` (one integer matrix over a common
+denominator, cached) serves ``max_squared_norm`` and the covering module's
+certificate.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from itertools import chain, starmap
 from pathlib import Path
 
-from ._linalg import kernel_for
+from ._linalg import Lift, kernel_for
+from ._linalg import lift as lift_vectors
 from .configgen import Configuration
 from .scalar import (
+    FLOAT,
     RATIONAL,
     Field,
     Quadratic,
@@ -61,7 +76,9 @@ DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
 # plus x minus mask pairs per block of the adjacency pre-filter
 PAIR_BLOCK = 1 << 16
 # matrix entries per chunk of the batched rank test
-RANK_ENTRIES = 1 << 12
+RANK_ENTRIES = 1 << 13
+# rays per block of the output stage's tight sets
+OUTPUT_RAYS = 1 << 10
 
 POLAR = "polar"  # <v, x> <= 1
 CONE = "cone"  # <c, x> >= 0
@@ -106,6 +123,19 @@ class HPolytope:
 class VertexSet:
     vertices: tuple  # tuple[Vector, ...]
     tight_sets: tuple  # tuple[tuple[int, ...], ...], halfspace indices
+
+    @cached_property
+    def lift(self) -> Lift:
+        """The vertices lifted once (``_linalg.lift``): over Q(sqrt d) when a
+        coordinate is a Quadratic, over Q when all are Fractions, and as a
+        float64 matrix when they are floats."""
+        if isinstance(self.vertices[0][0], float):
+            return lift_vectors(self.vertices, FLOAT)
+        coords = chain.from_iterable(self.vertices)
+        d = next((x.d for x in coords if isinstance(x, Quadratic)), None)
+        return lift_vectors(
+            self.vertices, RATIONAL if d is None else quadratic_field(d)
+        )
 
 
 def polar_hrep(config: Configuration) -> HPolytope:
@@ -229,41 +259,81 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         vec = min(kernel.vector(rays[i]) for i in np.flatnonzero(t_signs == 0))
         raise Unbounded(tuple(kernel.to_scalar(x) for x in vec[1:]))
 
-    # the output stage turns one ray at a time into Python scalars
-    order = range(len(rays))
-    if field.kind == "float":
-        # deduplication keeps the first ray in (ray, mask) order
-        keys = [masks[:, j] for j in range(masks.shape[1])]
-        keys += [rays[:, j] for j in reversed(range(dim))]
-        order = np.lexsort(keys)
-    masks = masks.astype("<u8", copy=False)
-    results, shared = [], {}
-    for r in order:
-        vec = kernel.vector(rays[r])
-        tight = []
-        mask = int.from_bytes(masks[r].tobytes(), "little")
-        while mask:
-            low = mask & -mask
-            tight.append(low.bit_length() - 1)
-            mask ^= low
-        if field.kind == "float":
-            vec = _refine_float_ray(tight_rows[tight], vec)
-        coords = kernel.dehomogenize(vec, shared)
-        # drop the t >= 0 row; halfspace i is row i+1
-        results.append((coords, tuple(i - 1 for i in tight if i)))
+    # the rays left are bounded, so none is tight on row 0 (t >= 0), and
+    # halfspace i is row i + 1.  Python objects are made a block of rays at
+    # a time, so that their temporaries stay small next to the output.
+    tights, slots, shared = [], np.empty((len(rays), n), dtype=np.intp), {}
+    for start in range(0, len(rays), OUTPUT_RAYS):
+        block = slice(start, start + OUTPUT_RAYS)
+        index, counts = _tight_indices(masks[block], len(rows))
+        index = (index - 1).tolist()
+        tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
+        if field.is_exact:
+            slots[block] = kernel.quotient_slots(rays[block], shared)
+    if field.is_exact:
+        quotients = list(starmap(kernel.quotient, shared))
+        order = _value_order(slots, quotients)
+        quotients = np.array(quotients, dtype=object)
+        vertices = []
+        for start in range(0, len(order), OUTPUT_RAYS):
+            block = order[start:start + OUTPUT_RAYS]
+            vertices += map(tuple, quotients[slots[block]])
+        tights = map(tights.__getitem__, order.tolist())
+        return VertexSet(tuple(vertices), tuple(tights))
 
-    if field.kind == "float":
-        deduped = {}
-        for coords, tight in results:
-            key = tuple(round(x / DEDUP_EPS) for x in coords)
-            deduped.setdefault(key, (coords, tight))
-        results = list(deduped.values())
-
-    results.sort(key=lambda item: item[0])
+    # deduplication keeps the first ray in (ray, mask) order
+    keys = [masks[:, j] for j in range(masks.shape[1])]
+    keys += [rays[:, j] for j in reversed(range(dim))]
+    deduped = {}
+    for r in np.lexsort(keys).tolist():
+        tight = np.array(tights[r], dtype=np.intp) + 1
+        vec = _refine_float_ray(tight_rows[tight], kernel.vector(rays[r]))
+        coords = tuple(x / vec[0] for x in vec[1:])
+        key = tuple(round(x / DEDUP_EPS) for x in coords)
+        deduped.setdefault(key, (coords, tights[r]))
+    results = sorted(deduped.values(), key=lambda item: item[0])
     return VertexSet(
         tuple(coords for coords, _ in results),
         tuple(tight for _, tight in results),
     )
+
+
+def _value_order(slots, quotients: list):
+    """The order of the rows of ``slots``, a matrix of indices into
+    ``quotients``, by the values they select, compared lexicographically;
+    ties keep their order.
+
+    The quotients are put in order by their floats, and one exact
+    comparison of each neighbouring pair confirms that order and gives
+    equal values held in different objects one rank; only when distinct
+    values share a float out of order are they sorted by exact comparison.
+    The rows are then ordered by ``np.lexsort`` on the matrix of their
+    value ranks.
+    """
+    import numpy as np
+
+    floats = list(map(float, quotients))
+    indices = range(len(quotients))
+    rank = _ranks(quotients, sorted(indices, key=floats.__getitem__))
+    if rank is None:
+        rank = _ranks(quotients, sorted(indices, key=quotients.__getitem__))
+    rank = np.array(rank, dtype=np.min_scalar_type(max(rank)))
+    # lexsort's last key is its first
+    return np.lexsort(rank[slots].T[::-1])
+
+
+def _ranks(values: list, order: list):
+    """The rank of each value among the distinct values if ``order`` sorts
+    ``values``, else None."""
+    rank = [0] * len(values)
+    r = 0
+    for prev, cur in zip(order, order[1:]):
+        if values[prev] != values[cur]:
+            if not values[prev] < values[cur]:
+                return None
+            r += 1
+        rank[cur] = r
+    return rank
 
 
 def _candidate_pairs(plus, minus, need: int, rows: int):
@@ -346,26 +416,25 @@ def _refine_float_ray(tight_rows, vec):
 def max_squared_norm(vertices: VertexSet):
     """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex.
 
-    Exact vertices are compared by one scalar each, |x|^2 / t^2 from the
-    vertex's integer lift (t, x), the ray of (1, v); float vertices by their
-    float dot product.
+    Exact vertices are compared on ``vertices.lift``: scale^2 |v|^2 is the
+    integer row sum u + w sqrt(d), so over Q the largest u wins, and over
+    Q(sqrt d) the largest of the distinct pairs (u, w), each decided once.
+    Float vertices are compared by their float dot product.
     """
     if not vertices.vertices:
         raise ValueError("empty vertex set")
     if isinstance(vertices.vertices[0][0], float):
         best = max(vertices.vertices, key=lambda v: dot(v, v))
     else:
-        d = next(
-            (x.d for v in vertices.vertices for x in v if isinstance(x, Quadratic)),
-            None,
-        )
-        kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
-        one = Fraction(1)
-        keys = [
-            kernel.squared_norm(kernel.vec_from_scalars((one,) + v))
-            for v in vertices.vertices
-        ]
-        best = vertices.vertices[max(range(len(keys)), key=keys.__getitem__)]
+        lift = vertices.lift
+        u, w = lift.squared_norms()
+        if w is None:
+            first = int(u.argmax())
+        else:
+            norms = list(zip(u.tolist(), w.tolist()))
+            top = max(set(norms), key=lambda uw: Quadratic(*uw, lift.d))
+            first = norms.index(top)
+        best = vertices.vertices[first]
     return dot(best, best), best
 
 

@@ -166,6 +166,27 @@ class TestBuiltins:
         config = builtin_configuration(6)
         assert list(config.points) == sorted(set(config.points))
 
+    @pytest.mark.parametrize("n", list(builtin_dimensions()))
+    def test_float_points_match_rounded_dedup(self, n):
+        """The float points are those of a merge keyed by ``round(x, 12)``
+        per coordinate, first point kept."""
+        config = config_to_float(builtin_configuration(n))
+        merged = {}
+        for rule in config.rules:
+            for p in expand(rule, n, FLOAT):
+                merged.setdefault(tuple(round(x, 12) for x in p), p)
+        assert config.points == tuple(sorted(merged.values()))
+        assert validate(config).ok
+
+    def test_float_near_duplicates_merge(self):
+        rules = [SubsetValues(2, 0.5, 0.25)]
+        near = [SubsetValues(2, 0.5 + 1e-14, 0.25 - 1e-14)]
+        config = make_configuration(4, FLOAT, rules)
+        merged = make_configuration(4, FLOAT, rules + near)
+        assert merged.points == config.points
+        assert make_configuration(4, FLOAT, near + rules).points != config.points
+        assert validate(merged).ok
+
 
 class TestValidate:
     def test_missing_negation_fails(self):

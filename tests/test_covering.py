@@ -178,8 +178,10 @@ class TestCertifyVertices:
             lambda: builtin_configuration(5),
             lambda: builtin_configuration(10),
             lambda: config_to_float(builtin_configuration(6)),
+            # rational vertices, lifted over Q, against Q(sqrt 2) points
+            lambda: make_configuration(3, quadratic_field(2), [SubsetSigns(1)]),
         ],
-        ids=["Q", "Q(sqrt5)", "float"],
+        ids=["Q", "Q(sqrt5)", "float", "Q(sqrt2)-rational-vertices"],
     )
     def test_rejects_tampered_vertex(self, make):
         config = make()

@@ -2,8 +2,8 @@
 exact rank against the streaming echelon.
 
 ``data/dd-golden.json`` holds, for each system below, the vertex count, the
-sha256 of ``repr(VertexSet)`` and the ray count after every cutting
-insertion (read from the engine's DEBUG record).
+sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
+(read from the engine's DEBUG record) and ``repr(max_squared_norm(...))``.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphcover import _linalg
+from sphcover import _linalg, polytope
 from sphcover.configgen import (
     builtin_configuration,
     builtin_dimensions,
@@ -29,6 +29,7 @@ from sphcover.polytope import (
     Halfspace,
     HPolytope,
     enumerate_vertices,
+    max_squared_norm,
     polar_hrep,
     symmetry_cone,
 )
@@ -77,11 +78,22 @@ def dd_record(poly: HPolytope, caplog) -> dict:
         "vertices": len(vertices.vertices),
         "sha256": hashlib.sha256(repr(vertices).encode()).hexdigest(),
         "rays": [r.args[2] for r in records],
+        "max_norm": repr(max_squared_norm(vertices)),
     }
 
 
 @pytest.mark.parametrize("name", dd_names())
 def test_matches_golden(name, caplog):
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+
+
+@pytest.mark.parametrize("entries", [1 << 6, 1 << 20], ids=["2^6", "2^20"])
+@pytest.mark.parametrize("name", dd_names())
+def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
+    """A chunk of one matrix or of every candidate of an insertion gives
+    the same vertices as the default chunk."""
+    monkeypatch.setattr(polytope, "RANK_ENTRIES", entries)
     want = json.loads(GOLDEN.read_text())[name]
     assert dd_record(dd_system(name), caplog) == want
 

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphcover._linalg import kernel_for
 from sphcover.configgen import (
     SubsetSigns,
     builtin_configuration,
@@ -16,6 +20,8 @@ from sphcover.polytope import (
     Halfspace,
     HPolytope,
     Unbounded,
+    VertexSet,
+    _value_order,
     dump_hpolytope,
     enumerate_vertices,
     load_hpolytope,
@@ -293,3 +299,122 @@ class TestDumps:
         path.write_text(header + "\npolar: 1 0\n")
         with pytest.raises(ValueError, match=key):
             load_hpolytope(path)
+
+
+# -- the exact output stage -----------------------------------------------------
+
+# times BIG, ray entries and lifted values leave int64
+BIG = 2**70 + 1
+tiny = st.integers(min_value=-4, max_value=4)
+
+
+def quotient_value(x, t, d):
+    """x / t on the scalars: Fractions over Q, Quadratics over Q(sqrt d)."""
+    if d is None:
+        return F(x, t)
+    return Quadratic(*x, d) / Quadratic(*t, d)
+
+
+@st.composite
+def exact_rays(draw, d):
+    """Raw rays (t, x) as the kernel of Q (d None) or Q(sqrt d) holds them,
+    some of them integer multiples of earlier ones, so that equal
+    coordinates arrive as different (x, t) pairs."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = tiny if d is None else st.tuples(tiny, tiny)
+    if d is None:
+        t = st.integers(min_value=1, max_value=6)
+    else:
+        t = st.tuples(tiny, tiny).filter(lambda p: p != (0, 0))
+    rays = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        if rays and draw(st.booleans()):
+            k = draw(st.integers(min_value=2, max_value=3))
+            ray = draw(st.sampled_from(rays))
+            rays.append([k * x if d is None else (k * x[0], k * x[1]) for x in ray])
+        else:
+            rays.append([draw(t)] + draw(st.lists(entry, min_size=n, max_size=n)))
+    return rays
+
+
+@pytest.mark.parametrize("d", [None, 2, 5], ids=["Q", "d2", "d5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_order_matches_sorted(d, data):
+    kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
+    rays = data.draw(exact_rays(d))
+    values = [tuple(quotient_value(x, r[0], d) for x in r[1:]) for r in rays]
+    for array in (
+        np.array(rays, dtype=np.int64),
+        np.array(rays, dtype=object) * BIG,
+    ):
+        shared = {}
+        slots = kernel.quotient_slots(array, shared)
+        quotients = [kernel.quotient(*key) for key in shared]
+        got = [tuple(quotients[j] for j in row) for row in slots.tolist()]
+        assert got == values
+        order = _value_order(slots, quotients).tolist()
+        assert order == sorted(range(len(rays)), key=values.__getitem__)
+
+
+# values of Q(sqrt 2), and forms that hold each in a new object: a Fraction
+# rebuilt, or as a Quadratic with b = 0, and a Quadratic rebuilt
+POOL = [F(-1), F(-1, 2), F(0), F(1, 3), F(3, 2), Quadratic(0, F(1, 2), 2),
+        Quadratic(1, -1, 2), Quadratic(F(-1, 2), F(1, 2), 2)]
+# a value with the float of 1/3
+ABOVE_THIRD = F(1, 3) + F(1, 10**30)
+FORMS = [
+    lambda x: x,
+    lambda x: F(x.numerator, x.denominator) if type(x) is F else Quadratic(x.a, x.b, 2),
+    lambda x: Quadratic(x, 0, 2) if type(x) is F else x,
+]
+
+
+@st.composite
+def scalars(draw, pool):
+    return draw(st.sampled_from(FORMS))(draw(st.sampled_from(pool)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_value_order_groups_equal_objects(data):
+    pool = POOL + [ABOVE_THIRD]
+    quotients = data.draw(st.lists(scalars(pool), min_size=1, max_size=12))
+    index = st.integers(min_value=0, max_value=len(quotients) - 1)
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(index, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=1, max_size=20))
+    keys = [tuple(quotients[j] for j in row) for row in rows]
+    order = _value_order(np.array(rows, dtype=np.intp), quotients).tolist()
+    assert order == sorted(range(len(rows)), key=keys.__getitem__)
+
+
+def test_value_order_breaks_float_ties_exactly():
+    assert float(ABOVE_THIRD) == float(F(1, 3))
+    slots = np.array([[0], [1], [2]], dtype=np.intp)
+    assert _value_order(slots, [ABOVE_THIRD, F(1, 3), F(0)]).tolist() == [2, 1, 0]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
+@pytest.mark.parametrize("quadratic", [False, True], ids=["Q", "d2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_max_squared_norm_matches_max(quadratic, big, data):
+    """Few values, so that several vertices tie for the maximum; the first
+    of them wins, as with ``max``."""
+    pool = POOL if quadratic else [x for x in POOL if type(x) is F]
+    if big:
+        pool = [x * F(BIG, 3) for x in pool]
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    vertices = data.draw(
+        st.lists(
+            st.lists(scalars(pool), min_size=n, max_size=n).map(tuple),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    vset = VertexSet(tuple(vertices), ((),) * len(vertices))
+    want = max(vset.vertices, key=lambda v: dot(v, v))
+    norm, got = max_squared_norm(vset)
+    assert got is want and norm == dot(want, want)
+    assert (vset.lift.a.dtype == object) == (big and any(map(any, vertices)))
