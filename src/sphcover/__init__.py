@@ -42,7 +42,6 @@ from .covering import (
 from .oracle import (
     InstanceTooLarge,
     brute_force_vertices,
-    min_angle_to,
     sampled_covering_radius,
 )
 from .polytope import (
@@ -105,7 +104,6 @@ __all__ = [
     "load_configuration",
     "make_configuration",
     "max_squared_norm",
-    "min_angle_to",
     "parse_scalar",
     "polar_hrep",
     "quadratic_field",

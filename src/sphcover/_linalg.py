@@ -10,8 +10,10 @@ rank-tests and combines whole stacks at once (``classify``, ``ranks``,
 ``combine_rays``).  Exact ranks come from one fraction-free (Bareiss)
 elimination over a stack of matrices, over Q(sqrt(d)) on the rational
 regular representation, whose rank is twice the Q(sqrt(d)) rank; the float
-kernel keeps its partial-pivoting ``echelon`` for every matrix.  Null
-vectors come from the exact kernels' streaming fraction-free echelon.
+kernel keeps its partial-pivoting ``echelon`` for every matrix.  Independent
+rows, first rays and null vectors come from ``first_cone``: the double
+description's own insertion, run from the unit vectors with those same
+``classify`` and ``combine_rays`` steps.
 
 A :class:`Lift` holds a whole configuration, or vertex set, in the same
 integer form under one common denominator, as numpy matrices, so that the
@@ -22,9 +24,8 @@ products.  numpy is imported only where a lift is built or read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import mul
 
 from .scalar import Field, Quadratic, Scalar
 
@@ -36,64 +37,85 @@ BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
 
 
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 class _Kernel:
-    """Rank, basis and null-space questions: ranks through ``ranks``, null
-    vectors through ``echelon``."""
+    """Rank and basis questions: the DD's rank tests through ``ranks``;
+    independent rows, first rays and null spaces through ``first_cone``."""
 
-    def greedy_basis(self, rows, k: int) -> tuple:
-        """Indices and rows of the first linearly independent rows, scanned
-        in order and taken greedily, at most k of them.  ``rows`` may be a
-        lazy iterable; it is read no further than the k-th pick.
+    def first_cone(self, rows, width: int) -> tuple:
+        """The first picks of a double description: the indices of the
+        rows picked, the rays (ray j tight on every pick but j and positive
+        on pick j) and the lineality left, both stacks.  ``rows`` may be a
+        lazy iterable; it is read no further than the ``width``-th pick.
 
-        Each round ranks, in one batch, the basis followed by each prefix
-        of the next rows, as many as picks are missing; zero rows pad the
-        shorter prefixes, and exact rows stay Python ints.  The rows before
-        the first one that adds no rank are taken, that one is passed over
-        and the rest wait for the next round, so that every decision is the
-        rank of the basis so far plus one row."""
+        The cone starts as the whole space: no rays and the ``width`` unit
+        vectors as its lineality.  Each row is classified against the
+        stack of both.  The first lineality vector with a nonzero product,
+        negated when that product is negative, is the pivot: every other
+        vector with a nonzero product is made tight on the row by
+        ``combine_rays``, and the pivot joins the rays.  A row on which
+        every lineality vector is tight is passed over.
+
+        Over Q(sqrt d) a vector is fixed only up to a field element, which
+        ``combine_rays`` does not remove: ``orient`` on its ``leading``
+        entry puts each lineality vector left in its primitive form after
+        every pick (else the entries' digits double with each pick), and
+        ``orient`` on its pick puts each ray in its form at the end.  So
+        the lineality left is primitive, its first nonzero entry rational
+        and positive."""
         import numpy as np
 
-        rows = enumerate(rows)
-        indices, basis, pending = [], [], []
-        while len(basis) < k:
-            pending += islice(rows, k - len(basis) - len(pending))
-            if not pending:
+        units = [[int(i == j) for i in range(width)] for j in range(width)]
+        stack = self.array(list(map(self.vec_from_scalars, units)))
+        picks, pick_rows = [], []
+        for index, row in enumerate(rows):
+            stack, products, signs = self.classify(stack, row)
+            k = len(picks)
+            nonzero = np.flatnonzero(signs[k:])
+            if not nonzero.size:
+                continue
+            pivot = k + nonzero[0]
+            if signs[pivot] < 0:
+                stack[pivot], products[pivot] = -stack[pivot], -products[pivot]
+            cut = np.flatnonzero(signs)
+            cut = cut[cut != pivot]
+            stack[cut] = self.combine_rays(
+                products[pivot, None], stack[cut], products[cut], stack[pivot, None]
+            )
+            rest = np.delete(stack[k:], pivot - k, axis=0)
+            if len(rest):
+                rest = self.orient(rest, self.leading(rest))
+            stack = np.concatenate((stack[:k], stack[pivot, None], rest))
+            picks.append(index)
+            pick_rows.append(row)
+            if len(picks) == width:
                 break
-            matrix = self.array(basis + [row for _, row in pending])
-            b, height = len(basis), len(matrix)
-            keep = np.arange(height) <= np.arange(b, height)[:, None]
-            keep = keep.reshape(keep.shape + (1,) * (matrix.ndim - 1))
-            ranks = self.ranks(np.where(keep, matrix, 0)).tolist()
-            taken = next((j for j, r in enumerate(ranks) if r <= b + j), len(ranks))
-            for idx, row in pending[:taken]:
-                indices.append(idx)
-                basis.append(row)
-            pending = pending[taken + 1:]
-        return indices, basis
+        rays = stack[:len(picks)]
+        products = [
+            self.classify(ray[None], row)[1][0] for ray, row in zip(rays, pick_rows)
+        ]
+        return picks, self.orient(rays, products), stack[len(picks):]
 
-    def null_vector(self, rows) -> tuple:
-        """A nonzero vector orthogonal to every row of a rank-deficient set.
+    def leading(self, stack):
+        """The first nonzero entry of each vector of a nonempty stack, zero
+        as ``classify`` decides it: the entries are classified as rays of
+        width 1 against the row (1)."""
+        import numpy as np
 
-        Back substitution through the echelon from the first non-pivot
-        column, scaling by each pivot so that exact entries stay integral.
-        """
-        echelon = self.echelon(rows)
-        width = len(rows[0])
-        pivots = {col for col, _ in echelon}
-        free = min(j for j in range(width) if j not in pivots)
-        x = self.unit(width, free)
-        for col, row in reversed(echelon):
-            # x[col] is still zero: pivot * x - (row . x) * e_col zeroes row . x
-            x = self.combine(row[col], x, self.dot(row, x), self.unit(width, col))
-        return x
+        count, width = stack.shape[:2]
+        entries = stack.reshape((count * width, 1) + stack.shape[2:])
+        _, values, signs = self.classify(entries, self.vec_from_scalars((1,)))
+        first = (signs.reshape(count, width) != 0).argmax(axis=1)
+        return values.reshape((count, width) + values.shape[1:])[
+            np.arange(count), first
+        ]
 
-    def orient(self, vec: tuple, row: tuple) -> tuple:
-        """The multiple of ``vec`` whose product with ``row`` is positive."""
-        return vec if self.dot(row, vec) > 0 else tuple(-x for x in vec)
+    def orient(self, stack, products):
+        """Each vector of a stack, negated where its product with its row
+        (one per vector) is negative; float zeros stay 0.0."""
+        import numpy as np
+
+        flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
+        return np.where(flip, 0 - stack, stack)
 
     def rank_rows(self, rows):
         """``rows`` and a zero row after them as one array, from which
@@ -115,26 +137,6 @@ class _ExactKernel(_Kernel):
     ``factor`` times theirs."""
 
     factor = 1
-
-    def echelon(self, rows) -> list:
-        """Streaming fraction-free elimination: (pivot column, row) pairs.
-
-        Each kept row is zero in the pivot columns of the rows kept before
-        it.
-        """
-        echelon = []
-        for row in rows:
-            for pivot_col, pivot_row in echelon:
-                factor = row[pivot_col]
-                if self.is_zero(factor):
-                    continue
-                row = self.combine(pivot_row[pivot_col], row, factor, pivot_row)
-            pivot_col = next(
-                (j for j, x in enumerate(row) if not self.is_zero(x)), None
-            )
-            if pivot_col is not None:
-                echelon.append((pivot_col, row))
-        return echelon
 
     def array(self, vectors):
         import numpy as np
@@ -246,9 +248,6 @@ class _RationalKernel(_ExactKernel):
             tuple(f.numerator * (den // f.denominator) for f in fracs)
         )
 
-    def unit(self, width: int, j: int) -> tuple:
-        return tuple(int(i == j) for i in range(width))
-
     def reduce(self, vec: tuple) -> tuple:
         g = 0
         for x in vec:
@@ -257,37 +256,30 @@ class _RationalKernel(_ExactKernel):
             return tuple(x // g for x in vec)
         return vec
 
-    def dot(self, u: tuple, v: tuple) -> int:
-        return sum(map(mul, u, v))
-
-    def sign(self, s: int) -> int:
-        return _int_sign(s)
-
     def signs(self, a, b):
         """Elementwise sign of an integer array (``b`` is None over Q)."""
         import numpy as np
 
         return np.sign(a)
 
-    def combine(self, sp: int, rm: tuple, sm: int, rp: tuple) -> tuple:
-        return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
-
     def classify(self, rays, row: tuple) -> tuple:
         """Products of ``row`` with a stack of rays and their signs, and the
         rays in the dtype in which ``combine_rays`` on them cannot overflow:
         a product is at most S = width * max|row| * max|ray|, a combined
-        entry at most 2 * S * max|ray|."""
+        entry at most 2 * S * max|ray|.  max|row| counts as at least 1, so
+        that the rays themselves fit also against a zero row."""
         import numpy as np
 
         top = _top(rays)
-        bound = len(row) * max(map(abs, row)) * top
+        bound = len(row) * max(1, *map(abs, row)) * top
         dtype = _int_dtype(2 * bound * top)
         rays = rays.astype(dtype, copy=False)
         products = rays @ np.array(row, dtype=dtype)
         return rays, products, np.sign(products)
 
     def combine_rays(self, sp, rm, sm, rp):
-        """``combine`` on stacks, one (sp, rm, sm, rp) per row."""
+        """sp * rm - sm * rp in primitive form, one (sp, rm, sm, rp) per
+        row of the stacks."""
         return _primitive(sp[:, None] * rm - sm[:, None] * rp)
 
     def regular(self, stack):
@@ -303,9 +295,6 @@ class _RationalKernel(_ExactKernel):
 
     def to_scalar(self, raw: int) -> Scalar:
         return Fraction(raw)
-
-    def is_zero(self, x: int) -> bool:
-        return x == 0
 
 
 class _QuadraticKernel(_ExactKernel):
@@ -336,9 +325,6 @@ class _QuadraticKernel(_ExactKernel):
             )
         )
 
-    def unit(self, width: int, j: int) -> tuple:
-        return tuple((int(i == j), 0) for i in range(width))
-
     def reduce(self, vec: tuple) -> tuple:
         g = 0
         for a, b in vec:
@@ -347,32 +333,10 @@ class _QuadraticKernel(_ExactKernel):
             return tuple((a // g, b // g) for a, b in vec)
         return vec
 
-    def _mul(self, x, y):
-        return (x[0] * y[0] + x[1] * y[1] * self.d, x[0] * y[1] + x[1] * y[0])
-
-    def dot(self, u: tuple, v: tuple) -> tuple:
-        a = b = 0
-        d = self.d
-        for (xa, xb), (ya, yb) in zip(u, v):
-            a += xa * ya + xb * yb * d
-            b += xa * yb + xb * ya
-        return (a, b)
-
-    def sign(self, s: tuple) -> int:
-        a, b = s
-        if b == 0:
-            return _int_sign(a)
-        if a == 0:
-            return _int_sign(b)
-        sa, sb = _int_sign(a), _int_sign(b)
-        if sa == sb:
-            return sa
-        return sa * _int_sign(a * a - b * b * self.d)
-
     def signs(self, a, b):
-        """``sign`` elementwise on integer arrays a, b (int64 or Python
-        ints): entries whose parts have opposite signs are decided by the
-        sign of a^2 - d b^2, computed on those entries only."""
+        """Elementwise sign of a + b sqrt(d) on integer arrays a, b (int64
+        or Python ints): entries whose parts have opposite signs are decided
+        by the sign of a^2 - d b^2, computed on those entries only."""
         import numpy as np
 
         sa, sb = np.sign(a), np.sign(b)
@@ -383,14 +347,6 @@ class _QuadraticKernel(_ExactKernel):
             out[mixed] = sa[mixed] * np.sign(am * am - self.d * (bm * bm))
         return out
 
-    def combine(self, sp: tuple, rm: tuple, sm: tuple, rp: tuple) -> tuple:
-        out = []
-        for a, b in zip(rp, rm):
-            pb = self._mul(sp, b)
-            ma = self._mul(sm, a)
-            out.append((pb[0] - ma[0], pb[1] - ma[1]))
-        return self.reduce(tuple(out))
-
     def classify(self, rays, row: tuple) -> tuple:
         """As the rational ``classify``, on (a, b) parts: a product's parts
         are at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
@@ -399,7 +355,7 @@ class _QuadraticKernel(_ExactKernel):
 
         d = self.d
         top = _top(rays)
-        bound = len(row) * (1 + d) * max(map(abs, chain.from_iterable(row))) * top
+        bound = len(row) * (1 + d) * max(1, *map(abs, chain.from_iterable(row))) * top
         dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
         rays = rays.astype(dtype, copy=False)
         w = np.array(row, dtype=dtype)
@@ -409,8 +365,7 @@ class _QuadraticKernel(_ExactKernel):
         return rays, np.stack((a, b), axis=-1), self.signs(a, b)
 
     def combine_rays(self, sp, rm, sm, rp):
-        """``combine`` on stacks of (a, b) rays, one (sp, rm, sm, rp) per
-        row."""
+        """As the rational ``combine_rays``, on stacks of (a, b) rays."""
         import numpy as np
 
         d = self.d
@@ -457,20 +412,20 @@ class _QuadraticKernel(_ExactKernel):
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
 
-    def is_zero(self, x: tuple) -> bool:
-        return x == (0, 0)
-
-    def orient(self, vec: tuple, row: tuple) -> tuple:
-        """A null vector is fixed only up to a field element s; multiplying
-        by the conjugate of s = row . vec leaves the rational product
-        s * conj(s) = a^2 - d b^2, so the reduced result is the primitive
-        integer form of the matching inverse column, not a multiple of it
+    def orient(self, stack, products):
+        """Each vector of a stack times the conjugate of its product s with
+        its row, negated where s * conj(s) = a^2 - d b^2 is negative, in
+        primitive form.  A vector is fixed only up to a field element; this
+        is the primitive integer form of its multiple whose product is a
+        positive rational, whatever element scaled it, not a multiple of it
         whose coefficients grow."""
-        a, b = self.dot(row, vec)
-        vec = self.reduce(tuple(self._mul((a, -b), x) for x in vec))
-        if a * a - b * b * self.d > 0:
-            return vec
-        return tuple((-x, -y) for x, y in vec)
+        import numpy as np
+
+        s = np.array(products, dtype=object).reshape(-1, 2)
+        flip = np.where(s[:, 0] ** 2 - self.d * s[:, 1] ** 2 < 0, -1, 1)
+        conj = np.stack((flip * s[:, 0], -flip * s[:, 1]), axis=-1)
+        stack = stack.astype(object)
+        return self.combine_rays(conj, stack, 0 * conj, stack)
 
 
 class _FloatKernel(_Kernel):
@@ -479,27 +434,11 @@ class _FloatKernel(_Kernel):
     def vec_from_scalars(self, scalars) -> tuple:
         return self.reduce(tuple(float(x) for x in scalars))
 
-    def unit(self, width: int, j: int) -> tuple:
-        return tuple(float(i == j) for i in range(width))
-
     def reduce(self, vec: tuple) -> tuple:
         scale = max(abs(x) for x in vec)
         if scale == 0.0 or scale == 1.0:
             return vec
         return tuple(x / scale for x in vec)
-
-    def dot(self, u: tuple, v: tuple) -> float:
-        return sum(map(mul, u, v))
-
-    def sign(self, s: float) -> int:
-        if s > ZERO_EPS:
-            return 1
-        if s < -ZERO_EPS:
-            return -1
-        return 0
-
-    def combine(self, sp: float, rm: tuple, sm: float, rp: tuple) -> tuple:
-        return self.reduce(tuple(sp * b - sm * a for a, b in zip(rp, rm)))
 
     def array(self, vectors):
         import numpy as np
@@ -512,13 +451,14 @@ class _FloatKernel(_Kernel):
         import numpy as np
 
         return np.array(
-            [len(self.echelon([r for r in m.tolist() if any(r)], k)) for m in stack],
+            [self.echelon([r for r in m.tolist() if any(r)], k) for m in stack],
             dtype=int,
         )
 
     def classify(self, rays, row: tuple) -> tuple:
         """Products of ``row`` with a stack of rays, summed column by column
-        as ``dot`` sums them, and their ``sign``s."""
+        as a Python ``sum`` of the entry products sums them, and their signs:
+        zero within ``ZERO_EPS``."""
         import numpy as np
 
         products = np.zeros(len(rays))
@@ -528,7 +468,8 @@ class _FloatKernel(_Kernel):
         return rays, products, signs
 
     def combine_rays(self, sp, rm, sm, rp):
-        """``combine`` on stacks, one (sp, rm, sm, rp) per row."""
+        """sp * rm - sm * rp scaled to unit max-norm, one (sp, rm, sm, rp)
+        per row of the stacks."""
         out = sp[:, None] * rm - sm[:, None] * rp
         scale = abs(out).max(axis=1)
         scale[scale == 0.0] = 1.0
@@ -537,12 +478,11 @@ class _FloatKernel(_Kernel):
     def to_scalar(self, raw: float) -> Scalar:
         return raw
 
-    def echelon(self, rows, k: int | None = None) -> list:
-        """Partial-pivoting elimination, column by column: (pivot column,
-        row) pairs with increasing pivot columns.  Stops at k pivots."""
+    def echelon(self, rows, k: int | None = None) -> int:
+        """The rank of ``rows``, at most k, by partial-pivoting elimination
+        column by column."""
         work = [list(r) for r in rows]
         ncols = len(work[0]) if work else 0
-        echelon = []
         rank = 0
         for col in range(ncols):
             best, pivot_row = ZERO_EPS, None
@@ -564,11 +504,10 @@ class _FloatKernel(_Kernel):
                     if scale > 1.0:
                         for j in range(ncols):
                             row[j] /= scale
-            echelon.append((col, prow))
             rank += 1
             if rank == k:
                 break
-        return echelon
+        return rank
 
 
 def kernel_for(field: Field) -> _Kernel:
@@ -585,7 +524,8 @@ def rank(rows, field: Field) -> int:
     ``perfbench/workloads.py`` draws its random instances with it.
     """
     kernel = kernel_for(field)
-    return len(kernel.echelon([kernel.vec_from_scalars(r) for r in rows]))
+    picks, _, _ = kernel.first_cone(map(kernel.vec_from_scalars, rows), len(rows[0]))
+    return len(picks)
 
 
 def _int_dtype(bound: int):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -130,27 +130,51 @@ def _signs_vectors(n: int, support: int, counts, value, zero) -> list:
     return out
 
 
+def _arrangements(counts: list):
+    """Every sequence holding ``counts[r]`` entries r, each once, in
+    lexicographic order (Narayana's next-permutation step)."""
+    seq = [r for r, count in enumerate(counts) for _ in range(count)]
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
 def expand(rule: GeneratorRule, n: int, field: Field) -> list:
-    """Expand one generator rule into the full list of vectors in E^n."""
+    """Expand one generator rule into the full list of vectors in E^n.
+
+    A pattern gives each distinct arrangement of its values once, in
+    lexicographic order of the values' ranks (their first appearance in
+    ``entries``, entries that repeat a value merged), each followed by its
+    negation unless that came before.
+    """
     if isinstance(rule, Pattern):
         total = sum(count for _, count in rule.entries)
         if total != n:
             raise ConfigurationError(
                 f"pattern multiplicities sum to {total}, expected {n}"
             )
-        base = []
+        counts: dict = {}
         for value, count in rule.entries:
-            base.extend([field.coerce(value)] * count)
+            value = field.coerce(value)
+            counts[value] = counts.get(value, 0) + count
+        values = list(counts)
         seen = set()
         out = []
-        for perm in permutations(base):
-            if perm not in seen:
-                seen.add(perm)
-                out.append(perm)
-                neg = tuple(-x for x in perm)
-                if neg not in seen:
-                    seen.add(neg)
-                    out.append(neg)
+        for ranks in _arrangements(list(counts.values())):
+            vec = tuple(map(values.__getitem__, ranks))
+            for vec in (vec, tuple(-x for x in vec)):
+                if vec not in seen:
+                    seen.add(vec)
+                    out.append(vec)
         return out
     if isinstance(rule, SubsetSigns):
         if rule.support > n:
@@ -279,10 +303,10 @@ def validate(config: Configuration) -> ValidationReport:
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
     kernel = _linalg.kernel_for(config.field)
-    _, basis = kernel.greedy_basis(
+    picks, _, _ = kernel.first_cone(
         map(kernel.vec_from_scalars, points), config.dimension
     )
-    if len(basis) < config.dimension:
+    if len(picks) < config.dimension:
         return ValidationReport(False, "points do not span the whole space")
     return ValidationReport(True)
 

@@ -23,7 +23,6 @@ from .scalar import Field, Quadratic, dot
 __all__ = [
     "InstanceTooLarge",
     "brute_force_vertices",
-    "min_angle_to",
     "sampled_covering_radius",
 ]
 
@@ -277,19 +276,6 @@ def _feasible(point, poly: HPolytope) -> bool:
 # -- sampling ------------------------------------------------------------------
 
 
-def _unit_points(config: Configuration) -> np.ndarray:
-    pts = np.array([[float(x) for x in p] for p in config.points], dtype=float)
-    return pts / math.sqrt(float(config.norm_sq))
-
-
-def min_angle_to(config: Configuration, direction) -> float:
-    """Angle from a unit direction to the nearest configuration point."""
-    u = np.asarray([float(x) for x in direction], dtype=float)
-    u = u / np.linalg.norm(u)
-    cosines = _unit_points(config) @ u
-    return float(math.acos(min(1.0, max(-1.0, cosines.max()))))
-
-
 def sampled_covering_radius(
     config: Configuration, samples: int, seed: int = 0
 ) -> float:
@@ -301,7 +287,8 @@ def sampled_covering_radius(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    points = _unit_points(config).T  # n x |A|
+    points = np.array([[float(x) for x in p] for p in config.points])
+    points = (points / math.sqrt(float(config.norm_sq))).T  # n x |A|
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     worst_cos = 1.0

@@ -1,14 +1,15 @@
 """Exact vertex enumeration for halfspace-defined polytopes.
 
 The enumerator is an incremental double description method run on the
-homogenization cone in E^(n+1): pick a simplicial subcone from independent
-constraint rows, insert the remaining halfspaces one at a time, and combine
-adjacent ray pairs that straddle each new hyperplane.  Adjacency is
-certified algebraically by the rank of the common tight set, so the heavily
-degenerate polytopes produced by symmetric configurations need no
-perturbation.  Exact backends run on integer (or integer-quadratic) ray
-coordinates; the float backend uses fixed absolute tolerances on rows and
-rays scaled to unit max-norm.
+homogenization cone in E^(n+1): build a simplicial subcone by inserting
+constraint rows into the whole space (``first_cone``: each row that some
+lineality vector is not tight on takes one as its ray), insert the
+remaining halfspaces one at a time, and combine adjacent ray pairs that
+straddle each new hyperplane.  Adjacency is certified algebraically by the
+rank of the common tight set, so the heavily degenerate polytopes produced
+by symmetric configurations need no perturbation.  Exact backends run on
+integer (or integer-quadratic) ray coordinates; the float backend uses
+fixed absolute tolerances on rows and rays scaled to unit max-norm.
 
 Each insertion runs on whole arrays.  The rays are one matrix (int64 while
 a bound shows every product fits, Python ints otherwise; an (a, b) axis
@@ -199,25 +200,15 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     kernel = kernel_for(field)
     rows = _homogenized_rows(poly, kernel)
 
-    # simplicial initialization: ray j is orthogonal to every selected row
-    # but row j, on its positive side
-    selected, basis = kernel.greedy_basis(rows, dim)
+    selected, rays, lineality = kernel.first_cone(rows, dim)
     if len(selected) < dim:
-        # the t >= 0 row forces t = 0, so the rest of a null vector of all
-        # rows is orthogonal to every constraint normal; oriented against
-        # e_j, j its first nonzero coordinate, it is primitive and that
-        # coordinate is rational and positive
-        direction = kernel.null_vector(rows)[1:]
-        j = next(i for i, x in enumerate(direction) if kernel.sign(x) != 0)
-        direction = kernel.orient(direction, kernel.unit(n, j))
-        raise Unbounded(tuple(kernel.to_scalar(x) for x in direction))
-    rays = kernel.array(
-        [
-            kernel.orient(kernel.null_vector(basis[:j] + basis[j + 1:]), basis[j])
-            for j in range(dim)
-        ]
-    )
-    # ray j is tight on every selected row but row j
+        # every row is tight on the lineality left, so the t >= 0 row
+        # forces t = 0 and the rest of its first vector, primitive with its
+        # first nonzero coordinate rational and positive, is orthogonal to
+        # every constraint normal
+        direction = kernel.vector(lineality[0, 1:])
+        raise Unbounded(tuple(map(kernel.to_scalar, direction)))
+    # ray j is tight on every selected row but row j, positive on row j
     masks = np.zeros((dim, -(-len(rows) // 64)), dtype=np.uint64)
     for j, idx in enumerate(selected):
         for i in selected:
@@ -226,7 +217,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
 
     need = dim - 2
     tight_rows = kernel.rank_rows(rows)
-    remaining = [i for i in range(len(rows)) if i not in set(selected)]
+    remaining = [i for i in range(len(rows)) if i not in selected]
     for step, idx in enumerate(remaining):
         rays, products, signs = kernel.classify(rays, rows[idx])
         word, bit = idx >> 6, np.uint64(1 << (idx & 63))

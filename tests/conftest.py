@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from sphcover import _linalg
 from sphcover.polytope import POLAR, Halfspace, HPolytope, symmetry_cone
 from sphcover.scalar import RATIONAL
 
@@ -27,3 +29,30 @@ def random_polar_instance(rng: random.Random) -> HPolytope:
     if rng.random() < 0.5:
         halfspaces = list(symmetry_cone(n, RATIONAL)) + halfspaces
     return HPolytope(n, tuple(halfspaces[:40]), RATIONAL)
+
+
+@pytest.fixture
+def dtypes(monkeypatch):
+    """The dtypes ``_linalg._int_dtype`` chooses, in call order, outside
+    ``first_cone``: the first cone starts from unit vectors, on which int64
+    is right whatever the rows, so only the insertions, rank tests and
+    lifted checks after it are recorded."""
+    chosen, original = [], _linalg._int_dtype
+    first_cone, depth = _linalg._Kernel.first_cone, []
+
+    def outside(self, rows, width):
+        depth.append(None)
+        try:
+            return first_cone(self, rows, width)
+        finally:
+            depth.pop()
+
+    def recording(bound):
+        dtype = original(bound)
+        if not depth:
+            chosen.append(dtype)
+        return dtype
+
+    monkeypatch.setattr(_linalg._Kernel, "first_cone", outside)
+    monkeypatch.setattr(_linalg, "_int_dtype", recording)
+    return chosen

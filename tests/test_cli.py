@@ -41,13 +41,35 @@ def cross4_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def verify_memo():
+    return {}
+
+
+@pytest.fixture
+def remembered_verify(monkeypatch, verify_memo):
+    """``verify_bounds`` remembered per argument set for the tests of this
+    module that ask for it, so that they share one run of each."""
+    from sphcover import cli
+
+    original = cli.verify_bounds
+
+    def remembered(dims, **kwargs):
+        key = repr((dims, sorted(kwargs.items())))
+        if key not in verify_memo:
+            verify_memo[key] = original(dims, **kwargs)
+        return verify_memo[key]
+
+    monkeypatch.setattr(cli, "verify_bounds", remembered)
+
+
 class TestVerify:
     def test_single_dimension(self, capsys):
         code, out, err = run(capsys, "verify", "--dim", "7")
         assert code == 0
         assert "0.84688" in out and "0.85707" in out and "112" in out
 
-    def test_all_dimensions(self, capsys):
+    def test_all_dimensions(self, capsys, remembered_verify):
         code, out, _ = run(capsys, "verify", "--all")
         assert code == 0
         rows = [line for line in out.splitlines() if line[:4].strip().isdigit()]
@@ -55,6 +77,15 @@ class TestVerify:
         assert all("pass" in row for row in rows)
         # tests/data/verify-all.txt holds the output of `sphcover verify --all`
         golden = Path(__file__).parent / "data" / "verify-all.txt"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_all_dimensions_match_golden_file(self, capsys, remembered_verify, fmt):
+        # tests/data/verify-all.<fmt> holds the output of
+        # `sphcover verify --all --format <fmt>`
+        code, out, _ = run(capsys, "verify", "--all", "--format", fmt)
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"verify-all.{fmt}"
         assert out.encode() == golden.read_bytes()
 
     def test_dim_out_of_range_is_usage_error(self, capsys):

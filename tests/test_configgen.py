@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -102,6 +103,64 @@ class TestExpand:
     def test_default_value_is_inv_sqrt(self):
         vs = expand(SubsetSigns(9, frozenset({0, 2, 4, 5, 7, 9})), 9, quadratic_field(2))
         assert all(x == 0 or abs(x) == Fraction(1, 3) for v in vs for x in v)
+
+
+def permutations_reference(entries, field) -> list:
+    """A pattern expanded by walking every index permutation of its values,
+    entries that repeat a value merged first: each distinct arrangement at
+    its first occurrence, then its negation unless that came before."""
+    counts = {}
+    for value, count in entries:
+        value = field.coerce(value)
+        counts[value] = counts.get(value, 0) + count
+    base = [value for value, count in counts.items() for _ in range(count)]
+    seen, out = set(), []
+    for perm in permutations(base):
+        for vec in (perm, tuple(-x for x in perm)):
+            if vec not in seen:
+                seen.add(vec)
+                out.append(vec)
+    return out
+
+
+TEST_PATTERNS = [
+    (((Quadratic(1, 1, 2), 1), (-1, 2), (0, 1)), quadratic_field(2)),
+    (((2, 1), (-2, 1), (1, 1)), RATIONAL),
+    (((1, 2), (-1, 1)), RATIONAL),
+    (((3, 1), (4, 1), (0, 1)), RATIONAL),
+    (((2, 2), (1, 1)), RATIONAL),
+    (((2, 1), (-2, 1), (0, 3)), RATIONAL),
+    (((2, 2), (0, 3)), RATIONAL),
+    (((Quadratic(0, 2, 2), 1), (Quadratic(0, -2, 2), 1), (0, 3)), quadratic_field(2)),
+    (((2.0, 1), (-2.0, 1), (0.0, 3)), FLOAT),
+]
+
+
+@pytest.mark.parametrize("entries, field", TEST_PATTERNS)
+def test_pattern_order_matches_permutations(entries, field):
+    n = sum(count for _, count in entries)
+    assert expand(Pattern(entries), n, field) == permutations_reference(entries, field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4
+    ).filter(lambda entries: sum(c for _, c in entries) <= 7),
+    st.sampled_from([RATIONAL, FLOAT]),
+)
+def test_random_pattern_order_matches_permutations(entries, field):
+    # values may repeat across entries
+    entries = tuple(entries)
+    n = sum(count for _, count in entries)
+    assert expand(Pattern(entries), n, field) == permutations_reference(entries, field)
+
+
+def test_pattern_expansion_does_not_walk_permutations():
+    # 12! index permutations but 924 arrangements: the walk took hours
+    start = time.perf_counter()
+    assert len(expand(Pattern(((1, 6), (0, 6))), 12, RATIONAL)) == 1848
+    assert time.perf_counter() - start < 1.0
 
 
 @st.composite

@@ -1,5 +1,5 @@
 """The double description engine against recorded outputs, and its batched
-exact rank against the streaming echelon.
+exact rank and first cone against Gaussian elimination.
 
 ``data/dd-golden.json`` holds, for each system below, the vertex count, the
 sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from sphcover.polytope import (
     polar_hrep,
     symmetry_cone,
 )
-from sphcover.scalar import FLOAT, RATIONAL, Quadratic, quadratic_field
+from sphcover.scalar import FLOAT, RATIONAL, Quadratic, quadratic_field, sign_of
 
 GOLDEN = Path(__file__).parent / "data" / "dd-golden.json"
 INSERTED = "inserted %d/%d halfspaces, %d rays"
@@ -139,13 +140,39 @@ def combination(s, u, t, v, d):
     return [tuple(map(sum, zip(mul(s, x), mul(t, y)))) for x, y in zip(u, v)]
 
 
+def reference_independent(rows, d) -> list:
+    """Whether each integer row (pairs (a, b) for a + b sqrt(d) when d is
+    given) is independent of the rows before it, by Gaussian elimination on
+    Fraction or Quadratic values."""
+    basis, independent = [], []  # (pivot column, row with 1 there)
+    for row in rows:
+        row = [Fraction(x) if d is None else Quadratic(*x, d) for x in row]
+        for col, b in basis:
+            f = row[col]
+            if f != 0:
+                row = [x - f * y for x, y in zip(row, b)]
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        independent.append(col is not None)
+        if col is not None:
+            basis.append((col, [x / row[col] for x in row]))
+    return independent
+
+
+def reference_sign(u, v, d) -> int:
+    """The sign of the product of two integer rows, as
+    ``reference_independent`` reads them."""
+    if d is None:
+        return sign_of(sum(map(mul, u, v)))
+    return sign_of(sum(Quadratic(*x, d) * Quadratic(*y, d) for x, y in zip(u, v)))
+
+
 @pytest.mark.parametrize("d", [None, 2, 3, 5, 6], ids=["Q", "d2", "d3", "d5", "d6"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_rank_and_basis_match_echelon(d, data):
     kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
     matrices = data.draw(planted_stacks(d))
-    want = [len(kernel.echelon([tuple(r) for r in m])) for m in matrices]
+    want = [sum(reference_independent(m, d)) for m in matrices]
     # times 2^20 + 1 the entries fit int64 but later elimination products
     # do not; the rank is the same
     scale = data.draw(st.sampled_from([1, 2**20 + 1]))
@@ -154,11 +181,27 @@ def test_batched_rank_and_basis_match_echelon(d, data):
         assert kernel.ranks(stack).tolist() == want
         k = data.draw(st.integers(min_value=0, max_value=6))
         assert kernel.ranks(stack, k).tolist() == [min(r, k) for r in want]
-    # greedy_basis takes a row where the rank of the rows so far grows
+    # the first cone picks a row where the rank of the rows so far grows
     rows = [tuple(r) for r in matrices[0]]
-    grows = [len(kernel.echelon(rows[: i + 1])) for i in range(len(rows))]
-    picks = [i for i, r in enumerate(grows) if r > (grows[i - 1] if i else 0)][:k]
-    assert kernel.greedy_basis(iter(rows), k) == (picks, [rows[i] for i in picks])
+    width = len(rows[0])
+    picks, rays, lineality = kernel.first_cone(iter(rows), width)
+    assert picks == [i for i, x in enumerate(reference_independent(rows, d)) if x]
+    rays = list(map(kernel.vector, rays))
+    for j, ray in enumerate(rays):
+        signs = [reference_sign(rows[i], ray, d) for i in picks]
+        assert signs == [int(i == j) for i in range(len(picks))]
+    lineality = list(map(kernel.vector, lineality))
+    assert len(lineality) == width - len(picks)
+    assert all(reference_independent(lineality, d))
+    assert all(reference_sign(r, v, d) == 0 for r in rows for v in lineality)
+
+
+def test_first_cone_reads_a_zero_row_after_large_entries():
+    # the first row leaves the lineality (-1, 2^70); the zero row's products
+    # are all zero, and the stack must still not be cast to int64
+    kernel = _linalg.kernel_for(RATIONAL)
+    picks, _, lineality = kernel.first_cone([(2**70, 1), (0, 0), (1, 0)], 2)
+    assert picks == [0, 2] and not len(lineality)
 
 
 # -- the Python-int path --------------------------------------------------------
@@ -195,7 +238,7 @@ def scaled(poly: HPolytope, s) -> HPolytope:
 
 
 @pytest.mark.parametrize(
-    "name, s, dtypes",
+    "name, s, want",
     [
         ("full-5", Fraction(2**20 + 1), {np.int64, object}),
         ("full-5", Fraction(S), {object}),
@@ -204,33 +247,29 @@ def scaled(poly: HPolytope, s) -> HPolytope:
     ],
     ids=["full-5-2^20", "full-5", "cone-7", "cone-6"],
 )
-def test_scaled_system_matches_known_vertices(name, s, dtypes, monkeypatch):
+def test_scaled_system_matches_known_vertices(name, s, want, dtypes):
     """Entries near 2^20 keep the products of an insertion in int64 but not
     always its combined rays; entries near 2^40 take the rank test and the
     insertions of polar rows out of int64.
     The vertices of the unscaled system are pinned by the golden file."""
     known = enumerate_vertices(dd_system(name))
     poly = scaled(dd_system(name), s)
-    chosen, original = [], _linalg._int_dtype
-    monkeypatch.setattr(
-        _linalg,
-        "_int_dtype",
-        lambda bound: chosen.append(original(bound)) or chosen[-1],
-    )
+    dtypes.clear()
     got = enumerate_vertices(poly)
-    assert set(chosen) == dtypes
+    assert set(dtypes) == want
     assert got.tight_sets == known.tight_sets
     assert got.vertices == tuple(tuple(x / s for x in v) for v in known.vertices)
 
 
 def test_float_products_are_dot_products():
-    """The float kernel's batched products round as ``dot`` rounds, so no
-    sign decision moves."""
+    """The float kernel's batched products round as a Python sum of the
+    entry products rounds, so no sign decision moves."""
     kernel = _linalg.kernel_for(FLOAT)
     rng = np.random.default_rng(7)
     rays = rng.standard_normal((200, 9))
     row = tuple(rng.standard_normal(9).tolist())
     _, products, signs = kernel.classify(rays, row)
-    want = [kernel.dot(row, tuple(r)) for r in rays.tolist()]
+    want = [sum(map(mul, row, ray)) for ray in rays.tolist()]
     assert products.tolist() == want
-    assert signs.tolist() == [kernel.sign(x) for x in want]
+    eps = _linalg.ZERO_EPS
+    assert signs.tolist() == [(x > eps) - (x < -eps) for x in want]

@@ -100,20 +100,6 @@ def big_cross_polytope():
     return make_configuration(3, Q2, [SubsetSigns(1, value=S)])
 
 
-@pytest.fixture
-def dtypes(monkeypatch):
-    """The dtypes the lifted checks choose, in call order."""
-    chosen = []
-    original = _linalg._int_dtype
-
-    def recording(bound):
-        chosen.append(original(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(_linalg, "_int_dtype", recording)
-    return chosen
-
-
 def push(vertex):
     scale = F(1000001, 1000000)
     return tuple(scale * x for x in vertex)

@@ -12,7 +12,6 @@ from sphcover.oracle import (
     SAMPLE_BATCH_PRODUCTS,
     InstanceTooLarge,
     brute_force_vertices,
-    min_angle_to,
     sampled_covering_radius,
 )
 from sphcover.polytope import (
@@ -183,11 +182,6 @@ class TestSampling:
         config = builtin_configuration(6)
         got = sampled_covering_radius(config, 100_000, seed=5)
         assert got <= 0.84107 + 1e-9
-
-    def test_angle_at_config_point_is_zero(self):
-        # acos amplifies roundoff near 1, so exact zero becomes ~1e-8
-        config = builtin_configuration(5)
-        assert min_angle_to(config, config.points[0]) == pytest.approx(0.0, abs=1e-7)
 
     def test_deterministic(self):
         config = cross_polytope(4)

@@ -159,6 +159,32 @@ class TestUnbounded:
         else:
             assert direction == pytest.approx((1.0, 1.0, -1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("last", [0, 1], ids=["e2+e3", "e2+e3+e4"])
+    @pytest.mark.parametrize(
+        "field, s, want",
+        [
+            (RATIONAL, F(-3, 2), "(0, 1, -1, 0)"),
+            (quadratic_field(2), Quadratic(1, 1, 2), "(0, 1, -1, 0)"),
+            (FLOAT, 0.3, "(0.0, 1.0, -1.0, 0.0)"),
+        ],
+        ids=["Q", "Q(sqrt2)", "float"],
+    )
+    def test_two_dimensional_lineality(self, field, s, want, last):
+        # normals +-e1 and +-(e2 + e3), or +-(e2 + e3 + e4), in R^4 leave a
+        # plane of recession directions.  The one reported is zero on x4,
+        # the last coordinate that no pivot took, its first nonzero
+        # coordinate positive; float zeros print as 0.0
+        zero = field.zero
+        normals = [(s, zero, zero, zero), (zero, s, s, last * s)]
+        hs = tuple(
+            Halfspace(tuple(sgn * x for x in v), POLAR)
+            for v in normals
+            for sgn in (1, -1)
+        )
+        with pytest.raises(Unbounded) as err:
+            enumerate_vertices(HPolytope(4, hs, field))
+        assert str(err.value) == "polyhedron is unbounded along " + want
+
     def test_non_interior_origin_config(self):
         # permutations of (2,-2,0,0,0) span only the zero-sum hyperplane,
         # so the polar of the orbit is unbounded
