@@ -9,8 +9,8 @@ axis over Q(sqrt(d)), and float64.  The vertex enumerator classifies,
 rank-tests and combines whole stacks at once (``classify``, ``ranks``,
 ``combine_rays``).  Exact ranks come from one fraction-free (Bareiss)
 elimination over a stack of matrices, over Q(sqrt(d)) on the rational
-regular representation, whose rank is twice the Q(sqrt(d)) rank; the float
-kernel keeps its partial-pivoting ``echelon`` for every matrix.  Independent
+regular representation, whose rank is twice the Q(sqrt(d)) rank; float ranks
+count the singular values above ``RANK_RTOL`` times the largest.  Independent
 rows, first rays and null vectors come from ``first_cone``: the double
 description's own insertion, run from the unit vectors with those same
 ``classify`` and ``combine_rays`` steps.
@@ -30,6 +30,8 @@ from math import gcd, lcm, prod
 from .scalar import Field, Quadratic, Scalar
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
+# float rank: singular values above this times the largest count
+RANK_RTOL = 1e-9
 # product entries per block of rows, about 512 KiB either way: an exact
 # lifted product keeps some 16 int64 temporaries per entry, the float
 # certify one float64
@@ -446,14 +448,13 @@ class _FloatKernel(_Kernel):
         return np.array(vectors, dtype=float)
 
     def ranks(self, stack, k: int | None = None):
-        """``echelon`` on each matrix of the stack without its zero
-        (padding) rows, so every float decision is the per-matrix one."""
+        """Rank of each matrix of a stack, at most k when k is given: the
+        number of its singular values above ``RANK_RTOL`` times its largest.
+        Zero (padding) rows add only zero singular values."""
         import numpy as np
 
-        return np.array(
-            [self.echelon([r for r in m.tolist() if any(r)], k) for m in stack],
-            dtype=int,
-        )
+        rank = np.linalg.matrix_rank(stack, rtol=RANK_RTOL)
+        return rank if k is None else np.minimum(rank, k)
 
     def classify(self, rays, row: tuple) -> tuple:
         """Products of ``row`` with a stack of rays, summed column by column
@@ -477,37 +478,6 @@ class _FloatKernel(_Kernel):
 
     def to_scalar(self, raw: float) -> Scalar:
         return raw
-
-    def echelon(self, rows, k: int | None = None) -> int:
-        """The rank of ``rows``, at most k, by partial-pivoting elimination
-        column by column."""
-        work = [list(r) for r in rows]
-        ncols = len(work[0]) if work else 0
-        rank = 0
-        for col in range(ncols):
-            best, pivot_row = ZERO_EPS, None
-            for i in range(rank, len(work)):
-                if abs(work[i][col]) > best:
-                    best, pivot_row = abs(work[i][col]), i
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            prow = work[rank]
-            pivot = prow[col]
-            for i in range(rank + 1, len(work)):
-                f = work[i][col] / pivot
-                if f != 0.0:
-                    row = work[i]
-                    for j in range(col, ncols):
-                        row[j] -= f * prow[j]
-                    scale = max(abs(x) for x in row)
-                    if scale > 1.0:
-                        for j in range(ncols):
-                            row[j] /= scale
-            rank += 1
-            if rank == k:
-                break
-        return rank
 
 
 def kernel_for(field: Field) -> _Kernel:

@@ -435,11 +435,21 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _whole(value, what: str) -> int:
+    """A JSON number with no fractional part as an int; booleans, other
+    numbers and other values are a :class:`ConfigurationError`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
 def config_from_json(data: dict, label: str | None = None) -> Configuration:
     if not isinstance(data, dict):
         raise ConfigurationError("configuration: expected a JSON object")
-    dimension = _require(data, "dimension", "configuration")
-    if not isinstance(dimension, int) or dimension < 1:
+    dimension = _whole(_require(data, "dimension", "configuration"), "dimension")
+    if dimension < 1:
         raise ConfigurationError("dimension: expected a positive integer")
     try:
         field = Field.from_json(_require(data, "field", "configuration"))
@@ -456,23 +466,26 @@ def config_from_json(data: dict, label: str | None = None) -> Configuration:
         kind = _require(g, "type", ctx)
         try:
             if kind == "pattern":
-                entries = _require(g, "entries", ctx)
-                rules.append(
-                    Pattern(tuple((field.coerce(v), int(c)) for v, c in entries))
-                )
+                entries = [
+                    (field.coerce(v), _whole(c, "multiplicity"))
+                    for v, c in _require(g, "entries", ctx)
+                ]
+                rules.append(Pattern(tuple(entries)))
             elif kind == "subset_signs":
                 counts = g.get("sign_counts")
+                if counts is not None:
+                    counts = frozenset(_whole(k, "sign_counts") for k in counts)
                 rules.append(
                     SubsetSigns(
-                        int(_require(g, "support", ctx)),
-                        None if counts is None else frozenset(int(k) for k in counts),
+                        _whole(_require(g, "support", ctx), "support"),
+                        counts,
                         None if "value" not in g else field.coerce(g["value"]),
                     )
                 )
             elif kind == "subset_values":
                 rules.append(
                     SubsetValues(
-                        int(_require(g, "support", ctx)),
+                        _whole(_require(g, "support", ctx), "support"),
                         field.coerce(_require(g, "a", ctx)),
                         field.coerce(_require(g, "b", ctx)),
                     )

@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import chain, starmap
 from pathlib import Path
 
-from ._linalg import Lift, kernel_for
+from ._linalg import RANK_RTOL, Lift, kernel_for
 from ._linalg import lift as lift_vectors
 from .configgen import Configuration
 from .scalar import (
@@ -392,7 +392,7 @@ def _refine_float_ray(tight_rows, vec):
     import numpy as np
 
     _, svals, vt = np.linalg.svd(tight_rows)
-    rank_est = int((svals > 1e-9 * svals[0]).sum()) if len(svals) else 0
+    rank_est = int((svals > RANK_RTOL * svals[0]).sum()) if len(svals) else 0
     null = vt[-1]
     if rank_est != len(vec) - 1 or abs(null[0]) < 1e-12:
         return vec
@@ -467,6 +467,8 @@ def load_hpolytope(path: str | Path) -> HPolytope:
         if key not in header:
             raise ValueError(f"{path}: header has no {key}=")
     n = int(header["dim"])
+    if n < 1:
+        raise ValueError(f"{path}: dim={n}, expected a positive dimension")
     field = _field_from_tag(header["field"])
     halfspaces = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -285,7 +285,7 @@ class Field:
             return parse_scalar(value, self)
         if self.kind == "float":
             if isinstance(value, (int, float, Fraction, Quadratic)):
-                return float(value)
+                return _finite_float(value, value)
             raise TypeError(f"cannot coerce {value!r} into the float field")
         if isinstance(value, float):
             raise TypeError("refusing to coerce a float into an exact field")
@@ -361,10 +361,22 @@ _RE_ROOT = re.compile(rf"^({_RAT})\*sqrt\((\d+)\)$")
 
 
 def _parse_rat(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in literal {text!r}")
+    return Fraction(int(num), int(den or 1))
+
+
+def _finite_float(value, text) -> float:
+    """``float(value)``; ValueError naming ``text`` when it is NaN or
+    infinite, or ``value`` is too large for a float."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float value {text!r}")
+    return x
 
 
 def parse_scalar(text: str, field: Field) -> Scalar:
@@ -388,9 +400,10 @@ def parse_scalar(text: str, field: Field) -> Scalar:
         a, b, d = Fraction(0), _parse_rat(m.group(1)), int(m.group(2))
     elif field.kind == "float":
         try:
-            return float(s)
+            value = float(s)
         except ValueError:
             raise ValueError(f"invalid scalar literal {text!r}") from None
+        return _finite_float(value, text)
     else:
         raise ValueError(f"invalid scalar literal {text!r}")
 
@@ -402,10 +415,11 @@ def parse_scalar(text: str, field: Field) -> Scalar:
                 )
             return field.coerce(Quadratic(a, b, d))
         if field.kind == "float":
-            return float(a) + float(b) * math.sqrt(d)
+            value = _finite_float(a, text) + _finite_float(b, text) * math.sqrt(d)
+            return _finite_float(value, text)
         raise ValueError(f"literal {text!r} does not lie in {field}")
     if field.kind == "float":
-        return float(a)
+        return _finite_float(a, text)
     return a
 
 

@@ -256,3 +256,93 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dim", "5", "--threads", "0"])
         assert exc.value.code == 2
+
+
+def _config(tmp_path, generator, **fields):
+    """A one-generator configuration file, CROSS4's fields overridden."""
+    data = {**CROSS4, "generators": [generator], **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _hrep(tmp_path, header, row):
+    """The dump of the reduced table1:5 system, its header replaced when
+    given and a row appended."""
+    path = tmp_path / "dump.txt"
+    dump_hpolytope(_reduced_table1_5(), path)
+    lines = path.read_text().splitlines()
+    if header is not None:
+        lines[0] = header
+    path.write_text("\n".join(lines + [row]) + "\n")
+    return str(path)
+
+
+class TestBadInput:
+    """Malformed input exits 2 with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "generator, fields",
+        [
+            ({"type": "subset_values", "support": 1, "a": "1/0", "b": "0"}, {}),
+            ({"type": "subset_signs", "support": 1.9, "value": "1"}, {}),
+            ({"type": "subset_signs", "support": True, "value": "1"}, {}),
+            ({"type": "subset_signs", "support": 2, "sign_counts": [0.9, 2]}, {}),
+            ({"type": "pattern", "entries": [["1", 1.5], ["0", 3]]}, {}),
+            ({"type": "subset_signs", "support": "1", "value": "1"}, {}),
+            ({"type": "subset_signs", "support": 1, "value": "1"}, {"dimension": True}),
+            ({"type": "subset_signs", "support": 1, "value": "1"}, {"dimension": 4.5}),
+        ],
+        ids=[
+            "zero-denominator", "fractional-support", "boolean-support",
+            "fractional-sign-counts", "fractional-multiplicity", "string-support",
+            "boolean-dimension", "fractional-dimension",
+        ],
+    )
+    def test_bad_config(self, capsys, tmp_path, generator, fields):
+        code, out, err = run(capsys, "radius", _config(tmp_path, generator, **fields))
+        assert code == 2 and not out
+        assert err.startswith("configuration error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        ["nan", "inf", "-inf", "1e400", float("nan")],
+        ids=["nan", "inf", "-inf", "1e400", "json-NaN"],
+    )
+    def test_non_finite_float_config(self, capsys, tmp_path, value):
+        # json.dumps writes float("nan") as the bare JSON token NaN
+        generator = {"type": "subset_values", "support": 1, "a": value, "b": "0"}
+        path = _config(tmp_path, generator, field={"kind": "float"})
+        code, out, err = run(capsys, "radius", path)
+        assert code == 2 and not out
+        assert "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            (None, "polar: 1/0 0 0 0 0"),
+            ("hpolytope dim=5 field=float", "polar: nan 1 0 0 0"),
+            ("hpolytope dim=5 field=float", "polar: 1e400 1 0 0 0"),
+        ],
+        ids=["zero-denominator", "nan", "overflow"],
+    )
+    def test_bad_hrep(self, capsys, tmp_path, header, row):
+        path = _hrep(tmp_path, header, row)
+        code, _, err = run(capsys, "oracle", "table1:5", "--hrep", path)
+        assert code == 2
+        assert err.startswith("halfspace dump error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", [-2, 0])
+    def test_non_positive_hrep_dim(self, capsys, tmp_path, dim):
+        path = tmp_path / "dump.txt"
+        path.write_text(f"hpolytope dim={dim} field=rational\n")
+        code, _, err = run(capsys, "oracle", "table1:5", "--hrep", str(path))
+        assert code == 2
+        assert err.startswith("halfspace dump error") and err.count("\n") == 1
+
+    def test_whole_floats_are_integers(self, capsys, tmp_path):
+        generator = {"type": "subset_signs", "support": 1, "value": "1"}
+        want = run(capsys, "radius", _config(tmp_path, generator))
+        generator = {**generator, "support": 1.0, "sign_counts": [0.0, 1.0]}
+        got = run(capsys, "radius", _config(tmp_path, generator, dimension=4.0))
+        assert got == want and want[0] == 0

@@ -1,5 +1,5 @@
 """The double description engine against recorded outputs, and its batched
-exact rank and first cone against Gaussian elimination.
+ranks and first cone against Gaussian elimination.
 
 ``data/dd-golden.json`` holds, for each system below, the vertex count, the
 sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
@@ -99,7 +99,7 @@ def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
     assert dd_record(dd_system(name), caplog) == want
 
 
-# -- batched exact rank ---------------------------------------------------------
+# -- batched rank ---------------------------------------------------------------
 
 small = st.integers(min_value=-3, max_value=3)
 
@@ -169,18 +169,26 @@ def reference_sign(u, v, d) -> int:
 @pytest.mark.parametrize("d", [None, 2, 3, 5, 6], ids=["Q", "d2", "d3", "d5", "d6"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_batched_rank_and_basis_match_echelon(d, data):
+def test_batched_rank_and_basis_match_gaussian_elimination(d, data):
     kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
     matrices = data.draw(planted_stacks(d))
     want = [sum(reference_independent(m, d)) for m in matrices]
     # times 2^20 + 1 the entries fit int64 but later elimination products
     # do not; the rank is the same
     scale = data.draw(st.sampled_from([1, 2**20 + 1]))
-    for dtype in (np.int64, object):
-        stack = (np.array(matrices, dtype=object) * scale).astype(dtype)
-        assert kernel.ranks(stack).tolist() == want
+    exact = np.array(matrices, dtype=object) * scale
+    # the float kernel ranks the same stacks as float64 values a + b sqrt(d)
+    floats = exact.astype(float)
+    if d is not None:
+        floats = floats[..., 0] + np.sqrt(d) * floats[..., 1]
+    for stack, ranks in (
+        (exact.astype(np.int64), kernel.ranks),
+        (exact, kernel.ranks),
+        (floats, _linalg.kernel_for(FLOAT).ranks),
+    ):
+        assert ranks(stack).tolist() == want
         k = data.draw(st.integers(min_value=0, max_value=6))
-        assert kernel.ranks(stack, k).tolist() == [min(r, k) for r in want]
+        assert ranks(stack, k).tolist() == [min(r, k) for r in want]
     # the first cone picks a row where the rank of the rows so far grows
     rows = [tuple(r) for r in matrices[0]]
     width = len(rows[0])
@@ -194,6 +202,18 @@ def test_batched_rank_and_basis_match_echelon(d, data):
     assert len(lineality) == width - len(picks)
     assert all(reference_independent(lineality, d))
     assert all(reference_sign(r, v, d) == 0 for r in rows for v in lineality)
+
+
+@pytest.mark.parametrize(
+    "field, entry", [(RATIONAL, ()), (quadratic_field(2), (2,)), (FLOAT, ())],
+    ids=["Q", "d2", "float"],
+)
+def test_empty_tight_sets_have_rank_zero(field, entry):
+    kernel = _linalg.kernel_for(field)
+    dtype = float if field is FLOAT else object
+    stack = np.zeros((3, 0, 4) + entry, dtype=dtype)
+    assert kernel.ranks(stack).tolist() == [0, 0, 0]
+    assert kernel.ranks(stack, 2).tolist() == [0, 0, 0]
 
 
 def test_first_cone_reads_a_zero_row_after_large_entries():
