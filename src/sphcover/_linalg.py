@@ -15,10 +15,14 @@ rows, first rays and null vectors come from ``first_cone``: the double
 description's own insertion, run from the unit vectors with those same
 ``classify`` and ``combine_rays`` steps.
 
-A :class:`Lift` holds a whole configuration, or vertex set, in the same
-integer form under one common denominator, as numpy matrices, so that the
-checks which read every point or vertex run as blocked integer matrix
-products.  numpy is imported only where a lift is built or read.
+A point set is a table of its distinct coordinate values plus an integer
+matrix of positions into that table, one row per point (``scan`` finds
+them for scalar tuples; configurations built from rules come with theirs).
+A :class:`Lift` holds the set in the kernels' integer form under one common
+denominator: each table value is converted once and the matrices are the
+converted table indexed by the positions, so that the checks which read
+every point or vertex run as blocked integer matrix products.  numpy is
+imported only where a lift is built or read.
 """
 
 from __future__ import annotations
@@ -526,22 +530,12 @@ class Lift:
     def __init__(self, scale: int, a, b, top: int, d: int = 0):
         self.scale, self.a, self.b, self.top, self.d = scale, a, b, top, d
 
-    def row_keys(self) -> tuple:
-        """One integer per exact vector, equal only for equal vectors, and
-        the integer of each vector's negation: the row's entries (a part,
-        then b part) shifted by ``top`` are the digits of a number in base
-        2 * top + 1, and negating every digit's entry maps a key k to
-        ``full - k``."""
-        import numpy as np
-
-        parts = self.a if self.b is None else np.hstack((self.a, self.b))
-        base = 2 * self.top + 1
-        width = parts.shape[1]
-        dtype = _int_dtype(base**width)
-        weights = np.array([base**j for j in range(width)], dtype=dtype)
-        keys = (parts.astype(dtype) + self.top) @ weights
-        full = base**width - 1  # every digit 2 * top
-        return keys.tolist(), (full - keys).tolist()
+    def rows(self):
+        """Each vector as a kernel vector, one at a time: an integer tuple
+        over Q, a tuple of (a, b) pairs over Q(sqrt d), a float tuple."""
+        for i in range(len(self.a)):
+            a = self.a[i].tolist()
+            yield tuple(a) if self.b is None else tuple(zip(a, self.b[i].tolist()))
 
     def squared_norms(self) -> tuple:
         """Row sums (u, w) with scale^2 * |p|^2 = u + w*sqrt(d): a^2 + d b^2
@@ -604,25 +598,56 @@ class Lift:
             yield ta - ar @ xa - d * (br @ xb), tb - ar @ xb - br @ xa
 
 
-def lift(vectors, field: Field) -> Lift:
-    """Lift equal-length scalar vectors to a :class:`Lift`.
-
-    Each distinct coordinate value is converted once: the kernel vector of
-    (1, values...) has the common denominator as its first entry and the
-    values' numerators after it, and every vector is lifted by table
-    lookup.  The table is reached through the identity of the coordinate
-    objects, so each distinct object is hashed by value once, not each
-    coordinate.
-    """
+def index_dtype(size: int):
+    """int8 positions into a table of at most 128 values, else intp."""
     import numpy as np
 
-    if not field.is_exact:
-        return Lift(1, np.array(vectors, dtype=float), None, 0)
+    return np.int8 if size <= 128 else np.intp
+
+
+def row_keys(index, base: int):
+    """One integer per row of a position matrix, its entries read as the
+    digits of a number in ``base``, the first column most significant: the
+    keys are equal exactly when the rows are, and sort as the rows do.
+    int64 when every key fits, Python ints otherwise."""
+    import numpy as np
+
+    width = index.shape[1]
+    dtype = np.int64 if base**width <= 2**63 else object
+    weights = np.array([base ** (width - 1 - j) for j in range(width)], dtype=dtype)
+    return index.astype(dtype) @ weights
+
+
+def scan(vectors, width: int) -> tuple:
+    """The distinct coordinate values of equal-length scalar vectors, in
+    order of first appearance, and the position matrix of the vectors in
+    them.  Values are reached through the identity of the coordinate
+    objects, so each distinct object is hashed by value once, not each
+    coordinate."""
+    import numpy as np
+
     objects = {id(x): x for x in chain.from_iterable(vectors)}
     values: dict = {}
     value_of = [values.setdefault(x, len(values)) for x in objects.values()]
     slot = dict(zip(objects, value_of)).__getitem__
-    idx = np.fromiter(map(slot, map(id, chain.from_iterable(vectors))), dtype=np.intp)
+    index = np.fromiter(
+        map(slot, map(id, chain.from_iterable(vectors))), dtype=index_dtype(len(values))
+    )
+    return list(values), index.reshape(len(vectors), width)
+
+
+def lift(values, index, field: Field) -> Lift:
+    """The vectors ``values[index[i]]`` as a :class:`Lift`.
+
+    Each table value is converted once: the kernel vector of (1, values...)
+    has the common denominator as its first entry and the values'
+    numerators after it, and the matrices are that table indexed by
+    ``index``.
+    """
+    import numpy as np
+
+    if not field.is_exact:
+        return Lift(1, np.array(values, dtype=float)[index], None, 0)
     table = kernel_for(field).vec_from_scalars((field.one, *values))
     if field.kind == "rational":
         scale, parts = table[0], [table[1:]]
@@ -630,5 +655,5 @@ def lift(vectors, field: Field) -> Lift:
         scale, parts = table[0][0], list(zip(*table[1:]))
     top = max(map(abs, chain.from_iterable(parts)))
     dtype = np.int64 if top < 2**63 else object
-    a, *b = (np.array(p, dtype=dtype)[idx].reshape(len(vectors), -1) for p in parts)
+    a, *b = (np.array(p, dtype=dtype)[index] for p in parts)
     return Lift(scale, a, b[0] if b else None, top, field.d or 0)

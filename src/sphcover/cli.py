@@ -222,6 +222,11 @@ def _cmd_oracle(args, parser) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        dumped = load_hpolytope(args.hrep) if args.hrep else None
+    except (OSError, ValueError) as exc:
+        print(f"halfspace dump error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         try:
             report = covering_radius(config, use_symmetry=True)
         except SymmetryError:
@@ -243,12 +248,7 @@ def _cmd_oracle(args, parser) -> int:
         config.field,
     )
     try:
-        oracle_poly = load_hpolytope(args.hrep) if args.hrep else engine_poly
-    except (OSError, ValueError) as exc:
-        print(f"halfspace dump error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        brute = brute_force_vertices(oracle_poly)
+        brute = brute_force_vertices(dumped or engine_poly)
     except InstanceTooLarge as exc:
         lines.append(f"vertices: skipped ({exc})")
     else:

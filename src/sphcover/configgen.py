@@ -115,21 +115,6 @@ class SubsetValues:
 GeneratorRule = Union[Pattern, SubsetSigns, SubsetValues]
 
 
-def _signs_vectors(n: int, support: int, counts, value, zero) -> list:
-    out = []
-    neg = -value
-    for combo in combinations(range(n), support):
-        for k in sorted(counts):
-            for flips in combinations(combo, k):
-                vec = [zero] * n
-                for i in combo:
-                    vec[i] = value
-                for i in flips:
-                    vec[i] = neg
-                out.append(tuple(vec))
-    return out
-
-
 def _arrangements(counts: list):
     """Every sequence holding ``counts[r]`` entries r, each once, in
     lexicographic order (Narayana's next-permutation step)."""
@@ -148,14 +133,17 @@ def _arrangements(counts: list):
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def expand(rule: GeneratorRule, n: int, field: Field) -> list:
-    """Expand one generator rule into the full list of vectors in E^n.
+def _expand_index(rule: GeneratorRule, n: int, field: Field) -> tuple:
+    """One generator rule expanded as a table of scalars and a matrix of
+    positions into it, one row per vector, in the order of :func:`expand`.
 
-    A pattern gives each distinct arrangement of its values once, in
-    lexicographic order of the values' ranks (their first appearance in
-    ``entries``, entries that repeat a value merged), each followed by its
-    negation unless that came before.
+    Sign patterns are the bits of arange(2^support), the first support
+    coordinate the most significant bit; the patterns of k minus signs in
+    decreasing order of those integers are in the lexicographic order of
+    ``combinations(support, k)``.
     """
+    import numpy as np
+
     if isinstance(rule, Pattern):
         total = sum(count for _, count in rule.entries)
         if total != n:
@@ -166,58 +154,179 @@ def expand(rule: GeneratorRule, n: int, field: Field) -> list:
         for value, count in rule.entries:
             value = field.coerce(value)
             counts[value] = counts.get(value, 0) + count
-        values = list(counts)
-        seen = set()
-        out = []
-        for ranks in _arrangements(list(counts.values())):
-            vec = tuple(map(values.__getitem__, ranks))
-            for vec in (vec, tuple(-x for x in vec)):
-                if vec not in seen:
-                    seen.add(vec)
-                    out.append(vec)
-        return out
+        # the values, then the negations that are not among them
+        position = {x: i for i, x in enumerate(counts)}
+        negation = [position.setdefault(-x, len(position)) for x in counts]
+        table = list(position)
+        dtype = _linalg.index_dtype(len(table))
+        ranks = np.array(list(_arrangements(list(counts.values()))), dtype=dtype)
+        # each arrangement followed by its negation, the first copy of each
+        # distinct vector kept
+        rows = np.stack((ranks, np.array(negation, dtype=dtype)[ranks]), axis=1)
+        rows = rows.reshape(-1, n)
+        _, first = np.unique(_linalg.row_keys(rows, len(table)), return_index=True)
+        return table, rows[np.sort(first)]
+    if not isinstance(rule, (SubsetSigns, SubsetValues)):
+        raise TypeError(f"unknown generator rule {rule!r}")
+    if rule.support > n:
+        raise ConfigurationError(f"support {rule.support} exceeds dimension {n}")
+    # the supports in lexicographic order, one row each
+    supports = np.array(list(combinations(range(n), rule.support)))
+    count = len(supports)
     if isinstance(rule, SubsetSigns):
-        if rule.support > n:
-            raise ConfigurationError(f"support {rule.support} exceeds dimension {n}")
         value = rule.value
         value = field.inv_sqrt(rule.support) if value is None else field.coerce(value)
-        return _signs_vectors(n, rule.support, rule.sign_counts, value, field.zero)
-    if isinstance(rule, SubsetValues):
-        if rule.support > n:
-            raise ConfigurationError(f"support {rule.support} exceeds dimension {n}")
-        a, b = field.coerce(rule.a), field.coerce(rule.b)
-        out = []
-        for combo in combinations(range(n), rule.support):
-            vec = [b] * n
-            for i in combo:
-                vec[i] = a
-            out.append(tuple(vec))
-            out.append(tuple(-x for x in vec))
-        return out
-    raise TypeError(f"unknown generator rule {rule!r}")
+        s = rule.support
+        masks = np.arange(2**s)[::-1]
+        bits = (masks[:, None] >> np.arange(s - 1, -1, -1)) & 1
+        minus = bits.sum(axis=1)
+        order = np.argsort(minus, kind="stable")
+        order = order[np.isin(minus[order], list(rule.sign_counts))]
+        signs = (1 + bits[order]).astype(np.int8)  # 1 plus, 2 minus
+        rows = np.zeros((count, len(signs), n), dtype=np.int8)
+        at = np.arange(count)[:, None, None], np.arange(len(signs))[:, None]
+        rows[(*at, supports[:, None])] = signs
+        return [field.zero, value, -value], rows.reshape(-1, n)
+    a, b = field.coerce(rule.a), field.coerce(rule.b)
+    rows = np.ones((count, n), dtype=np.int8)  # b everywhere, a on the support
+    rows[np.arange(count)[:, None], supports] = 0
+    # each vector followed by its negation
+    return [a, b, -a, -b], np.stack((rows, rows + 2), axis=1).reshape(-1, n)
 
 
-@dataclass(frozen=True)
+def expand(rule: GeneratorRule, n: int, field: Field) -> list:
+    """Expand one generator rule into the full list of vectors in E^n.
+
+    A pattern gives each distinct arrangement of its values once, in
+    lexicographic order of the values' ranks (their first appearance in
+    ``entries``, entries that repeat a value merged), each followed by its
+    negation unless that came before.  Sign vectors go support by support
+    in lexicographic order, by the number of minus signs within one; value
+    vectors support by support, each followed by its negation.
+    """
+    table, rows = _expand_index(rule, n, field)
+    return [tuple(map(table.__getitem__, row)) for row in rows.tolist()]
+
+
+def _in_first_use(table: list, rows) -> tuple:
+    """``table`` cut to the values that ``rows`` use, in the order of their
+    first use (row by row), and ``rows`` renumbered to match; a merge of
+    tables in this order keeps the first value seen in the expansion."""
+    import numpy as np
+
+    flat = rows.ravel()
+    first = {}
+    for i in range(len(table)):
+        hits = flat == i
+        at = int(hits.argmax())
+        if hits[at]:
+            first[i] = at
+    used = sorted(first, key=first.get)
+    renumber = np.zeros(len(table), dtype=rows.dtype)
+    renumber[used] = np.arange(len(used))
+    return [table[i] for i in used], renumber[rows]
+
+
+def _value_key(field: Field):
+    """The identity of a coordinate value: the value itself on exact fields;
+    on the float field the value rounded to 12 decimals, -0.0 made 0.0."""
+    if field.is_exact:
+        return lambda x: x
+    return lambda x: round(x, 12) + 0.0
+
+
+def _sorted_table(values: list, index, field: Field) -> tuple:
+    """A table and position matrix with the equal values of the table
+    merged (by ``_value_key``, the first value kept, a float zero as 0.0)
+    and the table in ascending order, the positions renumbered."""
+    import numpy as np
+
+    key = _value_key(field)
+    merged: dict = {}
+    for x in values:
+        merged.setdefault(key(x), x if field.is_exact else x + 0.0)
+    keys = sorted(merged)
+    rank = {k: i for i, k in enumerate(keys)}
+    renumber = np.array(
+        [rank[key(x)] for x in values], dtype=_linalg.index_dtype(len(keys))
+    )
+    return tuple(merged[k] for k in keys), renumber[index]
+
+
 class Configuration:
     """A finite origin-symmetric set of equal-norm vectors plus its
-    generator description."""
+    generator description.
 
-    dimension: int
-    field: Field
-    rules: tuple
-    points: tuple
-    norm_sq: Scalar
-    label: str | None = None
+    The points are held in ``table``: the distinct coordinate values in
+    ascending order and an integer matrix (int8 for at most 128 values) of
+    each point's positions into them, one row per point.  As the values
+    are in order, the positions are also their ranks.  ``points``, the
+    scalar tuples, is built when it is first read.
+
+    ``Configuration(dimension, field, rules, points, norm_sq)`` takes the
+    points themselves; their table is found by ``_linalg.scan`` when it is
+    first needed.  :func:`make_configuration` builds the table straight
+    from generator rules.
+    """
+
+    def __init__(
+        self,
+        dimension: int,
+        field: Field,
+        rules: tuple,
+        points: tuple,
+        norm_sq: Scalar,
+        label: str | None = None,
+    ):
+        self.dimension, self.field, self.rules = dimension, field, rules
+        self.norm_sq, self.label = norm_sq, label
+        self.points = tuple(points)
+
+    def __repr__(self):
+        return (
+            f"Configuration(dimension={self.dimension}, field={self.field}, "
+            f"cardinality={self.cardinality}, label={self.label!r})"
+        )
+
+    @classmethod
+    def _from_table(cls, dimension, field, rules, table, norm_sq, label):
+        config = cls.__new__(cls)
+        config.dimension, config.field, config.rules = dimension, field, rules
+        config.norm_sq, config.label = norm_sq, label
+        config.table = table
+        return config
+
+    @cached_property
+    def table(self) -> tuple:
+        """``(values, index)`` of points given by hand.  A point of the
+        wrong length is a :class:`ConfigurationError`."""
+        if any(len(p) != self.dimension for p in self.points):
+            raise ConfigurationError("point dimension mismatch")
+        values, index = _linalg.scan(self.points, self.dimension)
+        return _sorted_table(values, index, self.field)
+
+    @cached_property
+    def points(self) -> tuple:
+        values, index = self.table
+        return tuple(tuple(map(values.__getitem__, row)) for row in index.tolist())
 
     @property
     def cardinality(self) -> int:
-        return len(self.points)
+        return len(self.table[1])
+
+    @cached_property
+    def negation_closed(self) -> bool:
+        """Is every table value's negation in the table?  Then the value at
+        position i negates to the one at position len(values) - 1 - i."""
+        key = _value_key(self.field)
+        keys = [key(x) for x in self.table[0]]
+        return all(-x == y for x, y in zip(keys, reversed(keys)))
 
     @cached_property
     def lift(self) -> _linalg.Lift:
         """The points lifted once to the kernels' integer form (float64 on
         the float field); the exact checks that read every point use it."""
-        return _linalg.lift(self.points, self.field)
+        return _linalg.lift(*self.table, self.field)
 
 
 def make_configuration(
@@ -226,35 +335,32 @@ def make_configuration(
     rules: Iterable[GeneratorRule],
     label: str | None = None,
 ) -> Configuration:
-    """Expand rules, merge and deduplicate, and fix the common norm."""
-    rules = tuple(rules)
-    expanded = [p for rule in rules for p in expand(rule, dimension, field)]
-    if field.is_exact or not expanded:
-        keys = expanded
-    else:
-        # float points that agree to 12 decimals are one point, as in validate
-        keys, _ = _float_row_keys(expanded)
-    merged = {}
-    for key, point in zip(keys, expanded):
-        merged.setdefault(key, point)
-    points = sorted(merged.values())
-    if not points:
-        raise ConfigurationError("configuration has no points")
-    norm_sq = dot(points[0], points[0])
-    return Configuration(dimension, field, rules, tuple(points), norm_sq, label)
+    """Expand rules on one value table, merge and deduplicate, and fix the
+    common norm.
 
-
-def _float_row_keys(a) -> tuple:
-    """The bytes of each float row rounded to 12 decimals, and of its
-    negation; -0.0 becomes 0.0, so the bytes are equal exactly when the
-    rounded rows are."""
+    The rules' tables are merged as ``_sorted_table`` merges them (float
+    values equal to 12 decimals are one value, the first one seen in the
+    expansion kept), and the points are the
+    distinct rows of the position matrix in ascending order of their
+    ``_linalg.row_keys``, which is ``sorted(set(points))``.
+    """
     import numpy as np
 
-    rounded = np.round(a, 12) + 0.0
-    row = np.dtype((np.void, rounded.itemsize * rounded.shape[1]))
-    keys = np.ascontiguousarray(rounded).view(row).ravel().tolist()
-    negated = np.ascontiguousarray(0.0 - rounded).view(row).ravel().tolist()
-    return keys, negated
+    rules = tuple(rules)
+    if not rules:
+        raise ConfigurationError("configuration has no points")
+    values, blocks = [], []
+    for rule in rules:
+        table, rows = _in_first_use(*_expand_index(rule, dimension, field))
+        blocks.append(rows.astype(np.intp) + len(values))
+        values += table
+    values, index = _sorted_table(values, np.concatenate(blocks), field)
+    _, first = np.unique(_linalg.row_keys(index, len(values)), return_index=True)
+    index = index[first]
+    point = tuple(map(values.__getitem__, index[0].tolist()))
+    return Configuration._from_table(
+        dimension, field, rules, (values, index), dot(point, point), label
+    )
 
 
 @dataclass(frozen=True)
@@ -266,26 +372,32 @@ class ValidationReport:
 def validate(config: Configuration) -> ValidationReport:
     """Check origin-symmetry, equal norms, distinctness, and full span.
 
-    Full linear span is a necessary condition for the origin to be interior
-    to the convex hull; the conclusive boundedness check happens during
-    vertex enumeration.
+    Distinctness and origin-symmetry are read on the position rows' keys
+    (``_linalg.row_keys``): a point negates to the row of positions
+    top - i when the table is closed under negation, and to no point when
+    it is not.  Full linear span is a necessary condition for the origin to
+    be interior to the convex hull; the conclusive boundedness check happens
+    during vertex enumeration.
     """
-    points = config.points
-    if not points:
+    import numpy as np
+
+    try:
+        values, index = config.table
+    except ConfigurationError as exc:
+        return ValidationReport(False, str(exc))
+    if not len(index):
         return ValidationReport(False, "configuration has no points")
-    if any(len(p) != config.dimension for p in points):
-        return ValidationReport(False, "point dimension mismatch")
+    keys = np.sort(_linalg.row_keys(index, len(values)))
+    if (keys[1:] == keys[:-1]).any():
+        return ValidationReport(False, "points are not pairwise distinct")
+    # negation permutes distinct points exactly when it maps their keys onto
+    # the same sorted keys
+    if not config.negation_closed or not np.array_equal(
+        np.sort(_linalg.row_keys(len(values) - 1 - index, len(values))), keys
+    ):
+        return ValidationReport(False, "not origin-symmetric")
     field = config.field
     lift = config.lift
-    if field.is_exact:
-        keys, negated = lift.row_keys()
-    else:
-        keys, negated = _float_row_keys(lift.a)
-    seen = set(keys)
-    if len(seen) != len(points):
-        return ValidationReport(False, "points are not pairwise distinct")
-    if any(key not in seen for key in negated):
-        return ValidationReport(False, "not origin-symmetric")
     if field.is_exact:
         # scale^2 |p|^2 = u + w sqrt(d) must be the integer pair of the norm
         u, w = lift.squared_norms()
@@ -302,10 +414,8 @@ def validate(config: Configuration) -> ValidationReport:
             return ValidationReport(False, "points do not share one norm")
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
-    kernel = _linalg.kernel_for(config.field)
-    picks, _, _ = kernel.first_cone(
-        map(kernel.vec_from_scalars, points), config.dimension
-    )
+    kernel = _linalg.kernel_for(field)
+    picks, _, _ = kernel.first_cone(map(kernel.reduce, lift.rows()), config.dimension)
     if len(picks) < config.dimension:
         return ValidationReport(False, "points do not span the whole space")
     return ValidationReport(True)

@@ -23,12 +23,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import factorial
 
 import mpmath
 
-from ._linalg import FLOAT_BLOCK_ENTRIES, kernel_for, row_blocks
+from ._linalg import FLOAT_BLOCK_ENTRIES, kernel_for, row_blocks, row_keys
 from .configgen import (
     Configuration,
     ConfigurationError,
@@ -186,32 +185,39 @@ def _orbit_representatives(config: Configuration) -> list | None:
     when the points are not closed under negation and under every
     coordinate permutation.
 
-    Each coordinate is replaced by its rank among the configuration's
-    distinct values, which keeps the order, so sorting, grouping and the
-    negation lookup compare small integers.  Inside the fundamental cone the
-    descending arrangement of a point dominates all other permutations of it
+    The patterns are read on the configuration's position matrix, whose
+    entries are the ranks of the coordinates among its sorted values: each
+    row sorted in descending order is keyed by ``_linalg.row_keys``, and a
+    pattern whose key counts n! / prod(run!) points holds its whole
+    permutation orbit, as the points are distinct.  On a table closed under
+    negation rank i negates to rank top - i, so the negated pattern of a
+    row r is top - r reversed.  Inside the fundamental cone the descending
+    arrangement of a point dominates all other permutations of it
     (rearrangement), so one polar constraint per pattern suffices there;
     soundness is re-checked against every original point after enumeration.
     """
-    values = sorted(set(chain.from_iterable(config.points)))
-    # on a symmetric set value i negates to value top - i
-    if any(-x != y for x, y in zip(values, reversed(values))):
+    import numpy as np
+
+    if not config.negation_closed:
         return None
-    rank = {x: i for i, x in enumerate(values)}.__getitem__
-    first: dict = {}  # pattern of ranks -> its first point
-    members = Counter()
-    for p in config.points:
-        key = tuple(sorted(map(rank, p), reverse=True))
-        first.setdefault(key, p)
-        members[key] += 1
-    top = len(values) - 1
-    for key, count in members.items():
+    values, index = config.table
+    base, top = len(values), len(values) - 1
+    patterns = np.sort(index, axis=1)[:, ::-1]
+    keys, first, counts = np.unique(
+        row_keys(patterns, base), return_index=True, return_counts=True
+    )
+    patterns = patterns[first]
+    # negation is one-to-one on patterns: it maps them onto themselves when
+    # their negations sort to the same keys
+    if not np.array_equal(np.sort(row_keys(top - patterns[:, ::-1], base)), keys):
+        return None
+    for pattern, count in zip(patterns.tolist(), counts.tolist()):
         orbit = factorial(config.dimension)
-        for run in Counter(key).values():
+        for run in Counter(pattern).values():
             orbit //= factorial(run)
-        if count != orbit or tuple(top - r for r in reversed(key)) not in first:
+        if count != orbit:
             return None
-    return [tuple(sorted(first[key], key=rank, reverse=True)) for key in sorted(first)]
+    return [tuple(map(values.__getitem__, p)) for p in patterns.tolist()]
 
 
 def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:

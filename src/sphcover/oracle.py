@@ -287,7 +287,8 @@ def sampled_covering_radius(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    points = np.array([[float(x) for x in p] for p in config.points])
+    values, index = config.table
+    points = np.array([float(x) for x in values])[index]
     points = (points / math.sqrt(float(config.norm_sq))).T  # n x |A|
     n = points.shape[0]
     rng = np.random.default_rng(seed)

@@ -39,14 +39,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import starmap
 from pathlib import Path
 
-from ._linalg import RANK_RTOL, Lift, kernel_for
-from ._linalg import lift as lift_vectors
+from ._linalg import RANK_RTOL, Lift, kernel_for, scan
+from ._linalg import lift as lift_table
 from .configgen import Configuration
 from .scalar import (
-    FLOAT,
     RATIONAL,
     Field,
     Quadratic,
@@ -127,16 +126,17 @@ class VertexSet:
 
     @cached_property
     def lift(self) -> Lift:
-        """The vertices lifted once (``_linalg.lift``): over Q(sqrt d) when a
-        coordinate is a Quadratic, over Q when all are Fractions, and as a
-        float64 matrix when they are floats."""
+        """The vertices lifted once: exact ones scanned to a value table
+        (``_linalg.scan``) and lifted over Q(sqrt d) when a coordinate is a
+        Quadratic, over Q when all are Fractions (``_linalg.lift``); float
+        ones, which share few coordinate values, as their float64 matrix."""
         if isinstance(self.vertices[0][0], float):
-            return lift_vectors(self.vertices, FLOAT)
-        coords = chain.from_iterable(self.vertices)
-        d = next((x.d for x in coords if isinstance(x, Quadratic)), None)
-        return lift_vectors(
-            self.vertices, RATIONAL if d is None else quadratic_field(d)
-        )
+            import numpy as np
+
+            return Lift(1, np.array(self.vertices, dtype=float), None, 0)
+        values, index = scan(self.vertices, len(self.vertices[0]))
+        d = next((x.d for x in values if isinstance(x, Quadratic)), None)
+        return lift_table(values, index, RATIONAL if d is None else quadratic_field(d))
 
 
 def polar_hrep(config: Configuration) -> HPolytope:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sphcover import cli
 from sphcover.cli import main
 from sphcover.configgen import builtin_configuration
 from sphcover.polytope import HPolytope, dump_hpolytope, symmetry_cone
@@ -337,6 +338,17 @@ class TestBadInput:
         path = tmp_path / "dump.txt"
         path.write_text(f"hpolytope dim={dim} field=rational\n")
         code, _, err = run(capsys, "oracle", "table1:5", "--hrep", str(path))
+        assert code == 2
+        assert err.startswith("halfspace dump error") and err.count("\n") == 1
+
+    def test_hrep_is_read_before_the_engine(self, capsys, tmp_path, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before the dump was read")
+
+        monkeypatch.setattr(cli, "covering_radius", engine)
+        path = tmp_path / "dump.txt"
+        path.write_text("hpolytope dim=0 field=rational\n")
+        code, _, err = run(capsys, "oracle", "table1:15", "--hrep", str(path))
         assert code == 2
         assert err.startswith("halfspace dump error") and err.count("\n") == 1
 

@@ -61,13 +61,23 @@ def test_signs_match_quadratic_sign(d, pairs, units):
 def test_lift_table_and_scale():
     h = Quadratic(0, F(1, 3), 2)  # sqrt(2)/3
     points = ((F(1, 2), h), (-h, F(0)), (F(-1, 2), -h), (h, F(0)))
-    lift = _linalg.lift(points, Q2)
+    values, index = _linalg.scan(points, 2)
+    assert values == [F(1, 2), h, -h, F(0), F(-1, 2)]  # first appearance
+    assert index.tolist() == [[0, 1], [2, 3], [4, 2], [1, 3]]
+    lift = _linalg.lift(values, index, Q2)
     assert lift.scale == 6 and lift.top == 3
     assert lift.a.tolist() == [[3, 0], [0, 0], [-3, 0], [0, 0]]
     assert lift.b.tolist() == [[0, 2], [-2, 0], [0, -2], [2, 0]]
-    keys, negated = lift.row_keys()
+    # by hand the table is sorted, so position i negates to 4 - i
+    config = Configuration(2, Q2, (), points, F(17, 36))
+    values, index = config.table
+    assert values == (F(-1, 2), -h, F(0), h, F(1, 2)) and config.negation_closed
+    keys = _linalg.row_keys(index, 5).tolist()
+    negated = _linalg.row_keys(4 - index, 5).tolist()
     assert len(set(keys)) == 4
     assert negated == [keys[2], keys[3], keys[0], keys[1]]
+    assert config.lift.a.tolist() == lift.a.tolist()
+    assert config.lift.b.tolist() == lift.b.tolist()
 
 
 # -- reference checks, on the configuration's own scalars ---------------------
