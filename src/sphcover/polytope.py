@@ -29,13 +29,25 @@ floats, the order confirmed by one exact comparison per neighbouring pair)
 and the vertices are ordered by ``np.lexsort`` on the matrix of their
 value ranks, so that the result is sorted by value with no comparison of
 vertex tuples.  Python scalars are made once, for the returned
-:class:`VertexSet`.  Its ``lift`` (one integer matrix over a common
-denominator, cached) serves ``max_squared_norm`` and the covering module's
-certificate.
+:class:`VertexSet`, which keeps the distinct values in order and the matrix
+of the vertices' value ranks as its value table.  Its ``lift`` (one integer
+matrix over a common denominator, built from that table and cached) serves
+``max_squared_norm`` and the covering module's certificate.
+
+The float output stage runs on arrays too.  Each ray is re-solved from its
+tight rows to remove the drift of the insertions: the rays are grouped by
+the size of their tight sets and each group's tight rows go through one
+stacked SVD per chunk of ``RANK_ENTRIES`` entries, unpadded, so that every
+matrix is the one a single ray's SVD would see.  The null vector replaces
+the ray only where the rows have rank n by the ``RANK_RTOL`` rule and the
+ray lies within 1e-5 of it.  The coordinates x / t are deduplicated on
+their ``DEDUP_EPS`` grid with ``np.unique``, the first ray in (ray, mask)
+order kept, and ordered by ``np.lexsort``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,18 +135,22 @@ class HPolytope:
 class VertexSet:
     vertices: tuple  # tuple[Vector, ...]
     tight_sets: tuple  # tuple[tuple[int, ...], ...], halfspace indices
+    # exact vertices as a value table: the distinct coordinate values in
+    # order and the matrix of each vertex's positions in them
+    table: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @cached_property
     def lift(self) -> Lift:
-        """The vertices lifted once: exact ones scanned to a value table
-        (``_linalg.scan``) and lifted over Q(sqrt d) when a coordinate is a
-        Quadratic, over Q when all are Fractions (``_linalg.lift``); float
-        ones, which share few coordinate values, as their float64 matrix."""
+        """The vertices lifted once: exact ones from their value table
+        (scanned by ``_linalg.scan`` when the set came without one) and
+        lifted over Q(sqrt d) when a coordinate is a Quadratic, over Q when
+        all are Fractions (``_linalg.lift``); float ones, which share few
+        coordinate values, as their float64 matrix."""
         if isinstance(self.vertices[0][0], float):
             import numpy as np
 
             return Lift(1, np.array(self.vertices, dtype=float), None, 0)
-        values, index = scan(self.vertices, len(self.vertices[0]))
+        values, index = self.table or scan(self.vertices, len(self.vertices[0]))
         d = next((x.d for x in values if isinstance(x, Quadratic)), None)
         return lift_table(values, index, RATIONAL if d is None else quadratic_field(d))
 
@@ -252,47 +268,55 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
 
     # the rays left are bounded, so none is tight on row 0 (t >= 0), and
     # halfspace i is row i + 1.  Python objects are made a block of rays at
-    # a time, so that their temporaries stay small next to the output.
-    tights, slots, shared = [], np.empty((len(rays), n), dtype=np.intp), {}
+    # a time, so that their temporaries stay small next to the output; the
+    # float rays are refined a block at a time too.
+    tights, shared = [], {}
+    if field.is_exact:
+        out = np.empty((len(rays), n), dtype=np.intp)  # coordinate slots
+    else:
+        out = np.empty(rays.shape)  # refined rays
     for start in range(0, len(rays), OUTPUT_RAYS):
         block = slice(start, start + OUTPUT_RAYS)
         index, counts = _tight_indices(masks[block], len(rows))
+        if field.is_exact:
+            out[block] = kernel.quotient_slots(rays[block], shared)
+        else:
+            out[block] = _refine_float_rays(tight_rows, rays[block], index, counts)
         index = (index - 1).tolist()
         tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
-        if field.is_exact:
-            slots[block] = kernel.quotient_slots(rays[block], shared)
     if field.is_exact:
         quotients = list(starmap(kernel.quotient, shared))
-        order = _value_order(slots, quotients)
+        order, rank = _value_order(out, quotients)
         quotients = np.array(quotients, dtype=object)
         vertices = []
         for start in range(0, len(order), OUTPUT_RAYS):
             block = order[start:start + OUTPUT_RAYS]
-            vertices += map(tuple, quotients[slots[block]])
+            vertices += map(tuple, quotients[out[block]])
         tights = map(tights.__getitem__, order.tolist())
-        return VertexSet(tuple(vertices), tuple(tights))
+        # one quotient of each rank: the distinct values in order
+        values = quotients[np.unique(rank, return_index=True)[1]].tolist()
+        return VertexSet(tuple(vertices), tuple(tights), (values, rank[out][order]))
 
     # deduplication keeps the first ray in (ray, mask) order
     keys = [masks[:, j] for j in range(masks.shape[1])]
     keys += [rays[:, j] for j in reversed(range(dim))]
-    deduped = {}
-    for r in np.lexsort(keys).tolist():
-        tight = np.array(tights[r], dtype=np.intp) + 1
-        vec = _refine_float_ray(tight_rows[tight], kernel.vector(rays[r]))
-        coords = tuple(x / vec[0] for x in vec[1:])
-        key = tuple(round(x / DEDUP_EPS) for x in coords)
-        deduped.setdefault(key, (coords, tights[r]))
-    results = sorted(deduped.values(), key=lambda item: item[0])
+    order = np.lexsort(keys)
+    coords = out[:, 1:] / out[:, :1]
+    _, first = np.unique(np.rint(coords[order] / DEDUP_EPS), axis=0, return_index=True)
+    kept = order[first]
+    # lexsort's last key is its first
+    kept = kept[np.lexsort(coords[kept].T[::-1])]
     return VertexSet(
-        tuple(coords for coords, _ in results),
-        tuple(tight for _, tight in results),
+        tuple(map(tuple, coords[kept].tolist())),
+        tuple(map(tights.__getitem__, kept.tolist())),
     )
 
 
 def _value_order(slots, quotients: list):
     """The order of the rows of ``slots``, a matrix of indices into
-    ``quotients``, by the values they select, compared lexicographically;
-    ties keep their order.
+    ``quotients``, by the values they select, compared lexicographically
+    (ties keep their order), and the rank of each quotient among the
+    distinct values.
 
     The quotients are put in order by their floats, and one exact
     comparison of each neighbouring pair confirms that order and gives
@@ -310,7 +334,7 @@ def _value_order(slots, quotients: list):
         rank = _ranks(quotients, sorted(indices, key=quotients.__getitem__))
     rank = np.array(rank, dtype=np.min_scalar_type(max(rank)))
     # lexsort's last key is its first
-    return np.lexsort(rank[slots].T[::-1])
+    return np.lexsort(rank[slots].T[::-1]), rank
 
 
 def _ranks(values: list, order: list):
@@ -387,21 +411,40 @@ def _tight_indices(masks, rows: int):
     return index, counts
 
 
-def _refine_float_ray(tight_rows, vec):
-    """Re-solve a float ray from its tight rows to remove drift."""
+def _refine_float_rays(tight_rows, rays, index, counts):
+    """Each float ray re-solved from its tight rows to remove drift.
+
+    The null vector is the last right singular vector of the rays' tight
+    rows (``index`` and ``counts`` as ``_tight_indices`` gives them) over
+    its first entry.  It replaces the ray, scaled to unit max-norm, where
+    the rows have rank dim - 1 by the ``RANK_RTOL`` rule, that first entry
+    is at least 1e-12 in size and every coordinate is within 1e-5 of the
+    ray's over its own first entry; other rays are kept as they are.
+
+    The rays are taken by tight-set size, one stacked SVD of their tight
+    rows per chunk of at most ``RANK_ENTRIES`` matrix entries; each matrix
+    is the one a single ray's SVD would take, unpadded, so the vectors are
+    the same whatever the chunk.
+    """
     import numpy as np
 
-    _, svals, vt = np.linalg.svd(tight_rows)
-    rank_est = int((svals > RANK_RTOL * svals[0]).sum()) if len(svals) else 0
-    null = vt[-1]
-    if rank_est != len(vec) - 1 or abs(null[0]) < 1e-12:
-        return vec
-    null = null / null[0]
-    drift = np.abs(np.asarray(vec) / vec[0] - null).max()
-    if drift < 1e-5:
-        scale = np.abs(null).max()
-        return tuple(float(x / scale) for x in null)
-    return vec
+    dim = rays.shape[1]
+    out = rays.copy()
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        step = max(1, RANK_ENTRIES // max(1, k * dim))
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            _, svals, vt = np.linalg.svd(tight_rows[index[chunk, :k]])
+            rank = (svals > RANK_RTOL * svals[:, :1]).sum(axis=1)
+            null = vt[:, -1]
+            solved = (rank == dim - 1) & (np.abs(null[:, 0]) >= 1e-12)
+            chunk, null, raw = chunk[solved], null[solved], rays[chunk[solved]]
+            null = null / null[:, :1]
+            drift = np.abs(raw / raw[:, :1] - null).max(axis=1)
+            chunk, null = chunk[drift < 1e-5], null[drift < 1e-5]
+            out[chunk] = null / np.abs(null).max(axis=1, keepdims=True)
+    return out
 
 
 def max_squared_norm(vertices: VertexSet):
@@ -410,14 +453,19 @@ def max_squared_norm(vertices: VertexSet):
     Exact vertices are compared on ``vertices.lift``: scale^2 |v|^2 is the
     integer row sum u + w sqrt(d), so over Q the largest u wins, and over
     Q(sqrt d) the largest of the distinct pairs (u, w), each decided once.
-    Float vertices are compared by their float dot product.
+    Float vertices are compared on the float matrix of their lift, by
+    squares summed column by column as ``dot`` sums them.
     """
     if not vertices.vertices:
         raise ValueError("empty vertex set")
+    lift = vertices.lift
     if isinstance(vertices.vertices[0][0], float):
-        best = max(vertices.vertices, key=lambda v: dot(v, v))
+        a = lift.a
+        norms = a[:, 0] * a[:, 0]
+        for j in range(1, a.shape[1]):
+            norms = norms + a[:, j] * a[:, j]
+        first = int(norms.argmax())
     else:
-        lift = vertices.lift
         u, w = lift.squared_norms()
         if w is None:
             first = int(u.argmax())
@@ -425,7 +473,7 @@ def max_squared_norm(vertices: VertexSet):
             norms = list(zip(u.tolist(), w.tolist()))
             top = max(set(norms), key=lambda uw: Quadratic(*uw, lift.d))
             first = norms.index(top)
-        best = vertices.vertices[first]
+    best = vertices.vertices[first]
     return dot(best, best), best
 
 

@@ -93,7 +93,9 @@ def test_matches_golden(name, caplog):
 @pytest.mark.parametrize("name", dd_names())
 def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
     """A chunk of one matrix or of every candidate of an insertion gives
-    the same vertices as the default chunk."""
+    the same vertices as the default chunk.  ``RANK_ENTRIES`` also chunks
+    the float rays' stacked SVDs, so a chunk of one matrix gives the same
+    float vertices too."""
     monkeypatch.setattr(polytope, "RANK_ENTRIES", entries)
     want = json.loads(GOLDEN.read_text())[name]
     assert dd_record(dd_system(name), caplog) == want
@@ -222,6 +224,93 @@ def test_first_cone_reads_a_zero_row_after_large_entries():
     kernel = _linalg.kernel_for(RATIONAL)
     picks, _, lineality = kernel.first_cone([(2**70, 1), (0, 0), (1, 0)], 2)
     assert picks == [0, 2] and not len(lineality)
+
+
+# -- float refinement -----------------------------------------------------------
+
+
+def reference_refine(tight_rows, vec):
+    """One float ray re-solved from its tight rows by its own SVD, as the
+    enumerator did ray by ray before the stacked SVDs."""
+    _, svals, vt = np.linalg.svd(tight_rows)
+    rank_est = int((svals > _linalg.RANK_RTOL * svals[0]).sum()) if len(svals) else 0
+    null = vt[-1]
+    if rank_est != len(vec) - 1 or abs(null[0]) < 1e-12:
+        return vec
+    null = null / null[0]
+    drift = np.abs(np.asarray(vec) / vec[0] - null).max()
+    if drift < 1e-5:
+        scale = np.abs(null).max()
+        return tuple(float(x / scale) for x in null)
+    return vec
+
+
+def planted_refinement(rng, dim: int):
+    """Rays, their tight rows and whether the null vector should replace
+    each: one ray of every case and tight-set size.  Each case plants a null
+    vector y and tight rows orthogonal to it, and the ray is y, scaled to
+    unit max-norm, plus a perturbation."""
+    cases = []
+    for k in range(dim - 2, dim + 3):
+        for case in ("solved", "deficient", "flat", "drift"):
+            y = rng.uniform(0.5, 1.0, dim) * rng.choice([-1.0, 1.0], dim)
+            y[0] = 1e-14 if case == "flat" else abs(y[0])
+            # a basis of the complement of y, orthonormal by QR
+            q = np.linalg.qr(np.column_stack((y, rng.standard_normal((dim, dim - 1)))))[0]
+            basis = q[:, 1:].T
+            if case == "deficient":
+                basis = basis[:-1]
+            rows = rng.standard_normal((k, len(basis))) @ basis
+            ray = y / np.abs(y).max()
+            ray[0] = max(ray[0], 0.25)
+            ray += rng.uniform(-1, 1, dim) * (1e-3 if case == "drift" else 1e-9)
+            solved = case == "solved" and k >= dim - 1
+            cases.append((ray / np.abs(ray).max(), rows, solved))
+    order = rng.permutation(len(cases))
+    return [cases[i] for i in order]
+
+
+@pytest.mark.parametrize("entries", [1 << 6, 1 << 13, 1 << 20], ids=["2^6", "2^13", "2^20"])
+@pytest.mark.parametrize("seed", range(4))
+def test_float_refinement_matches_per_ray_svd(seed, entries, monkeypatch):
+    """The stacked SVDs give, for every ray, the vector of the ray's own
+    SVD, equal by repr: the null vector where the tight rows have rank
+    dim - 1, its first entry is not near zero and the ray has not drifted
+    from it, else the ray itself.  Tight-set sizes are mixed in one call
+    and chunks hold from one matrix to all of them."""
+    monkeypatch.setattr(polytope, "RANK_ENTRIES", entries)
+    rng = np.random.default_rng(seed)
+    dim = 4 + seed
+    cases = planted_refinement(rng, dim)
+    rays = np.array([ray for ray, _, _ in cases])
+    # every row of every case, then the zero row that pads the index
+    tight_rows = np.concatenate([rows for _, rows, _ in cases] + [np.zeros((1, dim))])
+    counts = np.array([len(rows) for _, rows, _ in cases])
+    index = np.full((len(cases), counts.max()), len(tight_rows) - 1)
+    starts = np.cumsum(counts) - counts
+    for i, (start, count) in enumerate(zip(starts, counts)):
+        index[i, :count] = np.arange(start, start + count)
+    got = polytope._refine_float_rays(tight_rows, rays, index, counts)
+    for i, (ray, rows, solved) in enumerate(cases):
+        want = reference_refine(rows, tuple(ray.tolist()))
+        assert repr(tuple(got[i].tolist())) == repr(want)
+        assert (want != tuple(ray.tolist())) == solved
+
+
+def test_float_vertices_closer_than_dedup_eps_merge():
+    """Cutting a corner of the square |x|, |y| <= 1 by x + y <= 2 - 3e-9
+    makes two vertices 3e-9 apart, one ``DEDUP_EPS`` grid point: the first
+    ray in (ray, mask) order is kept, with its own tight set."""
+    h = 3e-9
+    rows = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1 / (2 - h),) * 2]
+    vertices = enumerate_vertices(
+        HPolytope(2, tuple(Halfspace(r, POLAR) for r in rows), FLOAT)
+    )
+    assert repr(vertices.vertices) == (
+        "((-1.0, -0.9999999999999997), (-1.0, 1.0), "
+        "(0.999999997, 1.0000000000000002), (1.0, -0.9999999999999997))"
+    )
+    assert vertices.tight_sets == ((2, 3), (1, 2), (1, 4), (0, 3))
 
 
 # -- the Python-int path --------------------------------------------------------

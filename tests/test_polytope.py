@@ -379,7 +379,7 @@ def test_quotient_order_matches_sorted(d, data):
         quotients = [kernel.quotient(*key) for key in shared]
         got = [tuple(quotients[j] for j in row) for row in slots.tolist()]
         assert got == values
-        order = _value_order(slots, quotients).tolist()
+        order = _value_order(slots, quotients)[0].tolist()
         assert order == sorted(range(len(rays)), key=values.__getitem__)
 
 
@@ -411,14 +411,18 @@ def test_value_order_groups_equal_objects(data):
     row = st.lists(index, min_size=width, max_size=width)
     rows = data.draw(st.lists(row, min_size=1, max_size=20))
     keys = [tuple(quotients[j] for j in row) for row in rows]
-    order = _value_order(np.array(rows, dtype=np.intp), quotients).tolist()
-    assert order == sorted(range(len(rows)), key=keys.__getitem__)
+    order, rank = _value_order(np.array(rows, dtype=np.intp), quotients)
+    assert order.tolist() == sorted(range(len(rows)), key=keys.__getitem__)
+    # the ranks number the distinct values in order
+    distinct = sorted(set(quotients))
+    assert rank.tolist() == [distinct.index(q) for q in quotients]
 
 
 def test_value_order_breaks_float_ties_exactly():
     assert float(ABOVE_THIRD) == float(F(1, 3))
     slots = np.array([[0], [1], [2]], dtype=np.intp)
-    assert _value_order(slots, [ABOVE_THIRD, F(1, 3), F(0)]).tolist() == [2, 1, 0]
+    order, rank = _value_order(slots, [ABOVE_THIRD, F(1, 3), F(0)])
+    assert order.tolist() == [2, 1, 0] and rank.tolist() == [2, 1, 0]
 
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
@@ -444,3 +448,18 @@ def test_max_squared_norm_matches_max(quadratic, big, data):
     norm, got = max_squared_norm(vset)
     assert got is want and norm == dot(want, want)
     assert (vset.lift.a.dtype == object) == (big and any(map(any, vertices)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_float_max_squared_norm_matches_max(data):
+    """Float squares are summed as ``dot`` sums them, so the attaining
+    vertex is the one ``max`` picks, the first of any ties."""
+    pool = [-0.0, 0.1, -0.1, 0.2, 0.3, 1 / 3, -0.7, 1e-9]
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    vertex = st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(tuple)
+    vertices = data.draw(st.lists(vertex, min_size=1, max_size=10))
+    vset = VertexSet(tuple(vertices), ((),) * len(vertices))
+    want = max(vset.vertices, key=lambda v: dot(v, v))
+    norm, got = max_squared_norm(vset)
+    assert got is want and repr(norm) == repr(dot(want, want))
