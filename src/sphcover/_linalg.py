@@ -15,9 +15,10 @@ rows, first rays and null vectors come from ``first_cone``: the double
 description's own insertion, run from the unit vectors with those same
 ``classify`` and ``combine_rays`` steps.
 
-A point set is a table of its distinct coordinate values plus an integer
-matrix of positions into that table, one row per point (``scan`` finds
-them for scalar tuples; configurations built from rules come with theirs).
+A point set is a table of its distinct coordinate values in ascending
+order plus an integer matrix of positions into that table, one row per
+point; ``value_table`` builds it for every point set, from rule tables,
+scalar tuples and the vertex enumerator's quotients alike.
 A :class:`Lift` holds the set in the kernels' integer form under one common
 denominator: each table value is converted once and the matrices are the
 converted table indexed by the positions, so that the checks which read
@@ -599,10 +600,11 @@ class Lift:
 
 
 def index_dtype(size: int):
-    """int8 positions into a table of at most 128 values, else intp."""
+    """int8 positions into a table of at most 128 values, int16 into one
+    of at most 32,768, else intp."""
     import numpy as np
 
-    return np.int8 if size <= 128 else np.intp
+    return np.int8 if size <= 128 else np.int16 if size <= 2**15 else np.intp
 
 
 def row_keys(index, base: int):
@@ -618,22 +620,42 @@ def row_keys(index, base: int):
     return index.astype(dtype) @ weights
 
 
-def scan(vectors, width: int) -> tuple:
-    """The distinct coordinate values of equal-length scalar vectors, in
-    order of first appearance, and the position matrix of the vectors in
-    them.  Values are reached through the identity of the coordinate
-    objects, so each distinct object is hashed by value once, not each
-    coordinate."""
+def value_table(values, index, key=None) -> tuple:
+    """The distinct values of ``values`` in ascending order, the first of
+    equal values kept, and ``index``, an array of positions into
+    ``values``, renumbered into them (as ``index_dtype``).  Values are
+    equal when their ``key``s are, when ``key`` is given.
+
+    The values are put in order by their floats, and one exact comparison
+    of each neighbouring pair confirms that order and gives equal values
+    held in different objects one rank; only when distinct values share a
+    float out of order are they sorted by exact comparison.
+    """
     import numpy as np
 
-    objects = {id(x): x for x in chain.from_iterable(vectors)}
-    values: dict = {}
-    value_of = [values.setdefault(x, len(values)) for x in objects.values()]
-    slot = dict(zip(objects, value_of)).__getitem__
-    index = np.fromiter(
-        map(slot, map(id, chain.from_iterable(vectors))), dtype=index_dtype(len(values))
-    )
-    return list(values), index.reshape(len(vectors), width)
+    keys = values if key is None else list(map(key, values))
+    floats = list(map(float, keys))
+    positions = range(len(keys))
+    rank = _ranks(keys, sorted(positions, key=floats.__getitem__))
+    if rank is None:
+        rank = _ranks(keys, sorted(positions, key=keys.__getitem__))
+    rank = np.array(rank, dtype=index_dtype(max(rank, default=-1) + 1))
+    first = np.unique(rank, return_index=True)[1].tolist()
+    return tuple(map(values.__getitem__, first)), rank[index]
+
+
+def _ranks(values, order: list):
+    """The rank of each value among the distinct values if ``order`` sorts
+    ``values``, else None."""
+    rank = [0] * len(values)
+    r = 0
+    for prev, cur in zip(order, order[1:]):
+        if values[prev] != values[cur]:
+            if not values[prev] < values[cur]:
+                return None
+            r += 1
+        rank[cur] = r
+    return rank
 
 
 def lift(values, index, field: Field) -> Lift:

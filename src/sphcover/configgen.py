@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -208,25 +208,6 @@ def expand(rule: GeneratorRule, n: int, field: Field) -> list:
     return [tuple(map(table.__getitem__, row)) for row in rows.tolist()]
 
 
-def _in_first_use(table: list, rows) -> tuple:
-    """``table`` cut to the values that ``rows`` use, in the order of their
-    first use (row by row), and ``rows`` renumbered to match; a merge of
-    tables in this order keeps the first value seen in the expansion."""
-    import numpy as np
-
-    flat = rows.ravel()
-    first = {}
-    for i in range(len(table)):
-        hits = flat == i
-        at = int(hits.argmax())
-        if hits[at]:
-            first[i] = at
-    used = sorted(first, key=first.get)
-    renumber = np.zeros(len(table), dtype=rows.dtype)
-    renumber[used] = np.arange(len(used))
-    return [table[i] for i in used], renumber[rows]
-
-
 def _value_key(field: Field):
     """The identity of a coordinate value: the value itself on exact fields;
     on the float field the value rounded to 12 decimals, -0.0 made 0.0."""
@@ -236,21 +217,12 @@ def _value_key(field: Field):
 
 
 def _sorted_table(values: list, index, field: Field) -> tuple:
-    """A table and position matrix with the equal values of the table
-    merged (by ``_value_key``, the first value kept, a float zero as 0.0)
-    and the table in ascending order, the positions renumbered."""
-    import numpy as np
-
-    key = _value_key(field)
-    merged: dict = {}
-    for x in values:
-        merged.setdefault(key(x), x if field.is_exact else x + 0.0)
-    keys = sorted(merged)
-    rank = {k: i for i, k in enumerate(keys)}
-    renumber = np.array(
-        [rank[key(x)] for x in values], dtype=_linalg.index_dtype(len(keys))
-    )
-    return tuple(merged[k] for k in keys), renumber[index]
+    """``_linalg.value_table`` with values merged by ``_value_key``: on the
+    float field those equal to 12 decimals are one value, the first one
+    kept, and a float zero is 0.0."""
+    if not field.is_exact:
+        values = [x + 0.0 for x in values]
+    return _linalg.value_table(values, index, _value_key(field))
 
 
 class Configuration:
@@ -264,8 +236,8 @@ class Configuration:
     scalar tuples, is built when it is first read.
 
     ``Configuration(dimension, field, rules, points, norm_sq)`` takes the
-    points themselves; their table is found by ``_linalg.scan`` when it is
-    first needed.  :func:`make_configuration` builds the table straight
+    points themselves; their table is built from every coordinate when it
+    is first needed.  :func:`make_configuration` builds the table straight
     from generator rules.
     """
 
@@ -300,9 +272,12 @@ class Configuration:
     def table(self) -> tuple:
         """``(values, index)`` of points given by hand.  A point of the
         wrong length is a :class:`ConfigurationError`."""
+        import numpy as np
+
         if any(len(p) != self.dimension for p in self.points):
             raise ConfigurationError("point dimension mismatch")
-        values, index = _linalg.scan(self.points, self.dimension)
+        values = list(chain.from_iterable(self.points))
+        index = np.arange(len(values)).reshape(-1, self.dimension)
         return _sorted_table(values, index, self.field)
 
     @cached_property
@@ -338,11 +313,11 @@ def make_configuration(
     """Expand rules on one value table, merge and deduplicate, and fix the
     common norm.
 
-    The rules' tables are merged as ``_sorted_table`` merges them (float
-    values equal to 12 decimals are one value, the first one seen in the
-    expansion kept), and the points are the
-    distinct rows of the position matrix in ascending order of their
-    ``_linalg.row_keys``, which is ``sorted(set(points))``.
+    Each rule's table is cut to the values its vectors use, the tables are
+    merged by ``_sorted_table`` in the order of the rules (float values
+    equal to 12 decimals are one value, the first one listed kept), and the
+    points are the distinct rows of the position matrix in ascending order
+    of their ``_linalg.row_keys``, which is ``sorted(set(points))``.
     """
     import numpy as np
 
@@ -351,9 +326,10 @@ def make_configuration(
         raise ConfigurationError("configuration has no points")
     values, blocks = [], []
     for rule in rules:
-        table, rows = _in_first_use(*_expand_index(rule, dimension, field))
-        blocks.append(rows.astype(np.intp) + len(values))
-        values += table
+        table, rows = _expand_index(rule, dimension, field)
+        used = np.flatnonzero(np.bincount(rows.ravel(), minlength=len(table)))
+        blocks.append(np.searchsorted(used, rows) + len(values))
+        values += map(table.__getitem__, used.tolist())
     values, index = _sorted_table(values, np.concatenate(blocks), field)
     _, first = np.unique(_linalg.row_keys(index, len(values)), return_index=True)
     index = index[first]
@@ -562,7 +538,10 @@ def config_from_json(data: dict, label: str | None = None) -> Configuration:
     if dimension < 1:
         raise ConfigurationError("dimension: expected a positive integer")
     try:
-        field = Field.from_json(_require(data, "field", "configuration"))
+        field = _require(data, "field", "configuration")
+        if isinstance(field, dict) and "d" in field:
+            field = {**field, "d": _whole(field["d"], "d")}
+        field = Field.from_json(field)
     except ValueError as exc:
         raise ConfigurationError(f"field: {exc}") from exc
     gens = _require(data, "generators", "configuration")

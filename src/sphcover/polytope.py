@@ -23,16 +23,17 @@ are combined in one array step with a row gcd.
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and each coordinate x / t becomes a
-slot in a table of the distinct raw pairs (x, t), one shared quotient
-object each.  The quotients are ranked by value (put in order by their
-floats, the order confirmed by one exact comparison per neighbouring pair)
-and the vertices are ordered by ``np.lexsort`` on the matrix of their
-value ranks, so that the result is sorted by value with no comparison of
-vertex tuples.  Python scalars are made once, for the returned
-:class:`VertexSet`, which keeps the distinct values in order and the matrix
-of the vertices' value ranks as its value table.  Its ``lift`` (one integer
-matrix over a common denominator, built from that table and cached) serves
-``max_squared_norm`` and the covering module's certificate.
+slot in a table of the distinct raw pairs (x, t), one quotient each.
+``_linalg.value_table`` ranks the quotients by value (put in order by
+their floats, the order confirmed by one exact comparison per neighbouring
+pair) and the vertices are ordered by ``np.lexsort`` on the matrix of
+their value ranks, so that the result is sorted by value with no
+comparison of vertex tuples.  The returned :class:`VertexSet` keeps the
+distinct values in order and the matrix of the vertices' value ranks as
+its value table, and its vertices share the value objects of that table.
+Its ``lift`` (one integer matrix over a common denominator, built from
+that table and cached) serves ``max_squared_norm`` and the covering
+module's certificate.
 
 The float output stage runs on arrays too.  Each ray is re-solved from its
 tight rows to remove the drift of the insertions: the rays are grouped by
@@ -51,10 +52,10 @@ import dataclasses
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
+from itertools import chain, starmap
 from pathlib import Path
 
-from ._linalg import RANK_RTOL, Lift, kernel_for, scan
+from ._linalg import RANK_RTOL, Lift, kernel_for, value_table
 from ._linalg import lift as lift_table
 from .configgen import Configuration
 from .scalar import (
@@ -142,15 +143,20 @@ class VertexSet:
     @cached_property
     def lift(self) -> Lift:
         """The vertices lifted once: exact ones from their value table
-        (scanned by ``_linalg.scan`` when the set came without one) and
-        lifted over Q(sqrt d) when a coordinate is a Quadratic, over Q when
-        all are Fractions (``_linalg.lift``); float ones, which share few
-        coordinate values, as their float64 matrix."""
-        if isinstance(self.vertices[0][0], float):
-            import numpy as np
+        (built by ``_linalg.value_table`` from every coordinate when the set
+        came without one) and lifted over Q(sqrt d) when a coordinate is a
+        Quadratic, over Q when all are Fractions (``_linalg.lift``); float
+        ones, which share few coordinate values, as their float64 matrix."""
+        import numpy as np
 
+        if isinstance(self.vertices[0][0], float):
             return Lift(1, np.array(self.vertices, dtype=float), None, 0)
-        values, index = self.table or scan(self.vertices, len(self.vertices[0]))
+        table = self.table
+        if table is None:
+            coords = list(chain.from_iterable(self.vertices))
+            index = np.arange(len(coords)).reshape(len(self.vertices), -1)
+            table = value_table(coords, index)
+        values, index = table
         d = next((x.d for x in values if isinstance(x, Quadratic)), None)
         return lift_table(values, index, RATIONAL if d is None else quadratic_field(d))
 
@@ -285,17 +291,17 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         index = (index - 1).tolist()
         tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
     if field.is_exact:
-        quotients = list(starmap(kernel.quotient, shared))
-        order, rank = _value_order(out, quotients)
-        quotients = np.array(quotients, dtype=object)
+        values, rank = value_table(list(starmap(kernel.quotient, shared)), out)
+        del out  # the ranks replace the slots; free them before the vertices
+        # lexsort's last key is its first
+        order = np.lexsort(rank.T[::-1])
+        rank = rank[order]
+        table = np.array(values, dtype=object)
         vertices = []
-        for start in range(0, len(order), OUTPUT_RAYS):
-            block = order[start:start + OUTPUT_RAYS]
-            vertices += map(tuple, quotients[out[block]])
+        for start in range(0, len(rank), OUTPUT_RAYS):
+            vertices += map(tuple, table[rank[start:start + OUTPUT_RAYS]])
         tights = map(tights.__getitem__, order.tolist())
-        # one quotient of each rank: the distinct values in order
-        values = quotients[np.unique(rank, return_index=True)[1]].tolist()
-        return VertexSet(tuple(vertices), tuple(tights), (values, rank[out][order]))
+        return VertexSet(tuple(vertices), tuple(tights), (values, rank))
 
     # deduplication keeps the first ray in (ray, mask) order
     keys = [masks[:, j] for j in range(masks.shape[1])]
@@ -310,45 +316,6 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         tuple(map(tuple, coords[kept].tolist())),
         tuple(map(tights.__getitem__, kept.tolist())),
     )
-
-
-def _value_order(slots, quotients: list):
-    """The order of the rows of ``slots``, a matrix of indices into
-    ``quotients``, by the values they select, compared lexicographically
-    (ties keep their order), and the rank of each quotient among the
-    distinct values.
-
-    The quotients are put in order by their floats, and one exact
-    comparison of each neighbouring pair confirms that order and gives
-    equal values held in different objects one rank; only when distinct
-    values share a float out of order are they sorted by exact comparison.
-    The rows are then ordered by ``np.lexsort`` on the matrix of their
-    value ranks.
-    """
-    import numpy as np
-
-    floats = list(map(float, quotients))
-    indices = range(len(quotients))
-    rank = _ranks(quotients, sorted(indices, key=floats.__getitem__))
-    if rank is None:
-        rank = _ranks(quotients, sorted(indices, key=quotients.__getitem__))
-    rank = np.array(rank, dtype=np.min_scalar_type(max(rank)))
-    # lexsort's last key is its first
-    return np.lexsort(rank[slots].T[::-1]), rank
-
-
-def _ranks(values: list, order: list):
-    """The rank of each value among the distinct values if ``order`` sorts
-    ``values``, else None."""
-    rank = [0] * len(values)
-    r = 0
-    for prev, cur in zip(order, order[1:]):
-        if values[prev] != values[cur]:
-            if not values[prev] < values[cur]:
-                return None
-            r += 1
-        rank[cur] = r
-    return rank
 
 
 def _candidate_pairs(plus, minus, need: int, rows: int):
@@ -430,7 +397,7 @@ def _refine_float_rays(tight_rows, rays, index, counts):
 
     dim = rays.shape[1]
     out = rays.copy()
-    for k in np.unique(counts).tolist():
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
         group = np.flatnonzero(counts == k)
         step = max(1, RANK_ENTRIES // max(1, k * dim))
         for start in range(0, len(group), step):

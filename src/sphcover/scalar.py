@@ -260,9 +260,10 @@ class Field:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "quadratic":
-            if self.d is None or self.d < 2 or not _is_square_free(self.d):
+            d = self.d
+            if type(d) is not int or d < 2 or not _is_square_free(d):
                 raise ValueError(
-                    f"quadratic field needs a square-free d >= 2, got {self.d}"
+                    f"quadratic field needs a square-free d >= 2, got {d!r}"
                 )
         elif self.d is not None:
             raise ValueError(f"field kind {self.kind!r} does not take d")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,11 @@ CROSS4 = {
     "field": {"kind": "rational"},
     "generators": [{"type": "subset_signs", "support": 1, "value": "1"}],
 }
+
+
+def _quadratic(d):
+    """A quadratic field descriptor with ``d`` as given."""
+    return {"kind": "quadratic", "d": d}
 
 
 def _reduced_table1_5():
@@ -134,6 +142,18 @@ class TestVerify:
         assert code == 0
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--dim", "5"], ["radius", "table1:5"]],
+        ids=["verify", "radius"],
+    )
+    def test_digits_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--digits", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "sphcover: error: --digits must be positive"
+
     def test_math_failure_exits_one(self, capsys, monkeypatch):
         import sphcover.cli as cli
         from sphcover.covering import BoundVerificationError
@@ -201,6 +221,23 @@ class TestRadius:
         assert code == 0
         assert out.splitlines()[1].startswith("6,44,0.84107,0.86912")
 
+    def test_exact_backend_refused_for_float_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "table1:12", "--backend", "exact"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "sphcover: error: the configuration is float-valued; no exact run possible"
+        )
+
+    def test_timing_prints_wall_time(self, capsys):
+        code, out, err = run(capsys, "radius", "table1:5", "--timing")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("wall time:")
+        assert err == (
+            "sphcover: enumerating vertices: n=5, 9 halfspaces (symmetry cone)\n"
+        )
+
 
 class TestOracle:
     def test_cube_fixture_agreement(self, capsys, cross4_path):
@@ -245,6 +282,28 @@ class TestOracle:
     def test_missing_config_exit_two(self, capsys):
         code, _, err = run(capsys, "oracle", "no-such-file.json")
         assert code == 2
+
+    def test_negative_samples_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "table1:5", "--samples", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "sphcover: error: --samples must be non-negative"
+
+    def test_large_instance_skips_vertices(self, capsys):
+        code, out, err = run(capsys, "oracle", "table1:7")
+        assert code == 0 and not err
+        assert out.splitlines()[1].startswith("vertices: skipped (")
+        assert out.splitlines()[-1] == "agreement: OK"
+
+    def test_sampling_mismatch_exits_one(self, capsys, monkeypatch, cross4_path):
+        monkeypatch.setattr(cli, "sampled_covering_radius", lambda *args: 3.0)
+        code, out, err = run(capsys, "oracle", cross4_path, "--samples", "10")
+        assert code == 1
+        assert "> 1.04720, MISMATCH" in out and "agreement: FAILED" in out
+        assert err == (
+            "oracle disagreement: sampled lower bound exceeds the computed radius\n"
+        )
 
 
 class TestUsage:
@@ -293,17 +352,23 @@ class TestBadInput:
             ({"type": "subset_signs", "support": "1", "value": "1"}, {}),
             ({"type": "subset_signs", "support": 1, "value": "1"}, {"dimension": True}),
             ({"type": "subset_signs", "support": 1, "value": "1"}, {"dimension": 4.5}),
+            ({"type": "subset_signs", "support": 2}, {"field": _quadratic("2")}),
+            ({"type": "subset_signs", "support": 2}, {"field": _quadratic(True)}),
+            ({"type": "subset_signs", "support": 2}, {"field": _quadratic(2.5)}),
         ],
         ids=[
             "zero-denominator", "fractional-support", "boolean-support",
             "fractional-sign-counts", "fractional-multiplicity", "string-support",
-            "boolean-dimension", "fractional-dimension",
+            "boolean-dimension", "fractional-dimension", "string-d", "boolean-d",
+            "fractional-d",
         ],
     )
     def test_bad_config(self, capsys, tmp_path, generator, fields):
         code, out, err = run(capsys, "radius", _config(tmp_path, generator, **fields))
         assert code == 2 and not out
         assert err.startswith("configuration error") and err.count("\n") == 1
+        if "field" in fields:
+            assert err.startswith("configuration error: field: d: expected an integer")
 
     @pytest.mark.parametrize(
         "value",
@@ -358,3 +423,36 @@ class TestBadInput:
         generator = {**generator, "support": 1.0, "sign_counts": [0.0, 1.0]}
         got = run(capsys, "radius", _config(tmp_path, generator, dimension=4.0))
         assert got == want and want[0] == 0
+        # the d of a quadratic field
+        generator = {"type": "subset_signs", "support": 2}
+        want, got = (
+            run(capsys, "radius", _config(tmp_path, generator, field=_quadratic(d)))
+            for d in (2, 2.0)
+        )
+        assert got == want and want[0] == 0
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    """A plain ``np.unique(x)`` imports ``numpy.ma`` (some 15 ms and 1 MiB
+    per process); neither the float nor the exact ``verify`` path may call
+    it.  Run in a fresh process, BLAS pinned to one thread."""
+    script = (
+        "import sys\n"
+        "from sphcover.cli import main\n"
+        "assert main(['verify', '--dim', '11']) == 0\n"
+        "assert main(['verify', '--dim', '5']) == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path, **dict.fromkeys(threads, "1")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "False\n"

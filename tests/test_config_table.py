@@ -165,6 +165,9 @@ def test_random_rules_match_references(field_name, data):
         assert expand(rule, n, field) == want
     assert config.cardinality == len(reference_points(config))
     assert config.points == reference_points(config)
+    # the table holds exactly the values the points use, in order
+    coords = sorted(set(chain.from_iterable(reference_points(config))))
+    assert repr(config.table[0]) == repr(tuple(coords))
     reps = _orbit_representatives(config)
     assert repr(reps) == repr(reference_representatives(config))
     keep = data.draw(st.lists(st.booleans(), min_size=1, max_size=8).filter(any))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -288,6 +289,41 @@ class TestVerifyBounds:
         assert info.value.dimension == 5
         assert info.value.reason == "attaining vertex is not a deep hole"
         assert calls == [5]
+
+    def _fails(self, capsys, reason):
+        """verify_bounds and ``sphcover verify --dim 5`` both stop at n=5
+        with ``reason``."""
+        from sphcover.cli import main
+
+        with pytest.raises(BoundVerificationError) as info:
+            verify_bounds(dims=[5])
+        assert info.value.dimension == 5 and info.value.reason == reason
+        assert main(["verify", "--dim", "5"]) == 1
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err == f"verification FAILED: dimension 5: {reason}\n"
+
+    def test_cardinality_not_below_2_to_n_raises(self, capsys, monkeypatch):
+        # the 32 vertices of the 5-cube
+        cube = make_configuration(5, RATIONAL, [SubsetSigns(5, value=1)])
+        monkeypatch.setattr(covering, "builtin_configuration", lambda n: cube)
+        self._fails(capsys, "cardinality 32 is not below 2^5")
+
+    def test_inconclusive_margin_raises(self, capsys, monkeypatch):
+        original = covering.covering_radius
+
+        def inconclusive(*args, **kwargs):
+            report = original(*args, **kwargs)
+            assert report.passes and not report.inconclusive
+            return dataclasses.replace(report, inconclusive=True)
+
+        monkeypatch.setattr(covering, "covering_radius", inconclusive)
+        self._fails(capsys, "threshold margin is inside the inconclusive band")
+
+    def test_radius_above_threshold_raises(self, capsys, monkeypatch):
+        # the 10 points +-e_i leave holes at angle arccos(1/sqrt 5) > 0.886
+        monkeypatch.setattr(covering, "builtin_configuration", cross_polytope)
+        self._fails(capsys, "covering radius exceeds the threshold")
 
 
 class TestInvariants:

@@ -61,17 +61,19 @@ def test_signs_match_quadratic_sign(d, pairs, units):
 def test_lift_table_and_scale():
     h = Quadratic(0, F(1, 3), 2)  # sqrt(2)/3
     points = ((F(1, 2), h), (-h, F(0)), (F(-1, 2), -h), (h, F(0)))
-    values, index = _linalg.scan(points, 2)
-    assert values == [F(1, 2), h, -h, F(0), F(-1, 2)]  # first appearance
-    assert index.tolist() == [[0, 1], [2, 3], [4, 2], [1, 3]]
+    coords = [x for p in points for x in p]
+    values, index = _linalg.value_table(coords, np.arange(8).reshape(4, 2))
+    # ascending, equal values in different objects (-h twice) merged
+    assert values == (F(-1, 2), -h, F(0), h, F(1, 2))
+    assert index.tolist() == [[4, 3], [1, 2], [0, 1], [3, 2]]
     lift = _linalg.lift(values, index, Q2)
     assert lift.scale == 6 and lift.top == 3
     assert lift.a.tolist() == [[3, 0], [0, 0], [-3, 0], [0, 0]]
     assert lift.b.tolist() == [[0, 2], [-2, 0], [0, -2], [2, 0]]
-    # by hand the table is sorted, so position i negates to 4 - i
+    # by hand the table is the same, so position i negates to 4 - i
     config = Configuration(2, Q2, (), points, F(17, 36))
-    values, index = config.table
-    assert values == (F(-1, 2), -h, F(0), h, F(1, 2)) and config.negation_closed
+    assert config.table[0] == values and config.negation_closed
+    assert config.table[1].tolist() == index.tolist()
     keys = _linalg.row_keys(index, 5).tolist()
     negated = _linalg.row_keys(4 - index, 5).tolist()
     assert len(set(keys)) == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphcover._linalg import kernel_for
+from sphcover._linalg import kernel_for, value_table
 from sphcover.configgen import (
     SubsetSigns,
     builtin_configuration,
@@ -21,7 +21,6 @@ from sphcover.polytope import (
     HPolytope,
     Unbounded,
     VertexSet,
-    _value_order,
     dump_hpolytope,
     enumerate_vertices,
     load_hpolytope,
@@ -379,8 +378,12 @@ def test_quotient_order_matches_sorted(d, data):
         quotients = [kernel.quotient(*key) for key in shared]
         got = [tuple(quotients[j] for j in row) for row in slots.tolist()]
         assert got == values
-        order = _value_order(slots, quotients)[0].tolist()
+        table, rank = value_table(quotients, slots)
+        # lexsort's last key is its first
+        order = np.lexsort(rank.T[::-1]).tolist()
         assert order == sorted(range(len(rays)), key=values.__getitem__)
+        rows = [tuple(table[j] for j in row) for row in rank[order].tolist()]
+        assert rows == sorted(values)
 
 
 # values of Q(sqrt 2), and forms that hold each in a new object: a Fraction
@@ -411,18 +414,24 @@ def test_value_order_groups_equal_objects(data):
     row = st.lists(index, min_size=width, max_size=width)
     rows = data.draw(st.lists(row, min_size=1, max_size=20))
     keys = [tuple(quotients[j] for j in row) for row in rows]
-    order, rank = _value_order(np.array(rows, dtype=np.intp), quotients)
+    values, rank = value_table(quotients, np.array(rows, dtype=np.intp))
+    assert [tuple(values[j] for j in row) for row in rank.tolist()] == keys
+    order = np.lexsort(rank.T[::-1])
     assert order.tolist() == sorted(range(len(rows)), key=keys.__getitem__)
-    # the ranks number the distinct values in order
+    # the values are the distinct ones in order, each the first object
+    # holding it, and the ranks number them
     distinct = sorted(set(quotients))
+    assert list(values) == distinct
+    assert all(v is next(q for q in quotients if q == v) for v in values)
+    _, rank = value_table(quotients, np.arange(len(quotients)))
     assert rank.tolist() == [distinct.index(q) for q in quotients]
 
 
 def test_value_order_breaks_float_ties_exactly():
     assert float(ABOVE_THIRD) == float(F(1, 3))
-    slots = np.array([[0], [1], [2]], dtype=np.intp)
-    order, rank = _value_order(slots, [ABOVE_THIRD, F(1, 3), F(0)])
-    assert order.tolist() == [2, 1, 0] and rank.tolist() == [2, 1, 0]
+    quotients = [ABOVE_THIRD, F(1, 3), F(0)]
+    values, rank = value_table(quotients, np.arange(3))
+    assert values == (F(0), F(1, 3), ABOVE_THIRD) and rank.tolist() == [2, 1, 0]
 
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])

@@ -156,6 +156,9 @@ class TestField:
             Field("rational", 2)
         with pytest.raises(ValueError):
             Field("octonion")
+        for d in (2.0, "2", True, None):
+            with pytest.raises(ValueError):
+                quadratic_field(d)
 
     def test_json_roundtrip(self):
         for f in (RATIONAL, FLOAT, Q5):
