@@ -1,19 +1,20 @@
 """Elimination kernels: the one place where rows are eliminated.
 
-A kernel holds the vectors of one field in raw form: integer tuples with
-content 1 for Q, tuples of integer pairs (a, b) meaning a + b*sqrt(d) for
-Q(sqrt(d)), and float tuples scaled to unit max-norm.  Stacks of them are
-numpy arrays of the same shape: int64 when a bound shows every intermediate
-fits and Python ints in ``dtype=object`` otherwise, with a trailing (a, b)
-axis over Q(sqrt(d)), and float64.  The vertex enumerator classifies,
-rank-tests and combines whole stacks at once (``classify``, ``ranks``,
-``combine_rays``).  Exact ranks come from one fraction-free (Bareiss)
-elimination over a stack of matrices, over Q(sqrt(d)) on the rational
-regular representation, whose rank is twice the Q(sqrt(d)) rank; float ranks
-count the singular values above ``RANK_RTOL`` times the largest.  Independent
-rows, first rays and null vectors come from ``first_cone``: the double
-description's own insertion, run from the unit vectors with those same
-``classify`` and ``combine_rays`` steps.
+A kernel holds the vectors of one field as numpy stacks, one vector per
+row: integer arrays over Q, with a trailing (a, b) axis meaning
+a + b*sqrt(d) over Q(sqrt(d)), int64 when a bound shows every intermediate
+fits and Python ints in ``dtype=object`` otherwise, and float64 arrays on
+the float field.  ``primitive`` puts each vector of a stack in its kernel
+form: over the gcd of its entries on exact fields (content 1), scaled to
+unit max-norm on floats.  The vertex enumerator classifies, rank-tests and
+combines whole stacks at once (``classify``, ``ranks``, ``combine_rays``).
+Exact ranks come from one fraction-free (Bareiss) elimination over a stack
+of matrices, over Q(sqrt(d)) on the rational regular representation, whose
+rank is twice the Q(sqrt(d)) rank; float ranks count the singular values
+above ``RANK_RTOL`` times the largest.  Independent rows, first rays and
+null vectors come from ``first_cone``: the double description's own
+insertion, run from the unit vectors with those same ``classify`` and
+``combine_rays`` steps.
 
 A point set is a table of its distinct coordinate values in ascending
 order plus an integer matrix of positions into that table, one row per
@@ -22,15 +23,18 @@ scalar tuples and the vertex enumerator's quotients alike.
 A :class:`Lift` holds the set in the kernels' integer form under one common
 denominator: each table value is converted once and the matrices are the
 converted table indexed by the positions, so that the checks which read
-every point or vertex run as blocked integer matrix products.  numpy is
-imported only where a lift is built or read.
+every point or vertex run as blocked integer matrix products.  ``lift`` is
+the one place where scalars become kernel integers: the double
+description's rows, ``validate``'s span check, the deep-hole check's ray
+and ``rank`` all read a lift's ``stack``.  numpy is imported only where a
+lift is built or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .scalar import Field, Quadratic, Scalar
 
@@ -51,8 +55,9 @@ class _Kernel:
     def first_cone(self, rows, width: int) -> tuple:
         """The first picks of a double description: the indices of the
         rows picked, the rays (ray j tight on every pick but j and positive
-        on pick j) and the lineality left, both stacks.  ``rows`` may be a
-        lazy iterable; it is read no further than the ``width``-th pick.
+        on pick j) and the lineality left, both stacks.  ``rows`` holds
+        vectors in kernel form and may be a lazy iterable; it is read no
+        further than the ``width``-th pick.
 
         The cone starts as the whole space: no rays and the ``width`` unit
         vectors as its lineality.  Each row is classified against the
@@ -71,8 +76,7 @@ class _Kernel:
         and positive."""
         import numpy as np
 
-        units = [[int(i == j) for i in range(width)] for j in range(width)]
-        stack = self.array(list(map(self.vec_from_scalars, units)))
+        stack = self.units(width)
         picks, pick_rows = [], []
         for index, row in enumerate(rows):
             stack, products, signs = self.classify(stack, row)
@@ -110,7 +114,7 @@ class _Kernel:
 
         count, width = stack.shape[:2]
         entries = stack.reshape((count * width, 1) + stack.shape[2:])
-        _, values, signs = self.classify(entries, self.vec_from_scalars((1,)))
+        _, values, signs = self.classify(entries, self.units(1)[0])
         first = (signs.reshape(count, width) != 0).argmax(axis=1)
         return values.reshape((count, width) + values.shape[1:])[
             np.arange(count), first
@@ -124,17 +128,29 @@ class _Kernel:
         flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
         return np.where(flip, 0 - stack, stack)
 
-    def rank_rows(self, rows):
-        """``rows`` and a zero row after them as one array, from which
-        ``ranks``' stacks are gathered; the zero row pads them."""
+    def units(self, width: int):
+        """The ``width`` unit vectors in kernel layout, one per row: the
+        identity times the kernel's ``one``."""
         import numpy as np
 
-        matrix = self.array(list(rows))
-        return np.concatenate((matrix, np.zeros_like(matrix[:1])))
+        return np.multiply.outer(np.eye(width, dtype=np.int64), self.one)
 
-    def vector(self, row) -> tuple:
-        """One row of a stack as a ray."""
-        return tuple(row.tolist())
+    def rank_rows(self, rows):
+        """A stack of rows and a zero row after them as one array, from
+        which ``ranks``' stacks are gathered; the zero row pads them."""
+        import numpy as np
+
+        return np.concatenate((rows, np.zeros_like(rows[:1])))
+
+
+def _primitive(stack):
+    """Each vector of a stack divided by the gcd of its entries; a zero
+    vector stays as it is."""
+    import numpy as np
+
+    g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
+    g[g == 0] = 1
+    return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
 
 class _ExactKernel(_Kernel):
@@ -144,11 +160,7 @@ class _ExactKernel(_Kernel):
     ``factor`` times theirs."""
 
     factor = 1
-
-    def array(self, vectors):
-        import numpy as np
-
-        return np.array(vectors, dtype=object)
+    primitive = staticmethod(_primitive)
 
     def ranks(self, stack, k: int | None = None):
         """Rank of each matrix of a stack, at most k when k is given."""
@@ -229,39 +241,10 @@ def _bareiss_ranks(stack, k: int | None):
     return rank
 
 
-def _primitive(stack):
-    """Each vector of a stack divided by the gcd of its entries."""
-    import numpy as np
-
-    g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
-    return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
-
-
 class _RationalKernel(_ExactKernel):
-    """Rays as integer tuples with content 1."""
+    """Vectors as integer arrays."""
 
-    def vec_from_scalars(self, scalars) -> tuple:
-        fracs = []
-        for x in scalars:
-            if type(x) is not Fraction:
-                if isinstance(x, Quadratic):
-                    if x.b != 0:
-                        raise TypeError("quadratic value in a rational system")
-                    x = x.a
-                x = Fraction(x)
-            fracs.append(x)
-        den = lcm(*(f.denominator for f in fracs))
-        return self.reduce(
-            tuple(f.numerator * (den // f.denominator) for f in fracs)
-        )
-
-    def reduce(self, vec: tuple) -> tuple:
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g > 1:
-            return tuple(x // g for x in vec)
-        return vec
+    one = 1
 
     def signs(self, a, b):
         """Elementwise sign of an integer array (``b`` is None over Q)."""
@@ -269,7 +252,7 @@ class _RationalKernel(_ExactKernel):
 
         return np.sign(a)
 
-    def classify(self, rays, row: tuple) -> tuple:
+    def classify(self, rays, row) -> tuple:
         """Products of ``row`` with a stack of rays and their signs, and the
         rays in the dtype in which ``combine_rays`` on them cannot overflow:
         a product is at most S = width * max|row| * max|ray|, a combined
@@ -278,16 +261,16 @@ class _RationalKernel(_ExactKernel):
         import numpy as np
 
         top = _top(rays)
-        bound = len(row) * max(1, *map(abs, row)) * top
+        bound = len(row) * max(1, *map(abs, row.ravel().tolist())) * top
         dtype = _int_dtype(2 * bound * top)
         rays = rays.astype(dtype, copy=False)
-        products = rays @ np.array(row, dtype=dtype)
+        products = rays @ row.astype(dtype, copy=False)
         return rays, products, np.sign(products)
 
     def combine_rays(self, sp, rm, sm, rp):
         """sp * rm - sm * rp in primitive form, one (sp, rm, sm, rp) per
         row of the stacks."""
-        return _primitive(sp[:, None] * rm - sm[:, None] * rp)
+        return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
 
     def regular(self, stack):
         return stack
@@ -305,40 +288,14 @@ class _RationalKernel(_ExactKernel):
 
 
 class _QuadraticKernel(_ExactKernel):
-    """Rays as tuples of (a, b) integer pairs meaning a + b*sqrt(d)."""
+    """Vectors as integer arrays with a last axis of (a, b) pairs meaning
+    a + b*sqrt(d)."""
 
     factor = 2
+    one = (1, 0)
 
     def __init__(self, d: int):
         self.d = d
-
-    def vec_from_scalars(self, scalars) -> tuple:
-        parts = []
-        for x in scalars:
-            if isinstance(x, Quadratic):
-                if x.d != self.d and x.b != 0:
-                    raise TypeError(f"sqrt({x.d}) value in a sqrt({self.d}) system")
-                parts.append((x.a, x.b))
-            else:
-                parts.append((x if type(x) is Fraction else Fraction(x), Fraction(0)))
-        den = lcm(*(x.denominator for x in chain.from_iterable(parts)))
-        return self.reduce(
-            tuple(
-                (
-                    a.numerator * (den // a.denominator),
-                    b.numerator * (den // b.denominator),
-                )
-                for a, b in parts
-            )
-        )
-
-    def reduce(self, vec: tuple) -> tuple:
-        g = 0
-        for a, b in vec:
-            g = gcd(gcd(g, a), b)
-        if g > 1:
-            return tuple((a // g, b // g) for a, b in vec)
-        return vec
 
     def signs(self, a, b):
         """Elementwise sign of a + b sqrt(d) on integer arrays a, b (int64
@@ -354,7 +311,7 @@ class _QuadraticKernel(_ExactKernel):
             out[mixed] = sa[mixed] * np.sign(am * am - self.d * (bm * bm))
         return out
 
-    def classify(self, rays, row: tuple) -> tuple:
+    def classify(self, rays, row) -> tuple:
         """As the rational ``classify``, on (a, b) parts: a product's parts
         are at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
         squares them and a combined entry is at most 2 (1 + d) S max|ray|."""
@@ -362,10 +319,10 @@ class _QuadraticKernel(_ExactKernel):
 
         d = self.d
         top = _top(rays)
-        bound = len(row) * (1 + d) * max(1, *map(abs, chain.from_iterable(row))) * top
+        bound = len(row) * (1 + d) * max(1, *map(abs, row.ravel().tolist())) * top
         dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
         rays = rays.astype(dtype, copy=False)
-        w = np.array(row, dtype=dtype)
+        w = row.astype(dtype, copy=False)
         ra, rb = rays[..., 0], rays[..., 1]
         a = ra @ w[:, 0] + d * (rb @ w[:, 1])
         b = ra @ w[:, 1] + rb @ w[:, 0]
@@ -382,10 +339,7 @@ class _QuadraticKernel(_ExactKernel):
         ya, yb = rp[..., 0], rp[..., 1]
         a = pa * xa + d * (pb * xb) - ma * ya - d * (mb * yb)
         b = pa * xb + pb * xa - ma * yb - mb * ya
-        return _primitive(np.stack((a, b), axis=-1))
-
-    def vector(self, row) -> tuple:
-        return tuple(map(tuple, row.tolist()))
+        return self.primitive(np.stack((a, b), axis=-1))
 
     def regular(self, stack):
         """Each matrix A + sqrt(d) B of a stack of (a, b) matrices as the
@@ -436,21 +390,16 @@ class _QuadraticKernel(_ExactKernel):
 
 
 class _FloatKernel(_Kernel):
-    """Rays as float tuples scaled to unit max-norm."""
+    """Vectors as float64 arrays scaled to unit max-norm."""
 
-    def vec_from_scalars(self, scalars) -> tuple:
-        return self.reduce(tuple(float(x) for x in scalars))
+    one = 1.0
 
-    def reduce(self, vec: tuple) -> tuple:
-        scale = max(abs(x) for x in vec)
-        if scale == 0.0 or scale == 1.0:
-            return vec
-        return tuple(x / scale for x in vec)
-
-    def array(self, vectors):
-        import numpy as np
-
-        return np.array(vectors, dtype=float)
+    def primitive(self, stack):
+        """Each vector of a stack over its largest absolute entry; a zero
+        vector stays as it is."""
+        scale = abs(stack).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        return stack / scale[:, None]
 
     def ranks(self, stack, k: int | None = None):
         """Rank of each matrix of a stack, at most k when k is given: the
@@ -461,7 +410,7 @@ class _FloatKernel(_Kernel):
         rank = np.linalg.matrix_rank(stack, rtol=RANK_RTOL)
         return rank if k is None else np.minimum(rank, k)
 
-    def classify(self, rays, row: tuple) -> tuple:
+    def classify(self, rays, row) -> tuple:
         """Products of ``row`` with a stack of rays, summed column by column
         as a Python ``sum`` of the entry products sums them, and their signs:
         zero within ``ZERO_EPS``."""
@@ -476,10 +425,7 @@ class _FloatKernel(_Kernel):
     def combine_rays(self, sp, rm, sm, rp):
         """sp * rm - sm * rp scaled to unit max-norm, one (sp, rm, sm, rp)
         per row of the stacks."""
-        out = sp[:, None] * rm - sm[:, None] * rp
-        scale = abs(out).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        return out / scale[:, None]
+        return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
 
     def to_scalar(self, raw: float) -> Scalar:
         return raw
@@ -498,8 +444,13 @@ def rank(rows, field: Field) -> int:
 
     ``perfbench/workloads.py`` draws its random instances with it.
     """
+    import numpy as np
+
+    values = list(chain.from_iterable(rows))
+    index = np.arange(len(values)).reshape(len(rows), -1)
     kernel = kernel_for(field)
-    picks, _, _ = kernel.first_cone(map(kernel.vec_from_scalars, rows), len(rows[0]))
+    stack = kernel.primitive(lift(values, index, field).stack())
+    picks, _, _ = kernel.first_cone(stack, index.shape[1])
     return len(picks)
 
 
@@ -531,12 +482,25 @@ class Lift:
     def __init__(self, scale: int, a, b, top: int, d: int = 0):
         self.scale, self.a, self.b, self.top, self.d = scale, a, b, top, d
 
-    def rows(self):
-        """Each vector as a kernel vector, one at a time: an integer tuple
-        over Q, a tuple of (a, b) pairs over Q(sqrt d), a float tuple."""
-        for i in range(len(self.a)):
-            a = self.a[i].tolist()
-            yield tuple(a) if self.b is None else tuple(zip(a, self.b[i].tolist()))
+    def stack(self, t=None, sign=None):
+        """The vectors in kernel layout, (a, b) on a last axis over
+        Q(sqrt d): each times ``sign`` (one per vector) when given, with a
+        leading entry t * scale (one t per vector, or one for all) when
+        ``t`` is given.  Python ints when the scale leaves int64."""
+        import numpy as np
+
+        stack = self.a if self.b is None else np.stack((self.a, self.b), axis=-1)
+        dtype = stack.dtype if self.scale < 2**63 else object
+        stack = stack.astype(dtype, copy=False)
+        if sign is not None:
+            shape = (-1,) + (1,) * (stack.ndim - 1)
+            stack = stack * np.asarray(sign, dtype=dtype).reshape(shape)
+        if t is None:
+            return stack
+        lead = np.zeros_like(stack[:, :1])
+        first = lead if self.b is None else lead[..., 0]
+        first[:, 0] = np.asarray(t, dtype=dtype) * self.scale
+        return np.concatenate((lead, stack), axis=1)
 
     def squared_norms(self) -> tuple:
         """Row sums (u, w) with scale^2 * |p|^2 = u + w*sqrt(d): a^2 + d b^2
@@ -549,22 +513,17 @@ class Lift:
         b = self.b.astype(dtype, copy=False)
         return (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
 
-    def rays(self, pairs: bool):
+    def rays(self, pairs: bool = False):
         """The primitive integer ray (t, x) of (1, p) for each vector p:
-        the row (scale, a) over its gcd, so that entries stay as small as
-        the vector's own denominators allow; as (a, b) pairs with
-        t = (scale, 0) when ``pairs``, also for a lift over Q."""
+        ``stack(t=1)`` over its gcd, so that entries stay as small as the
+        vector's own denominators allow; in (a, b) pairs over Q(sqrt d),
+        and for a lift over Q too when ``pairs``."""
         import numpy as np
 
-        dtype = self.a.dtype if self.scale < 2**63 else object
-        t = np.full((len(self.a), 1), self.scale, dtype=dtype)
-        a = np.hstack((t, self.a.astype(dtype, copy=False)))
-        if not pairs:
-            return _primitive(a)
-        b = np.zeros_like(a)
-        if self.b is not None:
-            b[:, 1:] = self.b
-        return _primitive(np.stack((a, b), axis=-1))
+        rays = self.stack(t=1)
+        if pairs and self.b is None:
+            rays = np.stack((rays, np.zeros_like(rays)), axis=-1)
+        return _primitive(rays)
 
     def polar_products(self, rays):
         """Products of the polar rows (scale, -p) with kernel rays (t, x),
@@ -659,23 +618,39 @@ def _ranks(values, order: list):
 
 
 def lift(values, index, field: Field) -> Lift:
-    """The vectors ``values[index[i]]`` as a :class:`Lift`.
+    """The vectors ``values[index[i]]`` as a :class:`Lift`: the one place
+    where scalars become kernel integers.
 
-    Each table value is converted once: the kernel vector of (1, values...)
-    has the common denominator as its first entry and the values'
-    numerators after it, and the matrices are that table indexed by
-    ``index``.
+    Each table value a + b sqrt(d) is converted once, to the numerators of
+    a and b over the least common denominator of every part, which is the
+    scale; the matrices are those numerators indexed by ``index``.  The
+    scale and the numerators have no common factor, since each prime power
+    of the scale is the whole denominator of some part.  A value outside
+    the field raises TypeError.
     """
     import numpy as np
 
     if not field.is_exact:
         return Lift(1, np.array(values, dtype=float)[index], None, 0)
-    table = kernel_for(field).vec_from_scalars((field.one, *values))
-    if field.kind == "rational":
-        scale, parts = table[0], [table[1:]]
-    else:
-        scale, parts = table[0][0], list(zip(*table[1:]))
+    parts = [[_rational_part(x, field) for x in values]]
+    if field.kind == "quadratic":
+        parts.append([x.b if isinstance(x, Quadratic) else 0 for x in values])
+    scale = lcm(*(x.denominator for x in chain.from_iterable(parts)))
+    parts = [[x.numerator * (scale // x.denominator) for x in p] for p in parts]
     top = max(map(abs, chain.from_iterable(parts)))
     dtype = np.int64 if top < 2**63 else object
     a, *b = (np.array(p, dtype=dtype)[index] for p in parts)
     return Lift(scale, a, b[0] if b else None, top, field.d or 0)
+
+
+def _rational_part(x, field: Field):
+    """The rational part a of a value a + b sqrt(d); TypeError when its
+    sqrt part is not of ``field``."""
+    if not isinstance(x, Quadratic):
+        return x if type(x) is Fraction else Fraction(x)
+    if x.b != 0:
+        if field.kind == "rational":
+            raise TypeError("quadratic value in a rational system")
+        if x.d != field.d:
+            raise TypeError(f"sqrt({x.d}) value in a sqrt({field.d}) system")
+    return x.a

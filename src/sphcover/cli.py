@@ -13,6 +13,7 @@ import sys
 
 from .configgen import ConfigurationError, config_to_float, load_configuration
 from .covering import (
+    ARCCOS_MAX_DPS,
     BoundVerificationError,
     SymmetryError,
     covering_radius,
@@ -125,12 +126,26 @@ def _configure_logging(timing: bool) -> None:
     root.setLevel(logging.INFO if timing else logging.WARNING)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(text: str, path: str | None) -> int:
+    """Write ``text`` to ``path`` or stdout; the exit code."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
+def _check_digits(digits: int, parser) -> None:
+    """Refuse a ``--digits`` that ``arccos_decimal`` cannot render."""
+    if digits < 1:
+        parser.error("--digits must be positive")
+    if digits + 15 > ARCCOS_MAX_DPS:
+        parser.error(f"--digits must be at most {ARCCOS_MAX_DPS - 15}")
 
 
 def _render(reports, fmt: str, include_timing: bool) -> str:
@@ -151,8 +166,7 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"--dim must lie in 5..15, got {bad[0]}")
     if args.backend == "exact" and any(n >= 11 for n in dims):
         parser.error("--backend exact is unavailable for dimensions 11..15")
-    if args.digits < 1:
-        parser.error("--digits must be positive")
+    _check_digits(args.digits, parser)
     try:
         reports = verify_bounds(
             dims,
@@ -163,13 +177,11 @@ def _cmd_verify(args, parser) -> int:
     except BoundVerificationError as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return EXIT_MATH
-    _emit(_render(reports, args.format, args.timing), args.output)
-    return EXIT_OK
+    return _emit(_render(reports, args.format, args.timing), args.output)
 
 
 def _cmd_radius(args, parser) -> int:
-    if args.digits < 1:
-        parser.error("--digits must be positive")
+    _check_digits(args.digits, parser)
     try:
         config = load_configuration(args.config)
     except ConfigurationError as exc:
@@ -207,15 +219,15 @@ def _cmd_radius(args, parser) -> int:
         ]
         if args.timing:
             lines.append(f"wall time:         {report.wall_time:.3f}s")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_render([report], args.format, args.timing), args.output)
-    return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.output)
+    return _emit(_render([report], args.format, args.timing), args.output)
 
 
 def _cmd_oracle(args, parser) -> int:
     if args.samples < 0:
         parser.error("--samples must be non-negative")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     try:
         config = load_configuration(args.config)
     except ConfigurationError as exc:

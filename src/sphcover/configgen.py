@@ -391,7 +391,12 @@ def validate(config: Configuration) -> ValidationReport:
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
     kernel = _linalg.kernel_for(field)
-    picks, _, _ = kernel.first_cone(map(kernel.reduce, lift.rows()), config.dimension)
+    # rows are put in kernel form a block at a time, as first_cone reads
+    # them: it stops at its last pick
+    stack = lift.stack()
+    blocks = _linalg.row_blocks(len(stack), config.dimension)
+    rows = chain.from_iterable(kernel.primitive(stack[b]) for b in blocks)
+    picks, _, _ = kernel.first_cone(rows, config.dimension)
     if len(picks) < config.dimension:
         return ValidationReport(False, "points do not span the whole space")
     return ValidationReport(True)

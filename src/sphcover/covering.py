@@ -28,6 +28,7 @@ from math import factorial
 import mpmath
 
 from ._linalg import FLOAT_BLOCK_ENTRIES, kernel_for, row_blocks, row_keys
+from ._linalg import lift as lift_table
 from .configgen import (
     Configuration,
     ConfigurationError,
@@ -146,7 +147,8 @@ class CoveringReport:
 
 
 def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
-    """Correctly rounded decimal of arccos(sqrt(cos2))."""
+    """Correctly rounded decimal of arccos(sqrt(cos2)); ValueError when
+    ``digits`` leave no room under ``ARCCOS_MAX_DPS`` working digits."""
 
     def rounded_at(dps: int) -> int:
         with mpmath.workdps(dps):
@@ -165,6 +167,8 @@ def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
             return int(mpmath.nint(angle * mpmath.mpf(10) ** digits))
 
     dps = digits + 15
+    if dps > ARCCOS_MAX_DPS:
+        raise ValueError(f"{digits} digits exceed {ARCCOS_MAX_DPS} working digits")
     q = rounded_at(dps)
     while q != rounded_at(2 * dps):  # near a rounding boundary; sharpen
         dps *= 2
@@ -330,6 +334,8 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     exactly (within 1e-9 on the float backend).  The inner products are
     taken on the configuration's lift.
     """
+    import numpy as np
+
     field = config.field
     vec = report.attaining_vertex
     lift = config.lift
@@ -337,20 +343,18 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     # cos^2 of the hole angle is best^2 / (R^2 |x|^2); compare with cos^2 r
     if field.is_exact:
         kernel = kernel_for(field)
-        ray = kernel.vec_from_scalars((field.one,) + vec)
+        ray = lift_table(vec, np.arange(len(vec))[None], field).rays()
         # the polar products scale*t - p.x of the ray (t, x) of vec are
         # scale*t*(1 - p.vec), least where p.vec is largest
         slacks = set()
-        for a, b in lift.polar_products([ray]):
+        for a, b in lift.polar_products(ray):
             a = a[:, 0].tolist()
             slacks.update(a if b is None else zip(a, b[:, 0].tolist()))
         least = min(map(kernel.to_scalar, slacks))
-        best = field.one - least / (lift.scale * kernel.to_scalar(ray[0]))
+        best = field.one - least / (lift.scale * kernel.to_scalar(ray.tolist()[0][0]))
         if sign_of(best) <= 0:
             return False
         return best * best == config.norm_sq * norm * report.cos2_radius
-    import numpy as np
-
     best = float((lift.a @ np.array(vec, dtype=float)).max())
     if best <= 0:
         return False

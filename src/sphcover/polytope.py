@@ -192,19 +192,22 @@ def symmetry_cone(n: int, field: Field) -> tuple:
 # -- double description core -------------------------------------------------
 
 
-def _homogenized_rows(poly: HPolytope, kernel) -> list:
-    """Row 0 is t >= 0; polar <v,x> <= 1 becomes (1, -v); cone stays (0, c)."""
+def _homogenized_rows(poly: HPolytope, kernel):
+    """Row 0 is t >= 0; polar <v,x> <= 1 becomes (1, -v); cone stays (0, c).
+
+    The normals are lifted at once; ``primitive`` then gives each row the
+    kernel form it has alone.  Row 0 keeps sign +1, its float zeros 0.0."""
+    import numpy as np
+
     n = poly.dimension
-    zero, one = poly.field.zero, poly.field.one
-    rows = [kernel.vec_from_scalars((one,) + (zero,) * n)]
-    for hs in poly.halfspaces:
-        if len(hs.normal) != n:
-            raise ValueError("halfspace dimension mismatch")
-        if hs.kind == POLAR:
-            rows.append(kernel.vec_from_scalars((one,) + tuple(-x for x in hs.normal)))
-        else:
-            rows.append(kernel.vec_from_scalars((zero,) + tuple(hs.normal)))
-    return rows
+    if any(len(hs.normal) != n for hs in poly.halfspaces):
+        raise ValueError("halfspace dimension mismatch")
+    values = list(chain((poly.field.zero,) * n, *(hs.normal for hs in poly.halfspaces)))
+    index = np.arange(len(values)).reshape(len(poly.halfspaces) + 1, n)
+    polar = np.array([1] + [hs.kind == POLAR for hs in poly.halfspaces])
+    sign = np.append(1, 1 - 2 * polar[1:])
+    lifted = lift_table(values, index, poly.field)
+    return kernel.primitive(lifted.stack(t=polar, sign=sign))
 
 
 def enumerate_vertices(poly: HPolytope) -> VertexSet:
@@ -228,7 +231,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         # forces t = 0 and the rest of its first vector, primitive with its
         # first nonzero coordinate rational and positive, is orthogonal to
         # every constraint normal
-        direction = kernel.vector(lineality[0, 1:])
+        direction = lineality[0, 1:].tolist()
         raise Unbounded(tuple(map(kernel.to_scalar, direction)))
     # ray j is tight on every selected row but row j, positive on row j
     masks = np.zeros((dim, -(-len(rows) // 64)), dtype=np.uint64)
@@ -269,8 +272,8 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     _, _, t_signs = kernel.classify(rays, rows[0])
     if (t_signs == 0).any():
         # the first unbounded ray in (ray, mask) order
-        vec = min(kernel.vector(rays[i]) for i in np.flatnonzero(t_signs == 0))
-        raise Unbounded(tuple(kernel.to_scalar(x) for x in vec[1:]))
+        vec = min(rays[t_signs == 0].tolist())
+        raise Unbounded(tuple(map(kernel.to_scalar, vec[1:])))
 
     # the rays left are bounded, so none is tight on row 0 (t >= 0), and
     # halfspace i is row i + 1.  Python objects are made a block of rays at

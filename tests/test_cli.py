@@ -417,6 +417,39 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("halfspace dump error") and err.count("\n") == 1
 
+    def test_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "table1:5", "--samples", "10", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "sphcover: error: --seed must be non-negative"
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--dim", "5"], ["radius", "table1:5"]],
+        ids=["verify", "radius"],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--dim", "5"], ["radius", "table1:5"]],
+        ids=["verify", "radius"],
+    )
+    def test_too_many_digits(self, capsys, monkeypatch, argv):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before --digits was checked")
+
+        monkeypatch.setattr(cli, "covering_radius", engine)
+        monkeypatch.setattr(cli, "verify_bounds", engine)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--digits", "5000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "sphcover: error: --digits must be at most 4081"
+
     def test_whole_floats_are_integers(self, capsys, tmp_path):
         generator = {"type": "subset_signs", "support": 1, "value": "1"}
         want = run(capsys, "radius", _config(tmp_path, generator))

@@ -406,6 +406,9 @@ class TestRendering:
         assert arccos_decimal(F(1, 4)) == "1.04720"
         assert arccos_decimal(F(1, 2), 7) == "0.7853982"
         assert arccos_decimal(Fraction(1)) == "0.00000"
+        # the first working precision already exceeds the cap
+        with pytest.raises(ValueError, match="5000 digits exceed 4096 working digits"):
+            arccos_decimal(F(1, 2), 5000)
 
     def test_sharpening_is_capped(self, monkeypatch):
         # the angle is 1e-31 above the midpoint 0.888085: at the first

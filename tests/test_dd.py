@@ -194,13 +194,13 @@ def test_batched_rank_and_basis_match_gaussian_elimination(d, data):
     # the first cone picks a row where the rank of the rows so far grows
     rows = [tuple(r) for r in matrices[0]]
     width = len(rows[0])
-    picks, rays, lineality = kernel.first_cone(iter(rows), width)
+    picks, rays, lineality = kernel.first_cone(iter(np.array(rows)), width)
     assert picks == [i for i, x in enumerate(reference_independent(rows, d)) if x]
-    rays = list(map(kernel.vector, rays))
+    rays = rays.tolist()
     for j, ray in enumerate(rays):
         signs = [reference_sign(rows[i], ray, d) for i in picks]
         assert signs == [int(i == j) for i in range(len(picks))]
-    lineality = list(map(kernel.vector, lineality))
+    lineality = lineality.tolist()
     assert len(lineality) == width - len(picks)
     assert all(reference_independent(lineality, d))
     assert all(reference_sign(r, v, d) == 0 for r in rows for v in lineality)
@@ -222,7 +222,8 @@ def test_first_cone_reads_a_zero_row_after_large_entries():
     # the first row leaves the lineality (-1, 2^70); the zero row's products
     # are all zero, and the stack must still not be cast to int64
     kernel = _linalg.kernel_for(RATIONAL)
-    picks, _, lineality = kernel.first_cone([(2**70, 1), (0, 0), (1, 0)], 2)
+    rows = np.array([(2**70, 1), (0, 0), (1, 0)], dtype=object)
+    picks, _, lineality = kernel.first_cone(rows, 2)
     assert picks == [0, 2] and not len(lineality)
 
 

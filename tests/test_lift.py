@@ -5,14 +5,15 @@ configuration's scalars, on the int64 path and on the Python-int path.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphcover import _linalg
+from sphcover import _linalg, polytope
 from sphcover.configgen import (
     Configuration,
     SubsetSigns,
@@ -21,8 +22,16 @@ from sphcover.configgen import (
     validate,
 )
 from sphcover.covering import _certify_vertices, covering_radius, deep_hole_check
-from sphcover.polytope import VertexSet, enumerate_vertices, polar_hrep
-from sphcover.scalar import Quadratic, dot, quadratic_field, sign_of
+from sphcover.polytope import (
+    CONE,
+    POLAR,
+    Halfspace,
+    HPolytope,
+    VertexSet,
+    enumerate_vertices,
+    polar_hrep,
+)
+from sphcover.scalar import FLOAT, RATIONAL, Quadratic, dot, quadratic_field, sign_of
 
 F = Fraction
 Q2 = quadratic_field(2)
@@ -168,3 +177,135 @@ def test_python_ints_agree_with_int64(n, monkeypatch):
     vertex = report.attaining_vertex
     with pytest.raises(RuntimeError, match="infeasible vertex"):
         _certify_vertices(VertexSet((vertex, push(vertex)), ((), ())), config)
+
+
+# -- homogenized rows against a per-row reference ------------------------------
+
+
+def reference_rows(poly):
+    """Each homogenized row (1, 0) for t >= 0, (1, -v) for a polar row and
+    (0, c) for a cone row, put in kernel form alone: over Q by the lcm of
+    its denominators and the gcd of its numerators, over Q(sqrt d) the same
+    on its (a, b) parts, on floats over its largest absolute entry."""
+    zero, one = poly.field.zero, poly.field.one
+    rows = [(one,) + (zero,) * poly.dimension]
+    for hs in poly.halfspaces:
+        if hs.kind == POLAR:
+            rows.append((one,) + tuple(-x for x in hs.normal))
+        else:
+            rows.append((zero,) + hs.normal)
+    if poly.field is FLOAT:
+        out = []
+        for row in rows:
+            scale = max(map(abs, row))
+            out.append(row if scale in (0.0, 1.0) else tuple(x / scale for x in row))
+        return out
+    pairs = poly.field.kind == "quadratic"
+    out = []
+    for row in rows:
+        parts = [
+            (x.a, x.b) if isinstance(x, Quadratic) else (F(x), F(0)) for x in row
+        ]
+        den = math.lcm(*(p.denominator for part in parts for p in part))
+        ints = [
+            tuple(p.numerator * (den // p.denominator) for p in part) for part in parts
+        ]
+        g = math.gcd(*(i for part in ints for i in part))
+        ints = [tuple(i // g for i in part) for part in ints]
+        out.append(tuple(ints) if pairs else tuple(a for a, _ in ints))
+    return out
+
+
+numerators = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+denominators = st.integers(1, 4) | st.integers(1, 2**70)
+rationals = st.builds(F, numerators, denominators)
+
+
+def field_values(field):
+    """Values of ``field``: Fractions and b = 0 Quadratics over Q, and also
+    Quadratics with a sqrt(d) part over Q(sqrt d), entries and common
+    denominators past 2^63 among them; floats with both signed zeros."""
+    if field is FLOAT:
+        return st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    d = 2 if field is RATIONAL else field.d
+    values = rationals | st.builds(Quadratic, rationals, st.just(0), st.just(d))
+    if field is RATIONAL:
+        return values
+    return values | st.builds(Quadratic, rationals, rationals, st.just(d))
+
+
+@st.composite
+def systems(draw):
+    field = draw(st.sampled_from([RATIONAL, Q2, quadratic_field(5), FLOAT]))
+    n = draw(st.integers(1, 4))
+    normals = st.tuples(*[field_values(field)] * n).filter(
+        lambda v: any(sign_of(x) != 0 for x in v)
+    )
+    kinds = st.sampled_from([POLAR, CONE])
+    halfspaces = draw(st.lists(st.builds(Halfspace, normals, kinds), max_size=6))
+    return HPolytope(n, tuple(halfspaces), field)
+
+
+def _as_tuples(rows):
+    return [tuple(tuple(x) if isinstance(x, list) else x for x in r) for r in rows]
+
+
+BIG = 2**64 + 1
+MIXED = (F(1, 3), Quadratic(F(-2, 5), 0, 2), F(0))
+SIGNED_ZEROS = (Halfspace((3.0, -0.0), CONE), Halfspace((-0.0, 2.0), POLAR))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+@example(HPolytope(3, (Halfspace(MIXED, POLAR), Halfspace(MIXED, CONE)), RATIONAL))
+@example(HPolytope(3, (Halfspace(MIXED, POLAR), Halfspace(MIXED, CONE)), Q2))
+@example(HPolytope(2, (Halfspace((F(1, BIG), F(1)), POLAR),), RATIONAL))
+@example(HPolytope(2, (Halfspace((F(BIG), Quadratic(1, F(1, 3), 2)), CONE),), Q2))
+@example(HPolytope(2, SIGNED_ZEROS, FLOAT))
+def test_homogenized_rows_match_per_row_reference(poly):
+    rows = polytope._homogenized_rows(poly, _linalg.kernel_for(poly.field))
+    assert repr(_as_tuples(rows.tolist())) == repr(reference_rows(poly))
+
+
+def test_homogenized_rows_take_python_ints_past_int64():
+    # a common denominator past 2^63, and an entry past 2^63
+    for normal in ((F(1, BIG), F(1)), (F(BIG), F(1))):
+        poly = HPolytope(2, (Halfspace(normal, POLAR),), RATIONAL)
+        rows = polytope._homogenized_rows(poly, _linalg.kernel_for(RATIONAL))
+        assert rows.dtype == object
+        assert repr(_as_tuples(rows.tolist())) == repr(reference_rows(poly))
+
+
+@pytest.mark.parametrize(
+    "field, stack, want",
+    [
+        (RATIONAL, [[0, 0, 0], [2, -4, 6]], [[0, 0, 0], [1, -2, 3]]),
+        (
+            Q2,
+            [[[0, 0], [0, 0]], [[2, 4], [0, -6]]],
+            [[[0, 0], [0, 0]], [[1, 2], [0, -3]]],
+        ),
+        (FLOAT, [[0.0, -0.0], [2.0, -4.0]], [[0.0, -0.0], [0.5, -1.0]]),
+    ],
+    ids=["Q", "Q(sqrt2)", "float"],
+)
+def test_primitive_leaves_zero_vectors(field, stack, want):
+    kernel = _linalg.kernel_for(field)
+    dtypes = [float] if field is FLOAT else [np.int64, object]
+    for dtype in dtypes:
+        got = kernel.primitive(np.array(stack, dtype=dtype)).tolist()
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (RATIONAL, Quadratic(1, 1, 2), "quadratic value in a rational system"),
+        (Q2, Quadratic(1, 1, 3), r"sqrt\(3\) value in a sqrt\(2\) system"),
+    ],
+    ids=["Q", "Q(sqrt2)"],
+)
+def test_values_outside_the_field_are_refused(field, value, message):
+    poly = HPolytope(2, (Halfspace((value, field.one), POLAR),), field)
+    with pytest.raises(TypeError, match=message):
+        enumerate_vertices(poly)

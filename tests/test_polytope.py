@@ -126,6 +126,20 @@ class TestUnbounded:
         P = HPolytope(2, P.halfspaces[:3], RATIONAL)
         with pytest.raises(Unbounded):
             enumerate_vertices(P)
+        # the normals +-s e1 and s e2 leave one ray with t = 0 after every
+        # insertion; its direction is read from the kernel's ray
+        cases = [
+            (RATIONAL, F(1), "(0, -1)"),
+            (quadratic_field(2), Quadratic(1, 1, 2), "(0, 1-1*sqrt(2))"),
+            (FLOAT, 1.0, "(-0.0, -1.0)"),
+        ]
+        for field, s, direction in cases:
+            zero = field.zero
+            normals = [(s, zero), (-s, zero), (zero, s)]
+            hs = tuple(Halfspace(v, POLAR) for v in normals)
+            with pytest.raises(Unbounded) as err:
+                enumerate_vertices(HPolytope(2, hs, field))
+            assert str(err.value) == f"polyhedron is unbounded along {direction}"
 
     @pytest.mark.parametrize(
         "field, s",
