@@ -6,12 +6,10 @@ a + b*sqrt(d) over Q(sqrt(d)), int64 when a bound shows every intermediate
 fits and Python ints in ``dtype=object`` otherwise, and float64 arrays on
 the float field.  ``primitive`` puts each vector of a stack in its kernel
 form: over the gcd of its entries on exact fields (content 1), scaled to
-unit max-norm on floats.  The vertex enumerator classifies, rank-tests and
-combines whole stacks at once (``classify``, ``ranks``, ``combine_rays``).
-Exact ranks come from one fraction-free (Bareiss) elimination over a stack
-of matrices, over Q(sqrt(d)) on the rational regular representation, whose
-rank is twice the Q(sqrt(d)) rank; float ranks count the singular values
-above ``RANK_RTOL`` times the largest.  Independent rows, first rays and
+unit max-norm on floats.  The vertex enumerator classifies and combines
+whole stacks at once (``classify``, ``combine_rays``); it decides which
+rays are adjacent from their tight masks alone, with no arithmetic, so no
+kernel answers rank questions for it.  Independent rows, first rays and
 null vectors come from ``first_cone``: the double description's own
 insertion, run from the unit vectors with those same ``classify`` and
 ``combine_rays`` steps.
@@ -39,8 +37,6 @@ from math import lcm, prod
 from .scalar import Field, Quadratic, Scalar
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
-# float rank: singular values above this times the largest count
-RANK_RTOL = 1e-9
 # product entries per block of rows, about 512 KiB either way: an exact
 # lifted product keeps some 16 int64 temporaries per entry, the float
 # certify one float64
@@ -49,8 +45,8 @@ FLOAT_BLOCK_ENTRIES = 65536
 
 
 class _Kernel:
-    """Rank and basis questions: the DD's rank tests through ``ranks``;
-    independent rows, first rays and null spaces through ``first_cone``."""
+    """Basis questions: independent rows, first rays and null spaces,
+    all through ``first_cone``."""
 
     def first_cone(self, rows, width: int) -> tuple:
         """The first picks of a double description: the indices of the
@@ -135,13 +131,6 @@ class _Kernel:
 
         return np.multiply.outer(np.eye(width, dtype=np.int64), self.one)
 
-    def rank_rows(self, rows):
-        """A stack of rows and a zero row after them as one array, from
-        which ``ranks``' stacks are gathered; the zero row pads them."""
-        import numpy as np
-
-        return np.concatenate((rows, np.zeros_like(rows[:1])))
-
 
 def _primitive(stack):
     """Each vector of a stack divided by the gcd of its entries; a zero
@@ -154,18 +143,9 @@ def _primitive(stack):
 
 
 class _ExactKernel(_Kernel):
-    """Kernels with integer entries, eliminated without division.
+    """Kernels with integer entries, each vector kept primitive."""
 
-    ``regular`` maps a stack of matrices to rational ones whose rank is
-    ``factor`` times theirs."""
-
-    factor = 1
     primitive = staticmethod(_primitive)
-
-    def ranks(self, stack, k: int | None = None):
-        """Rank of each matrix of a stack, at most k when k is given."""
-        f = self.factor
-        return _bareiss_ranks(self.regular(stack), None if k is None else f * k) // f
 
     def quotient_slots(self, rays, shared: dict):
         """The slot of x / t for each coordinate x of each ray (t, x) of a
@@ -181,64 +161,10 @@ class _ExactKernel(_Kernel):
             dtype=np.intp,
         )
 
-    def rank_rows(self, rows):
-        """As ``_Kernel.rank_rows``, int64 when the first elimination step
-        on its regular form stays in int64 (``ranks`` checks every later
-        step)."""
-        matrix = super().rank_rows(rows)
-        top = _top(self.regular(matrix[None]))
-        return matrix.astype(_int_dtype(2 * top * top))
-
 
 def _top(stack) -> int:
     """The largest absolute entry of an integer array."""
     return int(max(stack.max(), -stack.min()))
-
-
-def _bareiss_ranks(stack, k: int | None):
-    """Ranks of a stack of integer matrices (count, rows, columns), at most
-    k, by one fraction-free elimination run on all of them at once.
-
-    Column by column, each matrix below k takes its first row with a
-    nonzero entry there as pivot row, takes that row out (it is zeroed) and
-    replaces every row r by (pivot * r - r[col] * pivot_row) / previous
-    pivot.  The division is exact, because every entry stays a minor of the
-    matrix; zero rows, such as padding, stay zero.  An int64 stack moves to
-    Python ints before a step whose products could leave int64: both
-    products are at most the square of its largest entry.
-    """
-    import numpy as np
-
-    stack = stack.copy()
-    count, _, width = stack.shape
-    rank = np.zeros(count, dtype=np.intp)
-    previous = np.ones(count, dtype=stack.dtype)
-    live = np.arange(count)
-    for col in range(width):
-        if k is not None:
-            live = live[rank[live] < k]
-        if not live.size:
-            break
-        if stack.dtype != object:
-            top = _top(stack)
-            if _int_dtype(2 * top * top) is object:
-                stack, previous = stack.astype(object), previous.astype(object)
-        nonzero = stack[live, :, col] != 0
-        has = nonzero.any(axis=1)
-        items = live[has]
-        if not items.size:
-            continue
-        pick = nonzero[has].argmax(axis=1)
-        pivot_rows = stack[items, pick, col:]
-        stack[items, pick] = 0
-        rest = stack[items, :, col + 1:]
-        rest *= pivot_rows[:, :1, None]
-        rest -= stack[items, :, col, None] * pivot_rows[:, None, 1:]
-        rest //= previous[items, None, None]
-        stack[items, :, col + 1:] = rest
-        previous[items] = pivot_rows[:, 0]
-        rank[items] += 1
-    return rank
 
 
 class _RationalKernel(_ExactKernel):
@@ -272,9 +198,6 @@ class _RationalKernel(_ExactKernel):
         row of the stacks."""
         return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
 
-    def regular(self, stack):
-        return stack
-
     def _pairs(self, rays):
         """The raw (x, t) pairs of the coordinates of each ray (t, x)."""
         for t, *x in rays.tolist():
@@ -291,7 +214,6 @@ class _QuadraticKernel(_ExactKernel):
     """Vectors as integer arrays with a last axis of (a, b) pairs meaning
     a + b*sqrt(d)."""
 
-    factor = 2
     one = (1, 0)
 
     def __init__(self, d: int):
@@ -341,18 +263,6 @@ class _QuadraticKernel(_ExactKernel):
         b = pa * xb + pb * xa - ma * yb - mb * ya
         return self.primitive(np.stack((a, b), axis=-1))
 
-    def regular(self, stack):
-        """Each matrix A + sqrt(d) B of a stack of (a, b) matrices as the
-        rational matrix [[A, B], [d B, A]]: its rows span the rows r and
-        sqrt(d) r over Q, so its rank is twice that of A + sqrt(d) B."""
-        import numpy as np
-
-        a, b = stack[..., 0], stack[..., 1]
-        return np.concatenate(
-            (np.concatenate((a, b), axis=2), np.concatenate((self.d * b, a), axis=2)),
-            axis=1,
-        )
-
     def _pairs(self, rays):
         """The raw parts (a, b, ta, tb) of the coordinates a + b sqrt(d) of
         each ray (ta + tb sqrt(d), x)."""
@@ -400,15 +310,6 @@ class _FloatKernel(_Kernel):
         scale = abs(stack).max(axis=1)
         scale[scale == 0.0] = 1.0
         return stack / scale[:, None]
-
-    def ranks(self, stack, k: int | None = None):
-        """Rank of each matrix of a stack, at most k when k is given: the
-        number of its singular values above ``RANK_RTOL`` times its largest.
-        Zero (padding) rows add only zero singular values."""
-        import numpy as np
-
-        rank = np.linalg.matrix_rank(stack, rtol=RANK_RTOL)
-        return rank if k is None else np.minimum(rank, k)
 
     def classify(self, rays, row) -> tuple:
         """Products of ``row`` with a stack of rays, summed column by column

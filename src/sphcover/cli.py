@@ -8,7 +8,9 @@ disagreement, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 
 from .configgen import ConfigurationError, config_to_float, load_configuration
@@ -140,6 +142,21 @@ def _emit(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
+def _unwritable(path: str | None) -> bool:
+    """Report an ``--output`` that names a directory or lies in a missing
+    one, before the run and creating nothing; ``_emit`` reports the rest."""
+    if not path:
+        return False
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.isdir(os.path.dirname(path) or "."):
+        return False
+    else:
+        code = errno.ENOENT
+    print(f"error: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+    return True
+
+
 def _check_digits(digits: int, parser) -> None:
     """Refuse a ``--digits`` that ``arccos_decimal`` cannot render."""
     if digits < 1:
@@ -167,6 +184,8 @@ def _cmd_verify(args, parser) -> int:
     if args.backend == "exact" and any(n >= 11 for n in dims):
         parser.error("--backend exact is unavailable for dimensions 11..15")
     _check_digits(args.digits, parser)
+    if _unwritable(args.output):
+        return EXIT_USAGE
     try:
         reports = verify_bounds(
             dims,
@@ -182,6 +201,8 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_radius(args, parser) -> int:
     _check_digits(args.digits, parser)
+    if _unwritable(args.output):
+        return EXIT_USAGE
     try:
         config = load_configuration(args.config)
     except ConfigurationError as exc:

@@ -5,21 +5,21 @@ homogenization cone in E^(n+1): build a simplicial subcone by inserting
 constraint rows into the whole space (``first_cone``: each row that some
 lineality vector is not tight on takes one as its ray), insert the
 remaining halfspaces one at a time, and combine adjacent ray pairs that
-straddle each new hyperplane.  Adjacency is certified algebraically by the
-rank of the common tight set, so the heavily degenerate polytopes produced
-by symmetric configurations need no perturbation.  Exact backends run on
-integer (or integer-quadratic) ray coordinates; the float backend uses
-fixed absolute tolerances on rows and rays scaled to unit max-norm.
+straddle each new hyperplane.  Two rays are adjacent iff no third ray is
+tight on every row they share (Fukuda & Prodon 1996), so the heavily
+degenerate polytopes produced by symmetric configurations need no
+perturbation.  Exact backends run on integer (or integer-quadratic) ray
+coordinates; the float backend uses fixed absolute tolerances on rows and
+rays scaled to unit max-norm.
 
 Each insertion runs on whole arrays.  The rays are one matrix (int64 while
 a bound shows every product fits, Python ints otherwise; an (a, b) axis
 over Q(sqrt d); float64) and their tight sets are bit masks packed into
 uint64 words.  One product classifies every ray.  Pairs whose masks share
 fewer than n-1 rows are dropped by popcounts of word ANDs, a block of plus
-rays at a time.  The common tight rows of the remaining pairs go through
-one batched fraction-free (Bareiss) rank elimination per chunk, over
-Q(sqrt d) on the rational regular representation, and the adjacent pairs
-are combined in one array step with a row gcd.
+rays at a time; the rest are tested for containment on the masks alone,
+one code path for every field, and the adjacent pairs are combined in one
+array step with a row gcd.
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and each coordinate x / t becomes a
@@ -55,7 +55,7 @@ from functools import cached_property
 from itertools import chain, starmap
 from pathlib import Path
 
-from ._linalg import RANK_RTOL, Lift, kernel_for, value_table
+from ._linalg import Lift, kernel_for, value_table
 from ._linalg import lift as lift_table
 from .configgen import Configuration
 from .scalar import (
@@ -86,9 +86,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
-# plus x minus mask pairs per block of the adjacency pre-filter
+# float refinement rank: singular values above this times the largest count
+RANK_RTOL = 1e-9
+# mask pairs per block of the adjacency pre-filter (plus x minus) and of the
+# containment test (pair x ray)
 PAIR_BLOCK = 1 << 16
-# matrix entries per chunk of the batched rank test
+# matrix entries per chunk of the float refinement's stacked SVDs
 RANK_ENTRIES = 1 << 13
 # rays per block of the output stage's tight sets
 OUTPUT_RAYS = 1 << 10
@@ -241,7 +244,6 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
                 masks[j, i >> 6] |= np.uint64(1 << (i & 63))
 
     need = dim - 2
-    tight_rows = kernel.rank_rows(rows)
     remaining = [i for i in range(len(rows)) if i not in selected]
     for step, idx in enumerate(remaining):
         rays, products, signs = kernel.classify(rays, rows[idx])
@@ -254,7 +256,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         fresh_rays, fresh_masks = [], []
         pairs = _candidate_pairs(masks[plus], masks[minus], need, len(rows))
         for p, m, common in pairs:
-            adjacent = _adjacent(kernel, tight_rows, common, need)
+            adjacent = _adjacent(masks, common)
             p, m = plus[p[adjacent]], minus[m[adjacent]]
             fresh_rays.append(
                 kernel.combine_rays(products[p], rays[m], products[m], rays[p])
@@ -290,7 +292,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         if field.is_exact:
             out[block] = kernel.quotient_slots(rays[block], shared)
         else:
-            out[block] = _refine_float_rays(tight_rows, rays[block], index, counts)
+            out[block] = _refine_float_rays(rows, rays[block], index, counts)
         index = (index - 1).tolist()
         tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
     if field.is_exact:
@@ -344,21 +346,37 @@ def _candidate_pairs(plus, minus, need: int, rows: int):
             yield p + start, m, block[p] & minus[m]
 
 
-def _adjacent(kernel, tight_rows, common, need: int):
-    """Whether the rows of each packed mask have rank ``need``:
-    ``tight_rows`` ends in a zero row, which pads the shorter sets.  The
-    masks are taken in order of their popcount, a chunk of at most
-    ``RANK_ENTRIES`` matrix entries at a time."""
+def _adjacent(masks, common):
+    """Whether each packed ``common`` mask of a plus and a minus ray is
+    contained in exactly two of ``masks`` (those two rays): a mask contains
+    it only if it has its first row, so the pairs are grouped by that row
+    and tested against the masks that have it, in blocks of at most
+    ``PAIR_BLOCK`` pair x mask tests, a word at a time."""
     import numpy as np
 
-    index, counts = _tight_indices(common, len(tight_rows) - 1)
-    order = np.argsort(counts, kind="stable")
-    step = max(1, RANK_ENTRIES // max(1, index.shape[1] * tight_rows[0].size))
-    adjacent = np.empty(len(order), dtype=bool)
-    for start in range(0, len(order), step):
-        chunk = order[start:start + step]
-        stack = tight_rows[index[chunk, : counts[chunk[-1]]]]
-        adjacent[chunk] = kernel.ranks(stack, need) >= need
+    # the first row: the trailing zeros of the first nonzero word (the
+    # popcount of its lowest bit - 1), plus 64 per word before it
+    word = (common != 0).argmax(axis=1)
+    value = common[np.arange(len(common)), word]
+    lowest = value & (~value + np.uint64(1))
+    first = word * 64 + np.bitwise_count(lowest - np.uint64(1))
+    first[value == 0] = -1  # an empty mask (n = 1): every mask has it
+    order = np.argsort(first, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
+    adjacent = np.empty(len(common), dtype=bool)
+    for group in groups:
+        row = int(first[group[0]])
+        candidates = masks
+        if row >= 0:
+            candidates = masks[masks[:, row >> 6] & np.uint64(1 << (row & 63)) != 0]
+        step = max(1, PAIR_BLOCK // len(candidates))
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            sets = common[chunk]
+            inside = (candidates[:, 0] & sets[:, :1]) == sets[:, :1]
+            for j in range(1, sets.shape[1]):
+                inside &= (candidates[:, j] & sets[:, j, None]) == sets[:, j, None]
+            adjacent[chunk] = np.count_nonzero(inside, axis=1) == 2
     return adjacent
 
 
@@ -385,11 +403,12 @@ def _refine_float_rays(tight_rows, rays, index, counts):
     """Each float ray re-solved from its tight rows to remove drift.
 
     The null vector is the last right singular vector of the rays' tight
-    rows (``index`` and ``counts`` as ``_tight_indices`` gives them) over
-    its first entry.  It replaces the ray, scaled to unit max-norm, where
-    the rows have rank dim - 1 by the ``RANK_RTOL`` rule, that first entry
-    is at least 1e-12 in size and every coordinate is within 1e-5 of the
-    ray's over its own first entry; other rays are kept as they are.
+    rows (``index`` and ``counts`` as ``_tight_indices`` gives them, the
+    padding unread) over its first entry.  It replaces the ray, scaled to
+    unit max-norm, where the rows have rank dim - 1 by the ``RANK_RTOL``
+    rule, that first entry is at least 1e-12 in size and every coordinate
+    is within 1e-5 of the ray's over its own first entry; other rays are
+    kept as they are.
 
     The rays are taken by tight-set size, one stacked SVD of their tight
     rows per chunk of at most ``RANK_ENTRIES`` matrix entries; each matrix

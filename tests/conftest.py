@@ -35,8 +35,8 @@ def random_polar_instance(rng: random.Random) -> HPolytope:
 def dtypes(monkeypatch):
     """The dtypes ``_linalg._int_dtype`` chooses, in call order, outside
     ``first_cone``: the first cone starts from unit vectors, on which int64
-    is right whatever the rows, so only the insertions, rank tests and
-    lifted checks after it are recorded."""
+    is right whatever the rows, so only the insertions and lifted checks
+    after it are recorded."""
     chosen, original = [], _linalg._int_dtype
     first_cone, depth = _linalg._Kernel.first_cone, []
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -428,11 +429,21 @@ class TestBadInput:
         "argv", [["verify", "--dim", "5"], ["radius", "table1:5"]],
         ids=["verify", "radius"],
     )
-    def test_unwritable_output(self, capsys, tmp_path, argv):
-        path = tmp_path / "missing" / "x.txt"
-        code, out, err = run(capsys, *argv, "--output", str(path))
-        assert code == 2 and not out
-        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+    def test_unwritable_output(self, capsys, monkeypatch, tmp_path, argv):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before --output was checked")
+
+        monkeypatch.setattr(cli, "covering_radius", engine)
+        monkeypatch.setattr(cli, "verify_bounds", engine)
+        for path, reason in (
+            (tmp_path / "missing" / "x.txt", errno.ENOENT),
+            (tmp_path, errno.EISDIR),
+        ):
+            code, out, err = run(capsys, *argv, "--output", str(path))
+            assert code == 2 and not out
+            assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+        assert not (tmp_path / "missing").exists()
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv", [["verify", "--dim", "5"], ["radius", "table1:5"]],

@@ -1,5 +1,6 @@
-"""The double description engine against recorded outputs, and its batched
-ranks and first cone against Gaussian elimination.
+"""The double description engine against recorded outputs, its adjacency
+test against the rank of the common tight rows, and its first cone against
+Gaussian elimination.
 
 ``data/dd-golden.json`` holds, for each system below, the vertex count, the
 sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
@@ -9,6 +10,7 @@ sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
 import hashlib
 import json
 import logging
+import random
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -35,6 +37,8 @@ from sphcover.polytope import (
     symmetry_cone,
 )
 from sphcover.scalar import FLOAT, RATIONAL, Quadratic, quadratic_field, sign_of
+
+from conftest import integer_rank, random_polar_instance
 
 GOLDEN = Path(__file__).parent / "data" / "dd-golden.json"
 INSERTED = "inserted %d/%d halfspaces, %d rays"
@@ -92,43 +96,164 @@ def test_matches_golden(name, caplog):
 @pytest.mark.parametrize("entries", [1 << 6, 1 << 20], ids=["2^6", "2^20"])
 @pytest.mark.parametrize("name", dd_names())
 def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
-    """A chunk of one matrix or of every candidate of an insertion gives
-    the same vertices as the default chunk.  ``RANK_ENTRIES`` also chunks
-    the float rays' stacked SVDs, so a chunk of one matrix gives the same
-    float vertices too."""
+    """``RANK_ENTRIES`` chunks only the float rays' stacked SVDs: a chunk
+    of one matrix or of every ray of a block gives the same vertices as the
+    default chunk."""
     monkeypatch.setattr(polytope, "RANK_ENTRIES", entries)
     want = json.loads(GOLDEN.read_text())[name]
     assert dd_record(dd_system(name), caplog) == want
 
 
-# -- batched rank ---------------------------------------------------------------
+@pytest.mark.parametrize("block", [1, 1 << 20], ids=["1", "2^20"])
+@pytest.mark.parametrize("name", dd_names())
+def test_pair_block_invariant(name, block, caplog, monkeypatch):
+    """``PAIR_BLOCK`` sizes the blocks of the popcount pre-filter and of
+    the containment test: blocks of one pair, or of every pair of an
+    insertion, give the same vertices and ray counts as the default."""
+    monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+
+
+# -- adjacency ------------------------------------------------------------------
+
+
+def quadratic_polar_instance(rng: random.Random) -> HPolytope:
+    """Polar of a random origin-symmetric point set with coordinates
+    a + b sqrt(2), a and b in -1..1, sometimes intersected with the
+    fundamental cone; bounded, since the points span."""
+    field = quadratic_field(2)
+    n = rng.randint(2, 4)
+    count = rng.randint(n, 7)
+    points = set()
+    while len(points) < 2 * count or integer_rank(points) < n:
+        parts = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(n)]
+        v = tuple(Quadratic(a, b, 2) for a, b in parts)
+        if any(v):
+            points.add(v)
+            points.add(tuple(-x for x in v))
+    halfspaces = [Halfspace(p, POLAR) for p in sorted(points)]
+    if rng.random() < 0.5:
+        halfspaces = list(symmetry_cone(n, field)) + halfspaces
+    return HPolytope(n, tuple(halfspaces), field)
+
+
+def reference_rank(rows, d) -> int:
+    """Rank of kernel rows: by ``reference_independent`` on exact rows
+    (d is 0 over Q), by singular values on float rows."""
+    if rows.dtype == float:
+        return int(np.linalg.matrix_rank(rows, rtol=1e-9)) if len(rows) else 0
+    return sum(reference_independent(rows.tolist(), d or None))
+
+
+def adjacency_calls(poly: HPolytope, monkeypatch) -> list:
+    """(common masks, adjacent) of every ``_adjacent`` call while ``poly``
+    is enumerated."""
+    calls, adjacent = [], polytope._adjacent
+
+    def recording(masks, common):
+        got = adjacent(masks, common)
+        calls.append((common.copy(), got.copy()))
+        return got
+
+    monkeypatch.setattr(polytope, "_adjacent", recording)
+    enumerate_vertices(poly)
+    return calls
+
+
+def check_adjacency(poly: HPolytope, monkeypatch) -> int:
+    """Every candidate pair is accepted iff its common tight rows have rank
+    n - 1 = dim - 2; the number accepted."""
+    rows = polytope._homogenized_rows(poly, _linalg.kernel_for(poly.field))
+    need = poly.dimension - 1
+    ranks, accepted = {}, 0
+    for common, adjacent in adjacency_calls(poly, monkeypatch):
+        index, counts = polytope._tight_indices(common, len(rows))
+        for key, tight, count, got in zip(common, index, counts, adjacent.tolist()):
+            key = key.tobytes()
+            if key not in ranks:
+                ranks[key] = reference_rank(rows[tight[:count]], poly.field.d)
+            assert got == (ranks[key] == need)
+            accepted += got
+    return accepted
+
+
+@pytest.mark.parametrize("name", dd_names())
+def test_adjacency_matches_rank_of_golden_systems(name, monkeypatch):
+    assert check_adjacency(dd_system(name), monkeypatch)
+
+
+@pytest.mark.parametrize("quadratic", [False, True], ids=["Q", "d2"])
+@pytest.mark.parametrize("seed", range(12))
+def test_adjacency_matches_rank_of_random_instances(seed, quadratic, monkeypatch):
+    rng = random.Random(seed)
+    draw = quadratic_polar_instance if quadratic else random_polar_instance
+    check_adjacency(draw(rng), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["full-5", "cone-9-exact", "cone-13-float"])
+def test_adjacency_rejects_candidates(name, monkeypatch):
+    """Some candidate pairs share n - 1 rows of lower rank, so the checks
+    above see rejected pairs over Q, Q(sqrt 2) and floats."""
+    calls = adjacency_calls(dd_system(name), monkeypatch)
+    assert not all(adjacent.all() for _, adjacent in calls)
+
+
+def one_dimensional(field, s) -> HPolytope:
+    """s x <= 1, -s x <= 1, 2 s x <= 1, -3 s x <= 1: n = 1, so candidate
+    pairs may share no row."""
+    return HPolytope(
+        1, tuple(Halfspace((s * c,), POLAR) for c in (1, -1, 2, -3)), field
+    )
+
+
+@pytest.mark.parametrize(
+    "field, s, want",
+    [
+        (RATIONAL, Fraction(1), "((Fraction(-1, 3),), (Fraction(1, 2),))"),
+        (
+            quadratic_field(2),
+            Quadratic(1, 1, 2),
+            "((Quadratic(Fraction(1, 3), Fraction(-1, 3), d=2),), "
+            "(Quadratic(Fraction(-1, 2), Fraction(1, 2), d=2),))",
+        ),
+        (FLOAT, 1.0, "((-0.33333333333333337,), (0.5000000000000002,))"),
+    ],
+    ids=["Q", "d2", "float"],
+)
+def test_one_dimensional_system(field, s, want, monkeypatch):
+    """An empty common mask is tested against every ray: the interval is
+    [-1/(3s), 1/(2s)], cut from the first cone of rows 0 and 1."""
+    vertices = enumerate_vertices(one_dimensional(field, s))
+    assert repr(vertices.vertices) == want
+    assert vertices.tight_sets == ((3,), (2,))
+    check_adjacency(one_dimensional(field, s), monkeypatch)
+
+
+# -- first cone -----------------------------------------------------------------
 
 small = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def planted_stacks(draw, d):
-    """A stack of integer matrices in the kernel's form (pairs (a, b) for
-    a + b sqrt(d) when d is given): a few random rows, rows that are
-    Q(sqrt d)-combinations of them, and zero rows padding every matrix to
-    the same height."""
+def planted_rows(draw, d):
+    """Integer rows in the kernel's form (pairs (a, b) for a + b sqrt(d)
+    when d is given), in random order: a few random rows, rows that are
+    Q(sqrt d)-combinations of them, and zero rows."""
     width = draw(st.integers(min_value=1, max_value=6))
     height = draw(st.integers(min_value=1, max_value=8))
     entry = small if d is None else st.tuples(small, small)
-    matrices = []
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        rows = [
-            draw(st.lists(entry, min_size=width, max_size=width))
-            for _ in range(draw(st.integers(min_value=0, max_value=height)))
-        ]
-        for _ in range(height - len(rows)):
-            if rows and draw(st.booleans()):
-                u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-                rows.append(combination(draw(entry), u, draw(entry), v, d))
-            else:
-                rows.append([0 if d is None else (0, 0)] * width)
-        matrices.append(draw(st.permutations(rows)))
-    return matrices
+    rows = [
+        draw(st.lists(entry, min_size=width, max_size=width))
+        for _ in range(draw(st.integers(min_value=0, max_value=height)))
+    ]
+    for _ in range(height - len(rows)):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(combination(draw(entry), u, draw(entry), v, d))
+        else:
+            rows.append([0 if d is None else (0, 0)] * width)
+    return draw(st.permutations(rows))
 
 
 def combination(s, u, t, v, d):
@@ -171,28 +296,12 @@ def reference_sign(u, v, d) -> int:
 @pytest.mark.parametrize("d", [None, 2, 3, 5, 6], ids=["Q", "d2", "d3", "d5", "d6"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_batched_rank_and_basis_match_gaussian_elimination(d, data):
+def test_first_cone_basis_matches_gaussian_elimination(d, data):
+    """The first cone picks a row where the rank of the rows so far grows;
+    ray j is positive on pick j and tight on the others, and the lineality
+    left is independent and tight on every row."""
     kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
-    matrices = data.draw(planted_stacks(d))
-    want = [sum(reference_independent(m, d)) for m in matrices]
-    # times 2^20 + 1 the entries fit int64 but later elimination products
-    # do not; the rank is the same
-    scale = data.draw(st.sampled_from([1, 2**20 + 1]))
-    exact = np.array(matrices, dtype=object) * scale
-    # the float kernel ranks the same stacks as float64 values a + b sqrt(d)
-    floats = exact.astype(float)
-    if d is not None:
-        floats = floats[..., 0] + np.sqrt(d) * floats[..., 1]
-    for stack, ranks in (
-        (exact.astype(np.int64), kernel.ranks),
-        (exact, kernel.ranks),
-        (floats, _linalg.kernel_for(FLOAT).ranks),
-    ):
-        assert ranks(stack).tolist() == want
-        k = data.draw(st.integers(min_value=0, max_value=6))
-        assert ranks(stack, k).tolist() == [min(r, k) for r in want]
-    # the first cone picks a row where the rank of the rows so far grows
-    rows = [tuple(r) for r in matrices[0]]
+    rows = [tuple(r) for r in data.draw(planted_rows(d))]
     width = len(rows[0])
     picks, rays, lineality = kernel.first_cone(iter(np.array(rows)), width)
     assert picks == [i for i, x in enumerate(reference_independent(rows, d)) if x]
@@ -204,18 +313,6 @@ def test_batched_rank_and_basis_match_gaussian_elimination(d, data):
     assert len(lineality) == width - len(picks)
     assert all(reference_independent(lineality, d))
     assert all(reference_sign(r, v, d) == 0 for r in rows for v in lineality)
-
-
-@pytest.mark.parametrize(
-    "field, entry", [(RATIONAL, ()), (quadratic_field(2), (2,)), (FLOAT, ())],
-    ids=["Q", "d2", "float"],
-)
-def test_empty_tight_sets_have_rank_zero(field, entry):
-    kernel = _linalg.kernel_for(field)
-    dtype = float if field is FLOAT else object
-    stack = np.zeros((3, 0, 4) + entry, dtype=dtype)
-    assert kernel.ranks(stack).tolist() == [0, 0, 0]
-    assert kernel.ranks(stack, 2).tolist() == [0, 0, 0]
 
 
 def test_first_cone_reads_a_zero_row_after_large_entries():
@@ -234,7 +331,7 @@ def reference_refine(tight_rows, vec):
     """One float ray re-solved from its tight rows by its own SVD, as the
     enumerator did ray by ray before the stacked SVDs."""
     _, svals, vt = np.linalg.svd(tight_rows)
-    rank_est = int((svals > _linalg.RANK_RTOL * svals[0]).sum()) if len(svals) else 0
+    rank_est = int((svals > polytope.RANK_RTOL * svals[0]).sum()) if len(svals) else 0
     null = vt[-1]
     if rank_est != len(vec) - 1 or abs(null[0]) < 1e-12:
         return vec
@@ -359,8 +456,8 @@ def scaled(poly: HPolytope, s) -> HPolytope:
 )
 def test_scaled_system_matches_known_vertices(name, s, want, dtypes):
     """Entries near 2^20 keep the products of an insertion in int64 but not
-    always its combined rays; entries near 2^40 take the rank test and the
-    insertions of polar rows out of int64.
+    always its combined rays; entries near 2^40 take the insertions of
+    polar rows out of int64.
     The vertices of the unscaled system are pinned by the golden file."""
     known = enumerate_vertices(dd_system(name))
     poly = scaled(dd_system(name), s)
