@@ -6,26 +6,29 @@ a + b*sqrt(d) over Q(sqrt(d)), int64 when a bound shows every intermediate
 fits and Python ints in ``dtype=object`` otherwise, and float64 arrays on
 the float field.  ``primitive`` puts each vector of a stack in its kernel
 form: over the gcd of its entries on exact fields (content 1), scaled to
-unit max-norm on floats.  The vertex enumerator classifies and combines
-whole stacks at once (``classify``, ``combine_rays``); it decides which
-rays are adjacent from their tight masks alone, with no arithmetic, so no
-kernel answers rank questions for it.  Independent rows, first rays and
-null vectors come from ``first_cone``: the double description's own
-insertion, run from the unit vectors with those same ``classify`` and
-``combine_rays`` steps.
+unit max-norm on floats.  ``classify`` is each field's one matrix product,
+of a stack of vectors with one row or with a stack of rows; the vertex
+enumerator classifies and combines whole stacks at once with it and
+``combine_rays``, and decides which rays are adjacent from their tight
+masks alone, with no arithmetic, so no kernel answers rank questions for
+it.  Independent rows, first rays and null vectors come from
+``first_cone``: the double description's own insertion, run from the unit
+vectors with those same ``classify`` and ``combine_rays`` steps.
 
 A point set is a table of its distinct coordinate values in ascending
 order plus an integer matrix of positions into that table, one row per
 point; ``value_table`` builds it for every point set, from rule tables,
 scalar tuples and the vertex enumerator's quotients alike.
-A :class:`Lift` holds the set in the kernels' integer form under one common
-denominator: each table value is converted once and the matrices are the
-converted table indexed by the positions, so that the checks which read
-every point or vertex run as blocked integer matrix products.  ``lift`` is
-the one place where scalars become kernel integers: the double
-description's rows, ``validate``'s span check, the deep-hole check's ray
-and ``rank`` all read a lift's ``stack``.  numpy is imported only where a
-lift is built or read.
+A :class:`Lift` holds the set as one stack of vectors in its kernel's
+layout under one common denominator: each table value is converted once
+and the stack is the converted table indexed by the positions, so that the
+checks which read every point or vertex run as ``classify`` products.
+``lift`` is the one place where scalars become kernel integers, and this
+module the only one that reads the (a, b) layout: the double
+description's rows, ``validate``'s span check, the certificate's polar
+rows and ``rank`` read a lift's ``stack``; the kernels' ``squared_norms``,
+``raw``, ``argmax`` and ``to_scalar`` turn products and norms back into
+field values.  numpy is imported only where a lift is built or read.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max
 # certify one float64
 BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
+# arrays up to this many entries are bounded in Python (``_top``): below
+# about 50 int64 entries the loop is faster than numpy's two reductions
+SMALL_ENTRIES = 48
 
 
 class _Kernel:
@@ -97,10 +103,12 @@ class _Kernel:
             if len(picks) == width:
                 break
         rays = stack[:len(picks)]
-        products = [
-            self.classify(ray[None], row)[1][0] for ray, row in zip(rays, pick_rows)
-        ]
-        return picks, self.orient(rays, products), stack[len(picks):]
+        if picks:
+            # ray j's product with pick j: the diagonal of one classify
+            _, products, _ = self.classify(rays, np.array(pick_rows))
+            diagonal = np.arange(len(picks))
+            rays = self.orient(rays, products[diagonal, diagonal])
+        return picks, rays, stack[len(picks):]
 
     def leading(self, stack):
         """The first nonzero entry of each vector of a nonempty stack, zero
@@ -124,6 +132,16 @@ class _Kernel:
         flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
         return np.where(flip, 0 - stack, stack)
 
+    def raw(self, values) -> list:
+        """Field values in kernel layout, one per row as ``classify`` and
+        ``squared_norms`` give them, as hashable inputs of ``to_scalar``."""
+        return values.tolist()
+
+    def argmax(self, values) -> int:
+        """The index of the first largest of a stack of field values in
+        kernel layout."""
+        return int(values.argmax())
+
     def units(self, width: int):
         """The ``width`` unit vectors in kernel layout, one per row: the
         identity times the kernel's ``one``."""
@@ -132,20 +150,18 @@ class _Kernel:
         return np.multiply.outer(np.eye(width, dtype=np.int64), self.one)
 
 
-def _primitive(stack):
-    """Each vector of a stack divided by the gcd of its entries; a zero
-    vector stays as it is."""
-    import numpy as np
-
-    g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
-    g[g == 0] = 1
-    return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
-
-
 class _ExactKernel(_Kernel):
     """Kernels with integer entries, each vector kept primitive."""
 
-    primitive = staticmethod(_primitive)
+    @staticmethod
+    def primitive(stack):
+        """Each vector of a stack divided by the gcd of its entries; a zero
+        vector stays as it is."""
+        import numpy as np
+
+        g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
+        g[g == 0] = 1
+        return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
     def quotient_slots(self, rays, shared: dict):
         """The slot of x / t for each coordinate x of each ray (t, x) of a
@@ -163,7 +179,10 @@ class _ExactKernel(_Kernel):
 
 
 def _top(stack) -> int:
-    """The largest absolute entry of an integer array."""
+    """The largest absolute entry of an integer array, 0 when it is empty;
+    in Python up to ``SMALL_ENTRIES`` entries, by numpy beyond."""
+    if stack.size <= SMALL_ENTRIES:
+        return max(map(abs, stack.ravel().tolist()), default=0)
     return int(max(stack.max(), -stack.min()))
 
 
@@ -172,26 +191,28 @@ class _RationalKernel(_ExactKernel):
 
     one = 1
 
-    def signs(self, a, b):
-        """Elementwise sign of an integer array (``b`` is None over Q)."""
-        import numpy as np
-
-        return np.sign(a)
-
-    def classify(self, rays, row) -> tuple:
-        """Products of ``row`` with a stack of rays and their signs, and the
-        rays in the dtype in which ``combine_rays`` on them cannot overflow:
-        a product is at most S = width * max|row| * max|ray|, a combined
-        entry at most 2 * S * max|ray|.  max|row| counts as at least 1, so
-        that the rays themselves fit also against a zero row."""
+    def classify(self, rays, rows) -> tuple:
+        """The exact product: the products of a stack of rays with one row
+        (one per ray) or with a stack of rows (a row of them per ray, as
+        ``rays @ rows.T``) and their signs, and the rays in the dtype in
+        which ``combine_rays`` on them cannot overflow: a product is at most
+        S = width * max|row| * max|ray|, a combined entry at most
+        2 * S * max|ray|.  max|row| counts as at least 1, so that the rays
+        themselves fit also against a zero row."""
         import numpy as np
 
         top = _top(rays)
-        bound = len(row) * max(1, *map(abs, row.ravel().tolist())) * top
+        bound = rows.shape[-1] * max(1, _top(rows)) * top
         dtype = _int_dtype(2 * bound * top)
         rays = rays.astype(dtype, copy=False)
-        products = rays @ row.astype(dtype, copy=False)
+        products = rays @ rows.astype(dtype, copy=False).T
         return rays, products, np.sign(products)
+
+    def squared_norms(self, stack):
+        """|v|^2 of each vector of a stack, in a dtype in which
+        width * max|v|^2 fits."""
+        stack = stack.astype(_int_dtype(stack.shape[1] * _top(stack) ** 2), copy=False)
+        return (stack * stack).sum(axis=1)
 
     def combine_rays(self, sp, rm, sm, rp):
         """sp * rm - sm * rp in primitive form, one (sp, rm, sm, rp) per
@@ -233,22 +254,52 @@ class _QuadraticKernel(_ExactKernel):
             out[mixed] = sa[mixed] * np.sign(am * am - self.d * (bm * bm))
         return out
 
-    def classify(self, rays, row) -> tuple:
-        """As the rational ``classify``, on (a, b) parts: a product's parts
-        are at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
+    def classify(self, rays, rows) -> tuple:
+        """As the rational ``classify``, on (a, b) parts; a rational stack
+        of rays (no (a, b) axis) is read as (a, 0).  A product's parts are
+        at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
         squares them and a combined entry is at most 2 (1 + d) S max|ray|."""
         import numpy as np
 
         d = self.d
+        if rays.ndim == 2:
+            rays = np.stack((rays, np.zeros_like(rays)), axis=-1)
         top = _top(rays)
-        bound = len(row) * (1 + d) * max(1, *map(abs, row.ravel().tolist())) * top
+        bound = rows.shape[-2] * (1 + d) * max(1, _top(rows)) * top
         dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
         rays = rays.astype(dtype, copy=False)
-        w = row.astype(dtype, copy=False)
+        w = rows.astype(dtype, copy=False)
         ra, rb = rays[..., 0], rays[..., 1]
-        a = ra @ w[:, 0] + d * (rb @ w[:, 1])
-        b = ra @ w[:, 1] + rb @ w[:, 0]
-        return rays, np.stack((a, b), axis=-1), self.signs(a, b)
+        wa, wb = w[..., 0].T, w[..., 1].T
+        # three matrix products: ra wb + rb wa = (ra + rb)(wa + wb) - aa - bb,
+        # whose sums are at most 4 * width * max|row| * max|ray| < 2 S
+        aa, bb = ra @ wa, rb @ wb
+        a, b = aa + d * bb, (ra + rb) @ (wa + wb) - aa - bb
+        del aa, bb  # free before, and stack after, the temporaries of signs
+        signs = self.signs(a, b)
+        return rays, np.stack((a, b), axis=-1), signs
+
+    def squared_norms(self, stack):
+        """|v|^2 = (sum a^2 + d b^2, sum 2 a b) of each vector of a stack,
+        in a dtype in which width * (1 + d) * max|v|^2 fits."""
+        import numpy as np
+
+        d = self.d
+        bound = stack.shape[1] * (1 + d) * _top(stack) ** 2
+        stack = stack.astype(_int_dtype(bound), copy=False)
+        a, b = stack[..., 0], stack[..., 1]
+        u, w = (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
+        return np.stack((u, w), axis=-1)
+
+    def raw(self, values) -> list:
+        """A stack of (a, b) values as (a, b) tuples."""
+        return list(zip(values[..., 0].tolist(), values[..., 1].tolist()))
+
+    def argmax(self, values) -> int:
+        """The index of the first largest of a stack of (a, b) values, each
+        distinct value converted once by ``to_scalar``."""
+        raw = self.raw(values)
+        return raw.index(max(set(raw), key=self.to_scalar))
 
     def combine_rays(self, sp, rm, sm, rp):
         """As the rational ``combine_rays``, on stacks of (a, b) rays."""
@@ -311,15 +362,18 @@ class _FloatKernel(_Kernel):
         scale[scale == 0.0] = 1.0
         return stack / scale[:, None]
 
-    def classify(self, rays, row) -> tuple:
-        """Products of ``row`` with a stack of rays, summed column by column
-        as a Python ``sum`` of the entry products sums them, and their signs:
-        zero within ``ZERO_EPS``."""
+    def classify(self, rays, rows) -> tuple:
+        """Products of a stack of rays with one row or a stack of rows, as
+        the exact ``classify`` gives them, each summed column by column as a
+        Python ``sum`` of the entry products sums it, and their signs: zero
+        within ``ZERO_EPS``."""
         import numpy as np
 
-        products = np.zeros(len(rays))
-        for j, x in enumerate(row):
-            products += rays[:, j] * x
+        rows = np.asarray(rows)
+        columns = rays.T.reshape(rays.T.shape + (1,) * (rows.ndim - 1))
+        products = np.zeros((len(rays),) + rows.shape[:-1])
+        for j, column in enumerate(columns):
+            products += column * rows[..., j]
         signs = (products > ZERO_EPS).astype(int) - (products < -ZERO_EPS)
         return rays, products, signs
 
@@ -327,6 +381,14 @@ class _FloatKernel(_Kernel):
         """sp * rm - sm * rp scaled to unit max-norm, one (sp, rm, sm, rp)
         per row of the stacks."""
         return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
+
+    def squared_norms(self, stack):
+        """|v|^2 of each vector of a stack, its squares summed column by
+        column as ``dot`` sums them."""
+        norms = stack[:, 0] * stack[:, 0]
+        for j in range(1, stack.shape[1]):
+            norms = norms + stack[:, j] * stack[:, j]
+        return norms
 
     def to_scalar(self, raw: float) -> Scalar:
         return raw
@@ -349,9 +411,9 @@ def rank(rows, field: Field) -> int:
 
     values = list(chain.from_iterable(rows))
     index = np.arange(len(values)).reshape(len(rows), -1)
-    kernel = kernel_for(field)
-    stack = kernel.primitive(lift(values, index, field).stack())
-    picks, _, _ = kernel.first_cone(stack, index.shape[1])
+    lifted = lift(values, index, field)
+    kernel = lifted.kernel
+    picks, _, _ = kernel.first_cone(kernel.primitive(lifted.stack()), index.shape[1])
     return len(picks)
 
 
@@ -370,93 +432,46 @@ def row_blocks(rows: int, width: int, entries: int = BLOCK_ENTRIES):
 
 
 class Lift:
-    """Equal-length vectors p = (a + b*sqrt(d)) / scale, one row each.
-
-    On exact fields ``a`` and ``b`` are integer matrices (``b`` is None and
-    ``d`` is 0 over Q), int64 when their entries fit and Python ints
-    otherwise, and ``top`` bounds those entries.  On the float field ``a``
-    is the plain float64 matrix of the vectors and ``scale`` is 1.
+    """Equal-length vectors p = v / scale, one row each, the v in the
+    kernel layout of ``kernel``'s field: an integer matrix over Q, with a
+    last (a, b) axis meaning a + b*sqrt(d) over Q(sqrt d), int64 when the
+    entries fit and Python ints otherwise.  On the float field ``vectors``
+    is the float64 matrix of the vectors themselves and ``scale`` is 1.
     """
 
-    __slots__ = ("scale", "a", "b", "top", "d")
+    __slots__ = ("scale", "vectors", "kernel")
 
-    def __init__(self, scale: int, a, b, top: int, d: int = 0):
-        self.scale, self.a, self.b, self.top, self.d = scale, a, b, top, d
+    def __init__(self, scale: int, vectors, kernel: _Kernel):
+        self.scale, self.vectors, self.kernel = scale, vectors, kernel
 
     def stack(self, t=None, sign=None):
-        """The vectors in kernel layout, (a, b) on a last axis over
-        Q(sqrt d): each times ``sign`` (one per vector) when given, with a
-        leading entry t * scale (one t per vector, or one for all) when
-        ``t`` is given.  Python ints when the scale leaves int64."""
+        """The vectors v, each times ``sign`` (one per vector) when given,
+        with a leading entry t * scale (one t per vector, or one for all)
+        when ``t`` is given.  Python ints when the scale leaves int64."""
         import numpy as np
 
-        stack = self.a if self.b is None else np.stack((self.a, self.b), axis=-1)
-        dtype = stack.dtype if self.scale < 2**63 else object
-        stack = stack.astype(dtype, copy=False)
-        if sign is not None:
-            shape = (-1,) + (1,) * (stack.ndim - 1)
-            stack = stack * np.asarray(sign, dtype=dtype).reshape(shape)
-        if t is None:
-            return stack
-        lead = np.zeros_like(stack[:, :1])
-        first = lead if self.b is None else lead[..., 0]
-        first[:, 0] = np.asarray(t, dtype=dtype) * self.scale
-        return np.concatenate((lead, stack), axis=1)
+        vectors = self.vectors
+        dtype = vectors.dtype if self.scale < 2**63 else object
+        if t is None and sign is None:
+            return vectors.astype(dtype, copy=False)
+        lead = int(t is not None)
+        shape = (len(vectors), vectors.shape[1] + lead) + vectors.shape[2:]
+        stack = np.zeros(shape, dtype=dtype)
+        sign = np.asarray(1 if sign is None else sign, dtype=dtype)
+        sign = sign.reshape((-1,) + (1,) * (vectors.ndim - 1))
+        np.multiply(vectors, sign, out=stack[:, lead:])
+        if lead:
+            # the first entry of each vector; its a part over Q(sqrt d)
+            stack[(slice(None), 0) + (0,) * (stack.ndim - 2)] = (
+                np.asarray(t, dtype=dtype) * self.scale
+            )
+        return stack
 
-    def squared_norms(self) -> tuple:
-        """Row sums (u, w) with scale^2 * |p|^2 = u + w*sqrt(d): a^2 + d b^2
-        and 2 a b (w is None over Q)."""
-        d = self.d
-        dtype = _int_dtype(self.a.shape[1] * (1 + d) * self.top**2)
-        a = self.a.astype(dtype, copy=False)
-        if self.b is None:
-            return (a * a).sum(axis=1), None
-        b = self.b.astype(dtype, copy=False)
-        return (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
-
-    def rays(self, pairs: bool = False):
-        """The primitive integer ray (t, x) of (1, p) for each vector p:
-        ``stack(t=1)`` over its gcd, so that entries stay as small as the
-        vector's own denominators allow; in (a, b) pairs over Q(sqrt d),
-        and for a lift over Q too when ``pairs``."""
-        import numpy as np
-
-        rays = self.stack(t=1)
-        if pairs and self.b is None:
-            rays = np.stack((rays, np.zeros_like(rays)), axis=-1)
-        return _primitive(rays)
-
-    def polar_products(self, rays):
-        """Products of the polar rows (scale, -p) with kernel rays (t, x),
-        a block of rows at a time: (a, b) parts of shape (block, len(rays)),
-        b None over Q.
-
-        The dtype is chosen once, from a bound on every intermediate; over
-        Q(sqrt d) that includes the squares ``_QuadraticKernel.signs`` takes
-        of the products.
-        """
-        import numpy as np
-
-        d = self.d
-        r = np.array(rays)
-        bound = int(np.abs(r).max()) * (
-            self.scale + (1 + d) * self.a.shape[1] * self.top
-        )
-        dtype = _int_dtype(bound if self.b is None else (1 + d) * bound * bound)
-        r = r.astype(dtype, copy=False)
-        a = self.a.astype(dtype, copy=False)
-        blocks = row_blocks(len(a), len(rays))
-        if self.b is None:
-            t, x = self.scale * r[:, 0], r[:, 1:].T
-            for rows in blocks:
-                yield t - a[rows] @ x, None
-            return
-        b = self.b.astype(dtype, copy=False)
-        ta, tb = self.scale * r[:, 0, 0], self.scale * r[:, 0, 1]
-        xa, xb = r[:, 1:, 0].T, r[:, 1:, 1].T
-        for rows in blocks:
-            ar, br = a[rows], b[rows]
-            yield ta - ar @ xa - d * (br @ xb), tb - ar @ xb - br @ xa
+    def rays(self):
+        """The primitive kernel ray (t, x) of (1, p) for each vector p:
+        ``stack(t=1)`` in the kernel's primitive form, so that entries stay
+        as small as the vector's own denominators allow."""
+        return self.kernel.primitive(self.stack(t=1))
 
 
 def index_dtype(size: int):
@@ -531,8 +546,9 @@ def lift(values, index, field: Field) -> Lift:
     """
     import numpy as np
 
+    kernel = kernel_for(field)
     if not field.is_exact:
-        return Lift(1, np.array(values, dtype=float)[index], None, 0)
+        return Lift(1, np.array(values, dtype=float)[index], kernel)
     parts = [[_rational_part(x, field) for x in values]]
     if field.kind == "quadratic":
         parts.append([x.b if isinstance(x, Quadratic) else 0 for x in values])
@@ -540,8 +556,8 @@ def lift(values, index, field: Field) -> Lift:
     parts = [[x.numerator * (scale // x.denominator) for x in p] for p in parts]
     top = max(map(abs, chain.from_iterable(parts)))
     dtype = np.int64 if top < 2**63 else object
-    a, *b = (np.array(p, dtype=dtype)[index] for p in parts)
-    return Lift(scale, a, b[0] if b else None, top, field.d or 0)
+    table = np.array(parts, dtype=dtype).T.reshape((-1,) + np.shape(kernel.one))
+    return Lift(scale, table[index], kernel)
 
 
 def _rational_part(x, field: Field):

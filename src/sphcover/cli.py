@@ -209,8 +209,6 @@ def _cmd_radius(args, parser) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.backend == "float" and config.field.kind != "float":
-        if not config.rules:
-            parser.error("--backend float needs a rule-based configuration")
         config = config_to_float(config)
     if args.backend == "exact" and config.field.kind == "float":
         parser.error("the configuration is float-valued; no exact run possible")

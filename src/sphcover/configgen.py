@@ -372,25 +372,22 @@ def validate(config: Configuration) -> ValidationReport:
         np.sort(_linalg.row_keys(len(values) - 1 - index, len(values))), keys
     ):
         return ValidationReport(False, "not origin-symmetric")
-    field = config.field
     lift = config.lift
-    if field.is_exact:
-        # scale^2 |p|^2 = u + w sqrt(d) must be the integer pair of the norm
-        u, w = lift.squared_norms()
+    kernel = lift.kernel
+    norms = kernel.squared_norms(lift.vectors)
+    if config.field.is_exact:
+        # scale^2 |p|^2, each distinct value converted once, must be the norm
         target = config.norm_sq * lift.scale**2
-        ta, tb = (target.a, target.b) if isinstance(target, Quadratic) else (target, 0)
-        if (u != ta).any() or (w is not None and (w != tb).any()):
+        if any(kernel.to_scalar(x) != target for x in set(kernel.raw(norms))):
             return ValidationReport(False, "points do not share one norm")
         if sign_of(config.norm_sq) == 0:
             return ValidationReport(False, "points have zero norm")
     else:
         ref = float(config.norm_sq)
-        norms = (lift.a * lift.a).sum(axis=1)
         if (abs(norms - ref) > 1e-9 * max(1.0, abs(ref))).any():
             return ValidationReport(False, "points do not share one norm")
         if ref <= 0:
             return ValidationReport(False, "points have zero norm")
-    kernel = _linalg.kernel_for(field)
     # rows are put in kernel form a block at a time, as first_cone reads
     # them: it stops at its last pick
     stack = lift.stack()

@@ -27,7 +27,7 @@ from math import factorial
 
 import mpmath
 
-from ._linalg import FLOAT_BLOCK_ENTRIES, kernel_for, row_blocks, row_keys
+from ._linalg import FLOAT_BLOCK_ENTRIES, Lift, row_blocks, row_keys
 from ._linalg import lift as lift_table
 from .configgen import (
     Configuration,
@@ -148,7 +148,8 @@ class CoveringReport:
 
 def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
     """Correctly rounded decimal of arccos(sqrt(cos2)); ValueError when
-    ``digits`` leave no room under ``ARCCOS_MAX_DPS`` working digits."""
+    ``digits`` are negative or leave no room under ``ARCCOS_MAX_DPS``
+    working digits."""
 
     def rounded_at(dps: int) -> int:
         with mpmath.workdps(dps):
@@ -166,6 +167,8 @@ def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
             angle = mpmath.acos(mpmath.sqrt(val))
             return int(mpmath.nint(angle * mpmath.mpf(10) ** digits))
 
+    if digits < 0:
+        raise ValueError("digits must be non-negative")
     dps = digits + 15
     if dps > ARCCOS_MAX_DPS:
         raise ValueError(f"{digits} digits exceed {ARCCOS_MAX_DPS} working digits")
@@ -229,24 +232,24 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
 
     On exact backends the products of the configuration's lifted polar
     rows (scale, -p) with the rays of the vertices' lift (``VertexSet.lift``,
-    which ``max_squared_norm`` reads too) are checked nonnegative as blocked
-    integer matrix products.  The float backend bounds the inner products
-    by 1 + FLOAT_CHECK_EPS, also a block of points at a time.
+    which ``max_squared_norm`` reads too) are checked nonnegative by the
+    kernel's ``classify``, a block of rows at a time.  The float backend
+    bounds the inner products by 1 + FLOAT_CHECK_EPS, also a block of
+    points at a time.
     """
-    field = config.field
     lift = config.lift
-    if not field.is_exact:
-        vs = vertices.lift.a.T
+    if not config.field.is_exact:
+        points, vs = lift.vectors, vertices.lift.vectors.T
         feasible = all(
-            (lift.a[rows] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS
-            for rows in row_blocks(len(lift.a), vs.shape[1], FLOAT_BLOCK_ENTRIES)
+            (points[rows] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS
+            for rows in row_blocks(len(points), vs.shape[1], FLOAT_BLOCK_ENTRIES)
         )
     else:
-        kernel = kernel_for(field)
-        rays = vertices.lift.rays(pairs=lift.b is not None)
-        feasible = all(
-            (kernel.signs(a, b) >= 0).all() for a, b in lift.polar_products(rays)
-        )
+        # the polar rows (scale, -p), lifted a block at a time like the products
+        rays, kernel, points = vertices.lift.rays(), lift.kernel, lift.vectors
+        blocks = row_blocks(len(points), len(rays))
+        polar = (Lift(lift.scale, points[b], kernel).stack(1, -1) for b in blocks)
+        feasible = all((kernel.classify(rays, rows)[2] >= 0).all() for rows in polar)
     if not feasible:
         raise RuntimeError(
             "symmetry reduction produced an infeasible vertex; this is a bug"
@@ -268,6 +271,10 @@ def covering_radius(
     original polar constraints.  Without it the full polar is enumerated.
     """
     start = time.perf_counter()
+    n = config.dimension
+    field = config.field
+    # rendered first, so that digits it cannot render are refused at once
+    threshold_radius = arccos_decimal(_threshold_cos2(n, field), digits)
     report = validate(config)
     if not report.ok:
         raise ConfigurationError(f"invalid configuration: {report.failure}")
@@ -278,8 +285,6 @@ def covering_radius(
             "and negation; rerun without symmetry"
         )
 
-    n = config.dimension
-    field = config.field
     if use_symmetry and n >= 2:
         halfspaces = symmetry_cone(n, field) + tuple(
             Halfspace(p, POLAR) for p in representatives
@@ -314,7 +319,7 @@ def covering_radius(
         backend=field,
         cos2_radius=cos2,
         radius=arccos_decimal(cos2, digits),
-        threshold_radius=arccos_decimal(_threshold_cos2(n, field), digits),
+        threshold_radius=threshold_radius,
         passes=verdict.passes,
         inconclusive=verdict.inconclusive,
         margin_cos2=verdict.margin,
@@ -332,7 +337,8 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     The vertex direction is compared against every configuration point: the
     largest inner product must reproduce cos^2 of the covering radius
     exactly (within 1e-9 on the float backend).  The inner products are
-    taken on the configuration's lift.
+    taken on the configuration's lift, by the kernel's ``classify`` on
+    exact backends.
     """
     import numpy as np
 
@@ -342,20 +348,16 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     norm = dot(vec, vec)
     # cos^2 of the hole angle is best^2 / (R^2 |x|^2); compare with cos^2 r
     if field.is_exact:
-        kernel = kernel_for(field)
-        ray = lift_table(vec, np.arange(len(vec))[None], field).rays()
-        # the polar products scale*t - p.x of the ray (t, x) of vec are
-        # scale*t*(1 - p.vec), least where p.vec is largest
-        slacks = set()
-        for a, b in lift.polar_products(ray):
-            a = a[:, 0].tolist()
-            slacks.update(a if b is None else zip(a, b[:, 0].tolist()))
-        least = min(map(kernel.to_scalar, slacks))
-        best = field.one - least / (lift.scale * kernel.to_scalar(ray.tolist()[0][0]))
+        kernel = lift.kernel
+        # p.vec is the product of the lifted p and vec over both scales
+        hole = lift_table(vec, np.arange(len(vec))[None], field)
+        _, products, _ = kernel.classify(lift.vectors, hole.vectors[0])
+        largest = kernel.raw(products[kernel.argmax(products), None])[0]
+        best = kernel.to_scalar(largest) / (lift.scale * hole.scale)
         if sign_of(best) <= 0:
             return False
         return best * best == config.norm_sq * norm * report.cos2_radius
-    best = float((lift.a @ np.array(vec, dtype=float)).max())
+    best = float((lift.vectors @ np.array(vec, dtype=float)).max())
     if best <= 0:
         return False
     lhs = best * best / (float(config.norm_sq) * norm)

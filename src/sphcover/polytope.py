@@ -59,6 +59,7 @@ from ._linalg import Lift, kernel_for, value_table
 from ._linalg import lift as lift_table
 from .configgen import Configuration
 from .scalar import (
+    FLOAT,
     RATIONAL,
     Field,
     Quadratic,
@@ -153,7 +154,7 @@ class VertexSet:
         import numpy as np
 
         if isinstance(self.vertices[0][0], float):
-            return Lift(1, np.array(self.vertices, dtype=float), None, 0)
+            return Lift(1, np.array(self.vertices, dtype=float), kernel_for(FLOAT))
         table = self.table
         if table is None:
             coords = list(chain.from_iterable(self.vertices))
@@ -439,30 +440,15 @@ def _refine_float_rays(tight_rows, rays, index, counts):
 def max_squared_norm(vertices: VertexSet):
     """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex.
 
-    Exact vertices are compared on ``vertices.lift``: scale^2 |v|^2 is the
-    integer row sum u + w sqrt(d), so over Q the largest u wins, and over
-    Q(sqrt d) the largest of the distinct pairs (u, w), each decided once.
-    Float vertices are compared on the float matrix of their lift, by
-    squares summed column by column as ``dot`` sums them.
+    The vertices are compared on ``vertices.lift`` by its kernel's
+    ``squared_norms`` (scale^2 |v|^2 in kernel layout; float squares summed
+    column by column as ``dot`` sums them) and ``argmax``.
     """
     if not vertices.vertices:
         raise ValueError("empty vertex set")
     lift = vertices.lift
-    if isinstance(vertices.vertices[0][0], float):
-        a = lift.a
-        norms = a[:, 0] * a[:, 0]
-        for j in range(1, a.shape[1]):
-            norms = norms + a[:, j] * a[:, j]
-        first = int(norms.argmax())
-    else:
-        u, w = lift.squared_norms()
-        if w is None:
-            first = int(u.argmax())
-        else:
-            norms = list(zip(u.tolist(), w.tolist()))
-            top = max(set(norms), key=lambda uw: Quadratic(*uw, lift.d))
-            first = norms.index(top)
-    best = vertices.vertices[first]
+    kernel = lift.kernel
+    best = vertices.vertices[kernel.argmax(kernel.squared_norms(lift.vectors))]
     return dot(best, best), best
 
 

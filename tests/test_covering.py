@@ -409,6 +409,23 @@ class TestRendering:
         # the first working precision already exceeds the cap
         with pytest.raises(ValueError, match="5000 digits exceed 4096 working digits"):
             arccos_decimal(F(1, 2), 5000)
+        with pytest.raises(ValueError, match="digits must be non-negative"):
+            arccos_decimal(F(1, 2), -1)
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [(-1, "digits must be non-negative"), (4082, "exceed 4096 working digits")],
+        ids=["negative", "too-many"],
+    )
+    def test_bad_digits_refused_before_enumeration(self, monkeypatch, digits, message):
+        def never(poly):
+            raise AssertionError("vertices enumerated before digits were checked")
+
+        monkeypatch.setattr(covering, "enumerate_vertices", never)
+        with pytest.raises(ValueError, match=message):
+            covering_radius(builtin_configuration(5), digits=digits)
+        with pytest.raises(ValueError, match=message):
+            verify_bounds(dims=[5, 6], digits=digits)
 
     def test_sharpening_is_capped(self, monkeypatch):
         # the angle is 1e-31 above the midpoint 0.888085: at the first

@@ -67,6 +67,95 @@ def test_signs_match_quadratic_sign(d, pairs, units):
     assert big.tolist() == want
 
 
+def as_kernel_array(values):
+    """Integers as an int64 array when they fit, else as Python ints."""
+    fits = all(abs(x) < 2**63 for x in np.ravel(np.array(values, dtype=object)))
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+@st.composite
+def planted(draw, shape):
+    """An integer array of ``shape`` with entries of one drawn size 2^e, so
+    that the bound ``classify`` takes of a product falls on either side of
+    2^62."""
+    size = 2 ** draw(st.integers(min_value=0, max_value=62))
+    entry = st.integers(min_value=-size, max_value=size)
+    values = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=object).reshape(shape).tolist()
+
+
+def reference_products(rays, rows, d):
+    """ray . row for each ray and each row, on Fractions over Q (d None) and
+    on Quadratics over Q(sqrt d), where an entry without (a, b) parts is
+    read as (a, 0)."""
+
+    def scalar(x):
+        if d is None:
+            return F(x)
+        return Quadratic(*x, d) if isinstance(x, list) else Quadratic(x, 0, d)
+
+    return [
+        [sum((scalar(x) * scalar(y) for x, y in zip(ray, row)), F(0)) for row in rows]
+        for ray in rays
+    ]
+
+
+def check_classify(d, rays, rows, rational):
+    """The one exact product: a stack of rows against per-row calls and
+    against the products of Fractions and Quadratics; ``rational`` rays
+    over Q(sqrt d) have no (a, b) axis."""
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    want = reference_products(rays, rows, d)
+    ray_array, row_array = as_kernel_array(rays), as_kernel_array(rows)
+    got_rays, products, signs = kernel.classify(ray_array, row_array)
+    got = [[kernel.to_scalar(x) for x in kernel.raw(p)] for p in products]
+    assert got == want
+    assert signs.tolist() == [[sign_of(x) for x in row] for row in want]
+    read = [[[x, 0] for x in ray] for ray in rays] if rational and d else rays
+    assert got_rays.tolist() == read
+    for i, row in enumerate(row_array):
+        _, single, single_signs = kernel.classify(ray_array, row)
+        assert kernel.raw(single) == kernel.raw(products[:, i])
+        assert single_signs.tolist() == signs[:, i].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([None, 2, 5]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.data(),
+)
+def test_classify_matches_scalar_products(d, count, rows_count, width, rational, data):
+    parts = () if d is None else (2,)
+    rays = data.draw(planted((count, width) + (() if rational else parts)))
+    rows = data.draw(planted((rows_count, width) + parts))
+    check_classify(d, rays, rows, rational)
+
+
+# one row of width w against rays of entries 1 (or (1, 0)): the rows'
+# entries sit just under the size at which classify, were its width the
+# number of rows (1), would keep int64 where the products leave it; over
+# Q the product 5 (2^61 - 1), over Q(sqrt 2) the product 1 - 2.4e9 sqrt 2,
+# whose a^2 - 2 b^2 ``signs`` takes is below -2^63
+WIDE = [[1, -3 * 10**8]] + [[0, -3 * 10**8]] * 7
+
+
+@pytest.mark.parametrize(
+    "d, rays, rows, rational",
+    [
+        (None, [[1] * 5], [[2**61 - 1] * 5], False),
+        (2, [[[1, 0]] * 8], [WIDE], False),
+        (2, [[1] * 8], [WIDE], True),
+    ],
+    ids=["Q", "d2", "d2-rational-rays"],
+)
+def test_classify_width_bound(d, rays, rows, rational):
+    check_classify(d, rays, rows, rational)
+
+
 def test_lift_table_and_scale():
     h = Quadratic(0, F(1, 3), 2)  # sqrt(2)/3
     points = ((F(1, 2), h), (-h, F(0)), (F(-1, 2), -h), (h, F(0)))
@@ -76,9 +165,15 @@ def test_lift_table_and_scale():
     assert values == (F(-1, 2), -h, F(0), h, F(1, 2))
     assert index.tolist() == [[4, 3], [1, 2], [0, 1], [3, 2]]
     lift = _linalg.lift(values, index, Q2)
-    assert lift.scale == 6 and lift.top == 3
-    assert lift.a.tolist() == [[3, 0], [0, 0], [-3, 0], [0, 0]]
-    assert lift.b.tolist() == [[0, 2], [-2, 0], [0, -2], [2, 0]]
+    assert lift.scale == 6
+    # the numerators (a, b) of a + b sqrt(2) on the last axis, at most 3
+    assert lift.vectors.tolist() == [
+        [[3, 0], [0, 2]],
+        [[0, -2], [0, 0]],
+        [[-3, 0], [0, -2]],
+        [[0, 2], [0, 0]],
+    ]
+    assert lift.vectors.dtype == np.int64
     # by hand the table is the same, so position i negates to 4 - i
     config = Configuration(2, Q2, (), points, F(17, 36))
     assert config.table[0] == values and config.negation_closed
@@ -87,8 +182,8 @@ def test_lift_table_and_scale():
     negated = _linalg.row_keys(4 - index, 5).tolist()
     assert len(set(keys)) == 4
     assert negated == [keys[2], keys[3], keys[0], keys[1]]
-    assert config.lift.a.tolist() == lift.a.tolist()
-    assert config.lift.b.tolist() == lift.b.tolist()
+    assert config.lift.scale == 6
+    assert config.lift.vectors.tolist() == lift.vectors.tolist()
 
 
 # -- reference checks, on the configuration's own scalars ---------------------

@@ -470,7 +470,7 @@ def test_max_squared_norm_matches_max(quadratic, big, data):
     want = max(vset.vertices, key=lambda v: dot(v, v))
     norm, got = max_squared_norm(vset)
     assert got is want and norm == dot(want, want)
-    assert (vset.lift.a.dtype == object) == (big and any(map(any, vertices)))
+    assert (vset.lift.vectors.dtype == object) == (big and any(map(any, vertices)))
 
 
 @settings(max_examples=100, deadline=None)
