@@ -27,14 +27,17 @@ checks which read every point or vertex run as ``classify`` products.
 module the only one that reads the (a, b) layout: the double
 description's rows, ``validate``'s span check, the certificate's polar
 rows and ``rank`` read a lift's ``stack``; the kernels' ``squared_norms``,
-``raw``, ``argmax`` and ``to_scalar`` turn products and norms back into
-field values.  numpy is imported only where a lift is built or read.
+``argmax`` and ``to_scalar`` turn products and norms back into field
+values, and ``vertex_table`` the double description's rays into the value
+table of their coordinates.  Both key integer rows by ``distinct_rows``,
+so that only distinct values reach Python.  numpy is imported only where a
+lift is built or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, starmap
 from math import lcm, prod
 
 from .scalar import Field, Quadratic, Scalar
@@ -45,9 +48,6 @@ ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max
 # certify one float64
 BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
-# arrays up to this many entries are bounded in Python (``_top``): below
-# about 50 int64 entries the loop is faster than numpy's two reductions
-SMALL_ENTRIES = 48
 
 
 class _Kernel:
@@ -132,11 +132,6 @@ class _Kernel:
         flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
         return np.where(flip, 0 - stack, stack)
 
-    def raw(self, values) -> list:
-        """Field values in kernel layout, one per row as ``classify`` and
-        ``squared_norms`` give them, as hashable inputs of ``to_scalar``."""
-        return values.tolist()
-
     def argmax(self, values) -> int:
         """The index of the first largest of a stack of field values in
         kernel layout."""
@@ -163,27 +158,40 @@ class _ExactKernel(_Kernel):
         g[g == 0] = 1
         return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
-    def quotient_slots(self, rays, shared: dict):
-        """The slot of x / t for each coordinate x of each ray (t, x) of a
-        stack.  ``shared`` numbers the distinct raw pairs (x, t) met so far,
-        each to become one ``quotient``, so that vertices share their equal
-        coordinates; equal values met as different pairs, such as 1/2 and
-        2/4, get different slots."""
+    def vertex_table(self, rays) -> tuple:
+        """The coordinates x / t of each ray (t, x) of a stack as a value
+        table (``value_table``): the distinct values in order and a matrix
+        with each ray's coordinates as ranks in them.
+
+        The raw parts of a coordinate, (x, t) over Q and (a, b, ta, tb) over
+        Q(sqrt d), are one integer row, and a block of rays at a time only
+        the block's distinct rows (``distinct_rows``) reach Python, where one
+        dict numbers them across blocks and each becomes one ``quotient``.
+        Equal values met as different rows, such as 1/2 and 2/4, share one
+        rank."""
         import numpy as np
 
-        return np.array(
-            [[shared.setdefault(key, len(shared)) for key in keys]
-             for keys in self._pairs(rays)],
-            dtype=np.intp,
-        )
+        count, dim = rays.shape[:2]
+        n = dim - 1
+        numbers, slots = {}, np.empty((count, n), dtype=np.intp)
+        for block in row_blocks(count, n):
+            part = rays[block]
+            m = len(part)
+            x = part[:, 1:].reshape(m, n, -1)
+            t = np.broadcast_to(part[:, :1].reshape(m, 1, -1), x.shape)
+            raw = np.concatenate((x, t), axis=2).reshape(m * n, -1)
+            first, place = distinct_rows(raw)
+            keys = map(tuple, raw[first].tolist())
+            number = [numbers.setdefault(key, len(numbers)) for key in keys]
+            slots[block] = np.array(number, dtype=np.intp)[place].reshape(m, n)
+        return value_table(list(starmap(self.quotient, numbers)), slots)
 
 
 def _top(stack) -> int:
-    """The largest absolute entry of an integer array, 0 when it is empty;
-    in Python up to ``SMALL_ENTRIES`` entries, by numpy beyond."""
-    if stack.size <= SMALL_ENTRIES:
-        return max(map(abs, stack.ravel().tolist()), default=0)
-    return int(max(stack.max(), -stack.min()))
+    """The largest absolute entry of an integer array, 0 when it is empty."""
+    import numpy as np
+
+    return int(np.abs(stack).max(initial=0))
 
 
 class _RationalKernel(_ExactKernel):
@@ -218,11 +226,6 @@ class _RationalKernel(_ExactKernel):
         """sp * rm - sm * rp in primitive form, one (sp, rm, sm, rp) per
         row of the stacks."""
         return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
-
-    def _pairs(self, rays):
-        """The raw (x, t) pairs of the coordinates of each ray (t, x)."""
-        for t, *x in rays.tolist():
-            yield zip(x, repeat(t))
 
     def quotient(self, x: int, t: int) -> Fraction:
         return Fraction(x, t)
@@ -291,15 +294,12 @@ class _QuadraticKernel(_ExactKernel):
         u, w = (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
         return np.stack((u, w), axis=-1)
 
-    def raw(self, values) -> list:
-        """A stack of (a, b) values as (a, b) tuples."""
-        return list(zip(values[..., 0].tolist(), values[..., 1].tolist()))
-
     def argmax(self, values) -> int:
         """The index of the first largest of a stack of (a, b) values, each
-        distinct value converted once by ``to_scalar``."""
-        raw = self.raw(values)
-        return raw.index(max(set(raw), key=self.to_scalar))
+        distinct value (``distinct_rows``) converted once by ``to_scalar``."""
+        first, _ = distinct_rows(values)
+        scalars = list(map(self.to_scalar, values[first].tolist()))
+        return int(first[max(range(len(scalars)), key=scalars.__getitem__)])
 
     def combine_rays(self, sp, rm, sm, rp):
         """As the rational ``combine_rays``, on stacks of (a, b) rays."""
@@ -313,13 +313,6 @@ class _QuadraticKernel(_ExactKernel):
         a = pa * xa + d * (pb * xb) - ma * ya - d * (mb * yb)
         b = pa * xb + pb * xa - ma * yb - mb * ya
         return self.primitive(np.stack((a, b), axis=-1))
-
-    def _pairs(self, rays):
-        """The raw parts (a, b, ta, tb) of the coordinates a + b sqrt(d) of
-        each ray (ta + tb sqrt(d), x)."""
-        parts = zip(rays[..., 0].tolist(), rays[..., 1].tolist())
-        for (ta, *xa), (tb, *xb) in parts:
-            yield zip(xa, xb, repeat(ta), repeat(tb))
 
     def quotient(self, a: int, b: int, ta: int, tb: int) -> Scalar:
         """(a + b sqrt(d)) / (ta + tb sqrt(d)) as x * conj(t) over the
@@ -483,16 +476,30 @@ def index_dtype(size: int):
 
 
 def row_keys(index, base: int):
-    """One integer per row of a position matrix, its entries read as the
-    digits of a number in ``base``, the first column most significant: the
-    keys are equal exactly when the rows are, and sort as the rows do.
-    int64 when every key fits, Python ints otherwise."""
+    """One integer per row of an integer matrix, its entries read as the
+    digits of a number in ``base``, the first column most significant: when
+    the entries lie in [0, base) (positions), or are balanced digits in
+    (-base / 2, base / 2), the keys are equal exactly when the rows are, and
+    sort as the rows do.  int64 when every key fits, Python ints otherwise."""
     import numpy as np
 
     width = index.shape[1]
     dtype = np.int64 if base**width <= 2**63 else object
     weights = np.array([base ** (width - 1 - j) for j in range(width)], dtype=dtype)
     return index.astype(dtype) @ weights
+
+
+def distinct_rows(stack) -> tuple:
+    """The index of the first row of each distinct row of an integer matrix
+    (int64 or Python ints), the distinct rows in ascending order, and each
+    row's place among them: one ``np.unique`` of the rows' ``row_keys``,
+    the entries, at most top in size, read as balanced digits in base
+    2 top + 1."""
+    import numpy as np
+
+    keys = row_keys(stack, 2 * _top(stack) + 1)
+    _, first, place = np.unique(keys, return_index=True, return_inverse=True)
+    return first, place
 
 
 def value_table(values, index, key=None) -> tuple:

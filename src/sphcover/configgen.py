@@ -9,6 +9,7 @@ point systems (root systems, scaled sign vectors) are usually written down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -374,16 +375,20 @@ def validate(config: Configuration) -> ValidationReport:
         return ValidationReport(False, "not origin-symmetric")
     lift = config.lift
     kernel = lift.kernel
-    norms = kernel.squared_norms(lift.vectors)
     if config.field.is_exact:
-        # scale^2 |p|^2, each distinct value converted once, must be the norm
-        target = config.norm_sq * lift.scale**2
-        if any(kernel.to_scalar(x) != target for x in set(kernel.raw(norms))):
+        # every scale^2 |p|^2 equals the first (the kernel layout of a value
+        # is unique), and the first, converted once, is the norm
+        norms = kernel.squared_norms(lift.vectors)
+        first = kernel.to_scalar(norms[:1].tolist()[0])
+        if (norms != norms[:1]).any() or first != config.norm_sq * lift.scale**2:
             return ValidationReport(False, "points do not share one norm")
         if sign_of(config.norm_sq) == 0:
             return ValidationReport(False, "points have zero norm")
     else:
         ref = float(config.norm_sq)
+        if not math.isfinite(ref):
+            return ValidationReport(False, "the squared norm of the points overflows")
+        norms = kernel.squared_norms(lift.vectors)
         if (abs(norms - ref) > 1e-9 * max(1.0, abs(ref))).any():
             return ValidationReport(False, "points do not share one norm")
         if ref <= 0:

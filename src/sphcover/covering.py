@@ -181,10 +181,7 @@ def arccos_decimal(cos2: Scalar, digits: int = 5) -> str:
                 f"within {ARCCOS_MAX_DPS} working digits"
             )
         q = rounded_at(dps)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    ip, fp = divmod(q, 10**digits)
-    return f"{sign}{ip}.{fp:0{digits}d}" if digits else f"{sign}{q}"
+    return to_decimal(Fraction(q, 10**digits), digits)
 
 
 def _orbit_representatives(config: Configuration) -> list | None:
@@ -352,8 +349,9 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
         # p.vec is the product of the lifted p and vec over both scales
         hole = lift_table(vec, np.arange(len(vec))[None], field)
         _, products, _ = kernel.classify(lift.vectors, hole.vectors[0])
-        largest = kernel.raw(products[kernel.argmax(products), None])[0]
-        best = kernel.to_scalar(largest) / (lift.scale * hole.scale)
+        i = kernel.argmax(products)
+        best = kernel.to_scalar(products[i:i + 1].tolist()[0])
+        best /= lift.scale * hole.scale
         if sign_of(best) <= 0:
             return False
         return best * best == config.norm_sq * norm * report.cos2_radius

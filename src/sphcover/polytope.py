@@ -22,8 +22,9 @@ one code path for every field, and the adjacent pairs are combined in one
 array step with a row gcd.
 
 The exact output stage stays on integers, a block of rays at a time: the
-tight sets come from the packed masks, and each coordinate x / t becomes a
-slot in a table of the distinct raw pairs (x, t), one quotient each.
+tight sets come from the packed masks, and the kernel's ``vertex_table``
+keys the raw parts of each coordinate x / t as integer rows
+(``_linalg.distinct_rows``) and makes one quotient per distinct raw tuple.
 ``_linalg.value_table`` ranks the quotients by value (put in order by
 their floats, the order confirmed by one exact comparison per neighbouring
 pair) and the vertices are ordered by ``np.lexsort`` on the matrix of
@@ -52,7 +53,7 @@ import dataclasses
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain
 from pathlib import Path
 
 from ._linalg import Lift, kernel_for, value_table
@@ -282,23 +283,19 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     # halfspace i is row i + 1.  Python objects are made a block of rays at
     # a time, so that their temporaries stay small next to the output; the
     # float rays are refined a block at a time too.
-    tights, shared = [], {}
+    tights = []
     if field.is_exact:
-        out = np.empty((len(rays), n), dtype=np.intp)  # coordinate slots
+        values, rank = kernel.vertex_table(rays)
     else:
         out = np.empty(rays.shape)  # refined rays
     for start in range(0, len(rays), OUTPUT_RAYS):
         block = slice(start, start + OUTPUT_RAYS)
         index, counts = _tight_indices(masks[block], len(rows))
-        if field.is_exact:
-            out[block] = kernel.quotient_slots(rays[block], shared)
-        else:
+        if not field.is_exact:
             out[block] = _refine_float_rays(rows, rays[block], index, counts)
         index = (index - 1).tolist()
         tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
     if field.is_exact:
-        values, rank = value_table(list(starmap(kernel.quotient, shared)), out)
-        del out  # the ranks replace the slots; free them before the vertices
         # lexsort's last key is its first
         order = np.lexsort(rank.T[::-1])
         rank = rank[order]

@@ -40,17 +40,6 @@ class FieldMismatchError(TypeError):
     """Two scalars from incompatible fields met in one operation."""
 
 
-def _is_square_free(d: int) -> bool:
-    if d < 1:
-        return False
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        p += 1
-    return True
-
-
 def square_free_decomposition(m: int) -> tuple[int, int]:
     """Write a positive integer as s**2 * t with t square-free."""
     if m < 1:
@@ -65,14 +54,6 @@ def square_free_decomposition(m: int) -> tuple[int, int]:
     return s, t
 
 
-def _fraction_sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 @total_ordering
 class Quadratic:
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -85,7 +66,7 @@ class Quadratic:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int):
-        if d < 2 or not _is_square_free(d):
+        if d < 2 or square_free_decomposition(d)[0] != 1:
             raise ValueError(f"d must be a square-free integer >= 2, got {d}")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
@@ -178,13 +159,15 @@ class Quadratic:
     # -- comparisons ------------------------------------------------------
 
     def sign(self) -> int:
-        sa, sb = _fraction_sign(self.a), _fraction_sign(self.b)
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sb == 0:
             return sa
         if sa == 0 or sa == sb:
             return sb if sa == 0 else sa
         # opposite signs: sign(a + b sqrt(d)) = sign(a) * sign(a^2 - b^2 d)
-        return sa * _fraction_sign(self.a * self.a - self.b * self.b * self.d)
+        norm = a * a - b * b * self.d
+        return sa * ((norm > 0) - (norm < 0))
 
     def __eq__(self, other):
         if isinstance(other, Quadratic):
@@ -261,7 +244,7 @@ class Field:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "quadratic":
             d = self.d
-            if type(d) is not int or d < 2 or not _is_square_free(d):
+            if type(d) is not int or d < 2 or square_free_decomposition(d)[0] != 1:
                 raise ValueError(
                     f"quadratic field needs a square-free d >= 2, got {d!r}"
                 )
@@ -281,7 +264,10 @@ class Field:
         return 1.0 if self.kind == "float" else Fraction(1)
 
     def coerce(self, value) -> Scalar:
-        """Bring a value into this field, rejecting lossy conversions."""
+        """Bring a value into this field, rejecting lossy conversions and
+        booleans."""
+        if isinstance(value, bool):
+            raise TypeError(f"refusing to coerce the boolean {value!r} into a field")
         if isinstance(value, str):
             return parse_scalar(value, self)
         if self.kind == "float":

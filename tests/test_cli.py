@@ -384,6 +384,27 @@ class TestBadInput:
         assert code == 2 and not out
         assert "non-finite" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["rational", "float"])
+    def test_boolean_values(self, capsys, tmp_path, kind):
+        # JSON true is not the scalar 1
+        generator = {"type": "subset_values", "support": 1, "a": True, "b": False}
+        path = _config(tmp_path, generator, field={"kind": kind})
+        code, out, err = run(capsys, "radius", path)
+        assert code == 2 and not out
+        assert err == (
+            "configuration error: generators[0]: "
+            "refusing to coerce the boolean True into a field\n"
+        )
+
+    def test_overflowing_float_norm(self, capsys, tmp_path):
+        # the squared norm of (1e308, 0, 0) is inf; no overflow warning is left
+        generator = {"type": "pattern", "entries": [["1e308", 1], [0, 2]]}
+        path = _config(tmp_path, generator, dimension=3, field={"kind": "float"})
+        code, out, err = run(capsys, "radius", path)
+        assert code == 2 and not out
+        assert err.startswith("configuration error") and "overflows" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "header, row",
         [

@@ -108,14 +108,16 @@ def check_classify(d, rays, rows, rational):
     want = reference_products(rays, rows, d)
     ray_array, row_array = as_kernel_array(rays), as_kernel_array(rows)
     got_rays, products, signs = kernel.classify(ray_array, row_array)
-    got = [[kernel.to_scalar(x) for x in kernel.raw(p)] for p in products]
+    got = [[kernel.to_scalar(x) for x in p] for p in products.tolist()]
     assert got == want
     assert signs.tolist() == [[sign_of(x) for x in row] for row in want]
     read = [[[x, 0] for x in ray] for ray in rays] if rational and d else rays
     assert got_rays.tolist() == read
     for i, row in enumerate(row_array):
         _, single, single_signs = kernel.classify(ray_array, row)
-        assert kernel.raw(single) == kernel.raw(products[:, i])
+        assert list(map(kernel.to_scalar, single.tolist())) == list(
+            map(kernel.to_scalar, products[:, i].tolist())
+        )
         assert single_signs.tolist() == signs[:, i].tolist()
 
 
@@ -154,6 +156,34 @@ WIDE = [[1, -3 * 10**8]] + [[0, -3 * 10**8]] * 7
 )
 def test_classify_width_bound(d, rays, rows, rational):
     check_classify(d, rays, rows, rational)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Integer rows of one width drawn from a pool of a few, with entries
+    of one drawn size 2^e, negative too: small ones half the time, so that
+    rows collide in a base too small for negative digits, and past 2^31
+    (Python-int keys) or 2^63 (Python-int rows) otherwise."""
+    size = 2 ** draw(st.one_of(st.integers(0, 2), st.integers(3, 70)))
+    width = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(-size, size), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+@example([[0, 1], [1, -1], [0, 1]])
+@example([[2**70, -(2**70)], [-(2**70), 2**70], [2**70, -(2**70)]])
+def test_distinct_rows_match_dict(rows):
+    """First rows and places against a dict of the rows' tuples."""
+    firsts = {}
+    for i, r in enumerate(rows):
+        firsts.setdefault(tuple(r), i)
+    distinct = sorted(firsts)
+    first, place = _linalg.distinct_rows(as_kernel_array(rows))
+    assert first.tolist() == [firsts[r] for r in distinct]
+    assert place.tolist() == [distinct.index(tuple(r)) for r in rows]
 
 
 def test_lift_table_and_scale():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphcover import _linalg
 from sphcover._linalg import kernel_for, value_table
 from sphcover.configgen import (
     SubsetSigns,
@@ -387,17 +389,54 @@ def test_quotient_order_matches_sorted(d, data):
         np.array(rays, dtype=np.int64),
         np.array(rays, dtype=object) * BIG,
     ):
-        shared = {}
-        slots = kernel.quotient_slots(array, shared)
-        quotients = [kernel.quotient(*key) for key in shared]
-        got = [tuple(quotients[j] for j in row) for row in slots.tolist()]
+        table, rank = kernel.vertex_table(array)
+        got = [tuple(table[j] for j in row) for row in rank.tolist()]
         assert got == values
-        table, rank = value_table(quotients, slots)
         # lexsort's last key is its first
         order = np.lexsort(rank.T[::-1]).tolist()
         assert order == sorted(range(len(rays)), key=values.__getitem__)
         rows = [tuple(table[j] for j in row) for row in rank[order].tolist()]
         assert rows == sorted(values)
+
+
+@pytest.mark.parametrize("d", [None, 2, 5], ids=["Q", "d2", "d5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), entries=st.integers(min_value=1, max_value=8))
+def test_vertex_table_quotients_each_raw_tuple_once(d, data, entries):
+    """With a few rays per block the table is still that of all rays: the
+    distinct values in order, and one ``quotient`` per distinct raw tuple
+    across blocks, so that 1/2 and 2/4 are two calls and one value."""
+    kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
+    rays = data.draw(exact_rays(d))
+    values = [tuple(quotient_value(x, r[0], d) for x in r[1:]) for r in rays]
+    raw = {(x, r[0]) if d is None else (*x, *r[0]) for r in rays for x in r[1:]}
+    blocks, quotient = _linalg.row_blocks, kernel.quotient
+    for scale, dtype in ((1, np.int64), (BIG, object)):
+        array = np.array(rays, dtype=dtype) * scale
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                _linalg, "row_blocks", lambda rows, width: blocks(rows, width, entries)
+            )
+            patch.setattr(
+                kernel, "quotient", lambda *key: calls.append(key) or quotient(*key)
+            )
+            table, rank = kernel.vertex_table(array)
+        assert sorted(calls) == sorted(tuple(scale * x for x in key) for key in raw)
+        assert list(table) == sorted(set(chain.from_iterable(values)))
+        assert [tuple(table[j] for j in row) for row in rank.tolist()] == values
+
+
+@pytest.mark.parametrize("d", [None, 2], ids=["Q", "d2"])
+def test_vertex_table_equal_values_share_rank(d):
+    # 1/2 as (1, 2) and as (2, 4), 0 as (0, 2) and (0, 4)
+    rays = [[2, 1, 0], [4, 2, 0]]
+    if d is not None:
+        rays = [[(x, 0) for x in ray] for ray in rays]
+    kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
+    table, rank = kernel.vertex_table(np.array(rays, dtype=np.int64))
+    assert table == (F(0), F(1, 2))
+    assert rank.tolist() == [[1, 0], [1, 0]]
 
 
 # values of Q(sqrt 2), and forms that hold each in a new object: a Fraction
