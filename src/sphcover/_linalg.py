@@ -26,12 +26,13 @@ checks which read every point or vertex run as ``classify`` products.
 ``lift`` is the one place where scalars become kernel integers, and this
 module the only one that reads the (a, b) layout: the double
 description's rows, ``validate``'s span check, the certificate's polar
-rows and ``rank`` read a lift's ``stack``; the kernels' ``squared_norms``,
-``argmax`` and ``to_scalar`` turn products and norms back into field
-values, and ``vertex_table`` the double description's rays into the value
-table of their coordinates.  Both key integer rows by ``distinct_rows``,
-so that only distinct values reach Python.  numpy is imported only where a
-lift is built or read.
+rows and ``rank`` read a lift's ``stack``; the kernels' ``squared_norms``
+and ``argmax`` compare products and norms in kernel layout, ``to_scalar``
+turns them back into field values, and ``vertex_table`` the double
+description's rays into the value table of their coordinates.  ``argmax``
+and ``vertex_table`` key integer rows by ``distinct_rows``, so that only
+distinct values are compared or reach Python.  numpy is imported only
+where a lift is built or read.
 """
 
 from __future__ import annotations
@@ -295,11 +296,22 @@ class _QuadraticKernel(_ExactKernel):
         return np.stack((u, w), axis=-1)
 
     def argmax(self, values) -> int:
-        """The index of the first largest of a stack of (a, b) values, each
-        distinct value (``distinct_rows``) converted once by ``to_scalar``."""
+        """The index of the first largest of a stack of (a, b) values: the
+        first row of the distinct value (``distinct_rows``) that no other
+        exceeds, by ``signs`` of the differences of the distinct values, a
+        block at a time, in a dtype in which those signs fit."""
+        import numpy as np
+
         first, _ = distinct_rows(values)
-        scalars = list(map(self.to_scalar, values[first].tolist()))
-        return int(first[max(range(len(scalars)), key=scalars.__getitem__)])
+        distinct = values[first]
+        top = _top(distinct)
+        distinct = distinct.astype(_int_dtype(4 * (1 + self.d) * top * top), copy=False)
+        exceeded = []
+        for block in row_blocks(len(distinct), len(distinct)):
+            # value j - value i, a row of j per value i of the block
+            diff = distinct[None] - distinct[block, None]
+            exceeded.append((self.signs(diff[..., 0], diff[..., 1]) > 0).any(axis=1))
+        return int(first[np.concatenate(exceeded).argmin()])
 
     def combine_rays(self, sp, rm, sm, rp):
         """As the rational ``combine_rays``, on stacks of (a, b) rays."""

@@ -19,7 +19,9 @@ uint64 words.  One product classifies every ray.  Pairs whose masks share
 fewer than n-1 rows are dropped by popcounts of word ANDs, a block of plus
 rays at a time; the rest are tested for containment on the masks alone,
 one code path for every field, and the adjacent pairs are combined in one
-array step with a row gcd.
+array step with a row gcd.  A third ray is looked for only among the rays
+tight on the inserted row and the other candidate pairs that share a ray
+with the pair (``_adjacent``).
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and the kernel's ``vertex_table``
@@ -91,8 +93,11 @@ DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
 # float refinement rank: singular values above this times the largest count
 RANK_RTOL = 1e-9
 # mask pairs per block of the adjacency pre-filter (plus x minus) and of the
-# containment test (pair x ray)
+# containment tests (pair x zero ray, pair x pair)
 PAIR_BLOCK = 1 << 16
+# entries of a list of candidate pairs sharing a ray that each entry is
+# first tested against; a longer list is then tested as a block of its own
+LONG_LIST = 16
 # matrix entries per chunk of the float refinement's stacked SVDs
 RANK_ENTRIES = 1 << 13
 # rays per block of the output stage's tight sets
@@ -255,20 +260,15 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         if not minus.size:
             continue
         plus = np.flatnonzero(signs > 0)
-        fresh_rays, fresh_masks = [], []
-        pairs = _candidate_pairs(masks[plus], masks[minus], need, len(rows))
-        for p, m, common in pairs:
-            adjacent = _adjacent(masks, common)
-            p, m = plus[p[adjacent]], minus[m[adjacent]]
-            fresh_rays.append(
-                kernel.combine_rays(products[p], rays[m], products[m], rays[p])
-            )
-            common = common[adjacent]
-            common[:, word] |= bit
-            fresh_masks.append(common)
+        p, m, common = _candidate_pairs(masks[plus], masks[minus], need, len(rows))
+        p, m = plus[p], minus[m]
+        adjacent = _adjacent(masks, signs, p, m, common)
+        p, m, common = p[adjacent], m[adjacent], common[adjacent]
+        fresh_rays = kernel.combine_rays(products[p], rays[m], products[m], rays[p])
+        common[:, word] |= bit
         keep = signs >= 0
-        rays = np.concatenate([rays[keep], *fresh_rays])
-        masks = np.concatenate([masks[keep], *fresh_masks])
+        rays = np.concatenate((rays[keep], fresh_rays))
+        masks = np.concatenate((masks[keep], common))
         logger.debug(
             "inserted %d/%d halfspaces, %d rays", step + 1, len(remaining), len(rays)
         )
@@ -323,59 +323,108 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
 
 def _candidate_pairs(plus, minus, need: int, rows: int):
     """(plus index, minus index, common mask) of every pair of packed tight
-    masks over ``rows`` rows sharing at least ``need`` of them, a block of
-    plus rows at a time.
+    masks over ``rows`` rows sharing at least ``need`` of them, in (plus,
+    minus) order, found a block of plus rows at a time.
 
     The popcounts of the word ANDs are summed one word at a time into
-    uint8 (uint16 from 256 rows on).
+    uint8 (uint16 from 256 rows on), over the words in which both some plus
+    and some minus mask have a row.
     """
     import numpy as np
 
-    words = plus.shape[1]
     dtype = np.uint8 if rows < 256 else np.uint16
+    live = np.flatnonzero(
+        np.bitwise_or.reduce(plus, axis=0) & np.bitwise_or.reduce(minus, axis=0)
+    ).tolist()
     step = max(1, PAIR_BLOCK // len(minus))
+    p, m = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(plus), step):
         block = plus[start:start + step]
         counts = np.zeros((len(block), len(minus)), dtype=dtype)
-        for j in range(words):
+        for j in live:
             counts += np.bitwise_count(block[:, j, None] & minus[None, :, j])
-        p, m = np.nonzero(counts >= need)
-        if p.size:
-            yield p + start, m, block[p] & minus[m]
+        i, j = np.nonzero(counts >= need)
+        p.append(i + start)
+        m.append(j)
+    p, m = np.concatenate(p), np.concatenate(m)
+    return p, m, plus[p] & minus[m]
 
 
-def _adjacent(masks, common):
-    """Whether each packed ``common`` mask of a plus and a minus ray is
-    contained in exactly two of ``masks`` (those two rays): a mask contains
-    it only if it has its first row, so the pairs are grouped by that row
-    and tested against the masks that have it, in blocks of at most
-    ``PAIR_BLOCK`` pair x mask tests, a word at a time."""
+def _adjacent(masks, signs, p, m, common):
+    """Whether each candidate pair of a plus ray ``p`` and a minus ray
+    ``m`` (ray indices) with ``common`` mask S = mask p & mask m is
+    adjacent: whether no third ray's mask contains S.
+
+    A third ray that contains S is tight on the row being inserted, or it
+    is a plus ray c, and then (c, m) is a candidate pair whose common mask
+    contains S, or a minus ray c, and then (p, c) is one.  So S is tested
+    against the masks of the rays that are tight on the row, and against
+    the common masks of the other pairs that share a ray with its pair:
+    each pair is listed under its plus and under its minus ray, and the
+    entries of a list are tested against each other: every entry against
+    the first ``LONG_LIST`` entries of its list in one gathered pass, and a
+    longer list against itself as a block of its own.  Every test runs in
+    blocks of at most ``PAIR_BLOCK`` tests (of one row at least), on the
+    masks' words taken one at a time.
+    """
     import numpy as np
 
-    # the first row: the trailing zeros of the first nonzero word (the
-    # popcount of its lowest bit - 1), plus 64 per word before it
-    word = (common != 0).argmax(axis=1)
-    value = common[np.arange(len(common)), word]
-    lowest = value & (~value + np.uint64(1))
-    first = word * 64 + np.bitwise_count(lowest - np.uint64(1))
-    first[value == 0] = -1  # an empty mask (n = 1): every mask has it
-    order = np.argsort(first, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(first[order])) + 1)
-    adjacent = np.empty(len(common), dtype=bool)
-    for group in groups:
-        row = int(first[group[0]])
-        candidates = masks
-        if row >= 0:
-            candidates = masks[masks[:, row >> 6] & np.uint64(1 << (row & 63)) != 0]
-        step = max(1, PAIR_BLOCK // len(candidates))
-        for start in range(0, len(group), step):
-            chunk = group[start:start + step]
-            sets = common[chunk]
-            inside = (candidates[:, 0] & sets[:, :1]) == sets[:, :1]
-            for j in range(1, sets.shape[1]):
-                inside &= (candidates[:, j] & sets[:, j, None]) == sets[:, j, None]
-            adjacent[chunk] = np.count_nonzero(inside, axis=1) == 2
-    return adjacent
+    # only the words in which some common mask has a row, and the first: a
+    # set with no row in a word lies inside every mask there
+    live = np.bitwise_or.reduce(common, axis=0) != 0
+    live[0] = True
+    words = np.ascontiguousarray(common.T[live])
+    covered = _covered(words, ~masks[signs == 0].T[live], 0)
+    # the lists: each pair entered under its plus and under its minus ray,
+    # in ray order; each entry's list starts at first and has size entries
+    ray = np.concatenate((p, m))
+    order = np.argsort(ray, kind="stable")
+    ray, pair = ray[order], order % len(common)
+    first = np.searchsorted(ray, ray)
+    size = np.searchsorted(ray, ray, "right") - first
+    sets = words[:, pair]
+    complements = ~sets
+    # every entry against the LONG_LIST entries from the start of its list,
+    # those in its list counted: whole short lists, part of the long ones;
+    # an entry's own set is one of those that contain it
+    offsets = np.arange(LONG_LIST)
+    step = max(1, PAIR_BLOCK // LONG_LIST)
+    for start in range(0, len(ray), step):
+        rows = slice(start, start + step)
+        cols = np.minimum(first[rows, None] + offsets, len(ray) - 1)
+        inside = _inside(sets[:, rows, None], complements[:, cols])
+        inside &= offsets < size[rows, None]
+        covered[pair[rows][np.count_nonzero(inside, axis=1) > 1]] = True
+    # a long list against the whole of itself
+    heads = np.flatnonzero((size > LONG_LIST) & (first == np.arange(len(ray))))
+    for head, length in zip(heads.tolist(), size[heads].tolist()):
+        block = slice(head, head + length)
+        covered[pair[block][_covered(sets[:, block], complements[:, block], 1)]] = True
+    return ~covered
+
+
+def _covered(sets, complements, least: int):
+    """Whether each packed set, one word per row of ``sets``, lies inside
+    more than ``least`` of the masks whose complements are given the same
+    way, in blocks of at most ``PAIR_BLOCK`` tests (of one set at least)."""
+    import numpy as np
+
+    covered = np.empty(sets.shape[1], dtype=bool)
+    step = max(1, PAIR_BLOCK // max(1, complements.shape[1]))
+    for start in range(0, sets.shape[1], step):
+        rows = slice(start, start + step)
+        inside = _inside(sets[:, rows, None], complements[:, None])
+        covered[rows] = np.count_nonzero(inside, axis=1) > least
+    return covered
+
+
+def _inside(sets, complements):
+    """Whether each packed set, one word per row of ``sets``, lies inside
+    the mask whose complement is given the same way (broadcast)."""
+    outside = sets[0] & complements[0]
+    for word, complement in zip(sets[1:], complements[1:]):
+        outside |= word & complement
+    return outside == 0
 
 
 def _tight_indices(masks, rows: int):

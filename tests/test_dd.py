@@ -2,9 +2,10 @@
 test against the rank of the common tight rows, and its first cone against
 Gaussian elimination.
 
-``data/dd-golden.json`` holds, for each system below, the vertex count, the
-sha256 of ``repr(VertexSet)``, the ray count after every cutting insertion
-(read from the engine's DEBUG record) and ``repr(max_squared_norm(...))``.
+``data/dd-golden.json`` holds, for each system below and for ``full-8``, the
+vertex count, the sha256 of ``repr(VertexSet)``, the ray count after every
+cutting insertion (read from the engine's DEBUG record) and
+``repr(max_squared_norm(...))``.
 """
 
 import hashlib
@@ -93,6 +94,14 @@ def test_matches_golden(name, caplog):
     assert dd_record(dd_system(name), caplog) == want
 
 
+def test_full_polar_of_dimension_8_matches_golden(caplog):
+    """The n = 8 full polar (19,440 vertices from 240 rows), the largest
+    DD the tests run; left out of ``dd_names`` so that the block-size
+    variants below do not run it too."""
+    want = json.loads(GOLDEN.read_text())["full-8"]
+    assert dd_record(dd_system("full-8"), caplog) == want
+
+
 @pytest.mark.parametrize("entries", [1 << 6, 1 << 20], ids=["2^6", "2^20"])
 @pytest.mark.parametrize("name", dd_names())
 def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
@@ -108,7 +117,7 @@ def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
 @pytest.mark.parametrize("name", dd_names())
 def test_pair_block_invariant(name, block, caplog, monkeypatch):
     """``PAIR_BLOCK`` sizes the blocks of the popcount pre-filter and of
-    the containment test: blocks of one pair, or of every pair of an
+    the containment tests: blocks of one test, or of every test of an
     insertion, give the same vertices and ray counts as the default."""
     monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
     want = json.loads(GOLDEN.read_text())[name]
@@ -147,13 +156,14 @@ def reference_rank(rows, d) -> int:
 
 
 def adjacency_calls(poly: HPolytope, monkeypatch) -> list:
-    """(common masks, adjacent) of every ``_adjacent`` call while ``poly``
-    is enumerated."""
+    """The arguments of every ``_adjacent`` call while ``poly`` is
+    enumerated (the masks and signs of the rays, the plus and minus ray
+    of each candidate pair and its common mask), then its result."""
     calls, adjacent = [], polytope._adjacent
 
-    def recording(masks, common):
-        got = adjacent(masks, common)
-        calls.append((common.copy(), got.copy()))
+    def recording(masks, signs, p, m, common):
+        got = adjacent(masks, signs, p, m, common)
+        calls.append((masks.copy(), signs.copy(), p, m, common.copy(), got.copy()))
         return got
 
     monkeypatch.setattr(polytope, "_adjacent", recording)
@@ -167,7 +177,7 @@ def check_adjacency(poly: HPolytope, monkeypatch) -> int:
     rows = polytope._homogenized_rows(poly, _linalg.kernel_for(poly.field))
     need = poly.dimension - 1
     ranks, accepted = {}, 0
-    for common, adjacent in adjacency_calls(poly, monkeypatch):
+    for *_, common, adjacent in adjacency_calls(poly, monkeypatch):
         index, counts = polytope._tight_indices(common, len(rows))
         for key, tight, count, got in zip(common, index, counts, adjacent.tolist()):
             key = key.tobytes()
@@ -191,12 +201,59 @@ def test_adjacency_matches_rank_of_random_instances(seed, quadratic, monkeypatch
     check_adjacency(draw(rng), monkeypatch)
 
 
+def third_rays(call) -> list:
+    """For each candidate pair of an ``_adjacent`` call, the signs on the
+    inserted row of every ray whose mask contains the pair's common mask,
+    by a scan of every mask, the pair's own two rays included."""
+    masks, signs, _, _, common, _ = call
+    return [signs[((masks & s) == s).all(axis=1)].tolist() for s in common]
+
+
+def check_third_rays(poly: HPolytope, monkeypatch) -> None:
+    """Each candidate pair is accepted iff exactly two masks contain its
+    common mask."""
+    for call in adjacency_calls(poly, monkeypatch):
+        assert call[-1].tolist() == [len(c) == 2 for c in third_rays(call)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), quadratic=st.booleans())
+def test_adjacency_matches_scan_of_every_ray(seed, quadratic):
+    draw = quadratic_polar_instance if quadratic else random_polar_instance
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_third_rays(draw(random.Random(seed)), monkeypatch)
+
+
+@pytest.mark.parametrize("name", dd_names())
+def test_adjacency_matches_scan_of_every_ray_on_golden_systems(name, monkeypatch):
+    check_third_rays(dd_system(name), monkeypatch)
+
+
 @pytest.mark.parametrize("name", ["full-5", "cone-9-exact", "cone-13-float"])
 def test_adjacency_rejects_candidates(name, monkeypatch):
     """Some candidate pairs share n - 1 rows of lower rank, so the checks
     above see rejected pairs over Q, Q(sqrt 2) and floats."""
     calls = adjacency_calls(dd_system(name), monkeypatch)
-    assert not all(adjacent.all() for _, adjacent in calls)
+    assert not all(call[-1].all() for call in calls)
+
+
+@pytest.mark.parametrize(
+    "name, alone",
+    [("full-5", {0, 1}), ("cone-9-exact", {-1, 1}), ("cone-12-float", {-1, 0, 1})],
+)
+def test_third_rays_of_one_kind_reject_pairs(name, alone, monkeypatch):
+    """Some candidate pairs are rejected only by rays tight on the inserted
+    row (0), only by other minus rays (-1) or only by other plus rays (1),
+    so that each of ``_adjacent``'s tests decides some pair alone."""
+    kinds = set()
+    for call in adjacency_calls(dd_system(name), monkeypatch):
+        for signs in third_rays(call):
+            # the pair's own rays are one plus and one minus ray
+            signs.remove(1)
+            signs.remove(-1)
+            if len(set(signs)) == 1:
+                kinds.add(signs[0])
+    assert alone <= kinds
 
 
 def one_dimensional(field, s) -> HPolytope:
@@ -222,12 +279,14 @@ def one_dimensional(field, s) -> HPolytope:
     ids=["Q", "d2", "float"],
 )
 def test_one_dimensional_system(field, s, want, monkeypatch):
-    """An empty common mask is tested against every ray: the interval is
+    """An empty common mask lies in every mask, of the rays tight on the
+    inserted row and of the other pairs that share a ray: the interval is
     [-1/(3s), 1/(2s)], cut from the first cone of rows 0 and 1."""
     vertices = enumerate_vertices(one_dimensional(field, s))
     assert repr(vertices.vertices) == want
     assert vertices.tight_sets == ((3,), (2,))
     check_adjacency(one_dimensional(field, s), monkeypatch)
+    check_third_rays(one_dimensional(field, s), monkeypatch)
 
 
 # -- first cone -----------------------------------------------------------------
