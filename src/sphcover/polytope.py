@@ -16,12 +16,16 @@ Each insertion runs on whole arrays.  The rays are one matrix (int64 while
 a bound shows every product fits, Python ints otherwise; an (a, b) axis
 over Q(sqrt d); float64) and their tight sets are bit masks packed into
 uint64 words.  One product classifies every ray.  Pairs whose masks share
-fewer than n-1 rows are dropped by popcounts of word ANDs, a block of plus
-rays at a time; the rest are tested for containment on the masks alone,
-one code path for every field, and the adjacent pairs are combined in one
-array step with a row gcd.  A third ray is looked for only among the rays
-tight on the inserted row and the other candidate pairs that share a ray
-with the pair (``_adjacent``).
+fewer than n-1 rows are dropped by popcounts of word ANDs: every pair when
+the insertion's plus x minus pairs fit one ``PAIR_BLOCK``, else first the
+union of each block of ``UNION_RAYS`` plus masks against each minus mask,
+and then only the plus masks of the blocks that pass (a mask inside the
+union shares no more rows with the minus mask than the union does).  The
+rest are tested for containment on the masks alone, one code path for
+every field, and the adjacent pairs are combined in one array step with a
+row gcd.  A third ray is looked for only among the rays tight on the
+inserted row and the other candidate pairs that share a ray with the pair
+(``_adjacent``).
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and the kernel's ``vertex_table``
@@ -92,9 +96,13 @@ logger = logging.getLogger(__name__)
 DEDUP_EPS = 1e-8  # float vertex deduplication, componentwise
 # float refinement rank: singular values above this times the largest count
 RANK_RTOL = 1e-9
-# mask pairs per block of the adjacency pre-filter (plus x minus) and of the
-# containment tests (pair x zero ray, pair x pair)
+# mask pairs per block of the adjacency pre-filter (plus x minus, block
+# union x minus, block x minus) and of the containment tests (pair x zero
+# ray, pair x pair); an insertion's plus x minus pairs that fit one block
+# are all counted, without the union step
 PAIR_BLOCK = 1 << 16
+# plus rays per block whose union is counted against the minus masks first
+UNION_RAYS = 16
 # entries of a list of candidate pairs sharing a ray that each entry is
 # first tested against; a longer list is then tested as a block of its own
 LONG_LIST = 16
@@ -324,30 +332,85 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
 def _candidate_pairs(plus, minus, need: int, rows: int):
     """(plus index, minus index, common mask) of every pair of packed tight
     masks over ``rows`` rows sharing at least ``need`` of them, in (plus,
-    minus) order, found a block of plus rows at a time.
+    minus) order.
 
-    The popcounts of the word ANDs are summed one word at a time into
-    uint8 (uint16 from 256 rows on), over the words in which both some plus
-    and some minus mask have a row.
+    The plus masks are taken in blocks of ``UNION_RAYS`` consecutive rays,
+    and each block's union U is counted against every minus mask m
+    (``_sharing_pairs``).  Every plus mask p of the block lies inside U, so
+    |p & m| <= |U & m|, and a block whose union shares fewer than ``need``
+    rows with m holds no candidate for m: the test drops no pair.  When
+    the insertion's plus x minus pairs fit one ``PAIR_BLOCK``, every block
+    is one mask, its own union, and that count is the result.  Otherwise
+    the plus masks of each block that passes are counted against its minus
+    mask, gathered a whole block at a time (the last block's rays past the
+    end read as its last ray and dropped), at most ``PAIR_BLOCK`` mask
+    words (of one block at least) at a time, and the survivors are sorted
+    back into (plus, minus) order.  Popcounts are summed over the words in
+    which both some plus and some minus mask have a row, into uint8
+    (uint16 from 256 rows on).
     """
     import numpy as np
 
     dtype = np.uint8 if rows < 256 else np.uint16
+    size = 1 if len(plus) * len(minus) <= PAIR_BLOCK else min(UNION_RAYS, len(plus))
+    unions = plus
+    if size > 1:
+        unions = np.bitwise_or.reduceat(plus, np.arange(0, len(plus), size), axis=0)
+    # the unions have rows in the same words as the plus masks
     live = np.flatnonzero(
-        np.bitwise_or.reduce(plus, axis=0) & np.bitwise_or.reduce(minus, axis=0)
+        np.bitwise_or.reduce(unions, axis=0) & np.bitwise_or.reduce(minus, axis=0)
     ).tolist()
+    b, m = _sharing_pairs(unions, minus, need, live, dtype)
+    if size == 1:
+        return b, m, plus[b] & minus[m]
+    offsets = np.arange(size)
+    # a gathered chunk holds at most PAIR_BLOCK words, as one word of the
+    # pairs of a dense block does
+    step = max(1, PAIR_BLOCK // (size * plus.shape[1]))
+    hits = [(np.zeros(0, dtype=np.intp),) * 2]
+    for start in range(0, len(b), step):
+        hit_b, hit_m = b[start:start + step], m[start:start + step]
+        rays = hit_b[:, None] * size + offsets
+        counts = np.zeros(rays.shape, dtype=dtype)
+        block = plus.take(rays, axis=0, mode="clip")
+        _shared_rows(counts, block, minus[hit_m, None], live)
+        h, i = np.nonzero(counts >= need)
+        hits.append((rays[h, i], hit_m[h]))
+    p, m = map(np.concatenate, zip(*hits))
+    # the last block's rays past the end were read as its last ray
+    kept = p < len(plus)
+    p, m = p[kept], m[kept]
+    order = np.argsort(p * len(minus) + m)
+    p, m = p[order], m[order]
+    return p, m, plus[p] & minus[m]
+
+
+def _sharing_pairs(plus, minus, need: int, live, dtype):
+    """(plus index, minus index) of every pair of packed masks sharing at
+    least ``need`` rows, in (plus, minus) order, counted by
+    ``_shared_rows`` a block of plus masks at a time."""
+    import numpy as np
+
     step = max(1, PAIR_BLOCK // len(minus))
     p, m = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(plus), step):
-        block = plus[start:start + step]
+        block = plus[start:start + step, None]
         counts = np.zeros((len(block), len(minus)), dtype=dtype)
-        for j in live:
-            counts += np.bitwise_count(block[:, j, None] & minus[None, :, j])
+        _shared_rows(counts, block, minus[None], live)
         i, j = np.nonzero(counts >= need)
         p.append(i + start)
         m.append(j)
-    p, m = np.concatenate(p), np.concatenate(m)
-    return p, m, plus[p] & minus[m]
+    return np.concatenate(p), np.concatenate(m)
+
+
+def _shared_rows(counts, a, b, live) -> None:
+    """Add to ``counts`` the rows shared by the packed masks ``a`` and
+    ``b`` (broadcast to its shape, words on the last axis): the popcounts
+    of their ANDs over the words ``live``."""
+    import numpy as np
+
+    for j in live:
+        counts += np.bitwise_count(a[..., j] & b[..., j])
 
 
 def _adjacent(masks, signs, p, m, common):

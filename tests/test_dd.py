@@ -94,12 +94,28 @@ def test_matches_golden(name, caplog):
     assert dd_record(dd_system(name), caplog) == want
 
 
-def test_full_polar_of_dimension_8_matches_golden(caplog):
+def test_full_polar_of_dimension_8_matches_golden(caplog, monkeypatch):
     """The n = 8 full polar (19,440 vertices from 240 rows), the largest
     DD the tests run; left out of ``dd_names`` so that the block-size
-    variants below do not run it too."""
+    variants below do not run it too.  With the default constants some
+    of its insertions count block unions first: their first count takes
+    fewer masks than they have plus rays."""
+    counted = []  # per insertion: its plus rays, then each count's masks
+    candidate_pairs, sharing_pairs = polytope._candidate_pairs, polytope._sharing_pairs
+
+    def candidates(plus, *args):
+        counted.append([len(plus)])
+        return candidate_pairs(plus, *args)
+
+    def sharing(plus, *args):
+        counted[-1].append(len(plus))
+        return sharing_pairs(plus, *args)
+
+    monkeypatch.setattr(polytope, "_candidate_pairs", candidates)
+    monkeypatch.setattr(polytope, "_sharing_pairs", sharing)
     want = json.loads(GOLDEN.read_text())["full-8"]
     assert dd_record(dd_system("full-8"), caplog) == want
+    assert any(first < plus for plus, first in counted)
 
 
 @pytest.mark.parametrize("entries", [1 << 6, 1 << 20], ids=["2^6", "2^20"])
@@ -116,12 +132,131 @@ def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
 @pytest.mark.parametrize("block", [1, 1 << 20], ids=["1", "2^20"])
 @pytest.mark.parametrize("name", dd_names())
 def test_pair_block_invariant(name, block, caplog, monkeypatch):
-    """``PAIR_BLOCK`` sizes the blocks of the popcount pre-filter and of
-    the containment tests: blocks of one test, or of every test of an
-    insertion, give the same vertices and ray counts as the default."""
+    """``PAIR_BLOCK`` decides which insertions count every plus x minus
+    pair and which count block unions first, and sizes the blocks of those
+    counts and of the containment tests: blocks of one test (every
+    insertion with more than one plus ray takes the union step), or of
+    every test of an insertion (none does), give the same vertices and
+    ray counts as the default."""
     monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
     want = json.loads(GOLDEN.read_text())[name]
     assert dd_record(dd_system(name), caplog) == want
+
+
+@pytest.mark.parametrize("rays", [1, 1 << 20], ids=["1", "2^20"])
+@pytest.mark.parametrize("name", dd_names())
+def test_union_rays_invariant(name, rays, caplog, monkeypatch):
+    """``UNION_RAYS`` sizes the blocks of plus masks whose unions are
+    counted first: blocks of one mask, or of all of an insertion's plus
+    masks, give the same vertices and ray counts as the default."""
+    monkeypatch.setattr(polytope, "UNION_RAYS", rays)
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+
+
+# -- candidate pairs ------------------------------------------------------------
+
+
+def scan_pairs(plus, minus, need: int) -> list:
+    """Every (plus index, minus index, common mask) of two packed masks
+    sharing at least ``need`` rows, in (plus, minus) order, by a scan of
+    every pair in Python."""
+    found = []
+    for i, a in enumerate(plus.tolist()):
+        for j, b in enumerate(minus.tolist()):
+            common = [x & y for x, y in zip(a, b)]
+            if sum(map(int.bit_count, common)) >= need:
+                found.append((i, j, common))
+    return found
+
+
+def listed_pairs(plus, minus, need: int, rows: int) -> list:
+    """``_candidate_pairs`` as ``scan_pairs`` lists its result."""
+    p, m, common = polytope._candidate_pairs(plus, minus, need, rows)
+    assert p.dtype == m.dtype == np.intp and common.dtype == np.uint64
+    assert common.shape == (len(p), plus.shape[1])
+    return list(zip(p.tolist(), m.tolist(), common.tolist()))
+
+
+def packed(bits) -> np.ndarray:
+    """Boolean rows packed into uint64 words, row 0 the lowest bit."""
+    words = -(-bits.shape[1] // 64)
+    raw = np.packbits(bits, axis=1, bitorder="little")
+    raw = np.pad(raw, ((0, 0), (0, 8 * words - raw.shape[1])))
+    return raw.view("<u8").astype(np.uint64).reshape(len(bits), words)
+
+
+@st.composite
+def mask_sets(draw):
+    """Plus and minus masks over 1 to 320 rows (1 to 5 words; counts in
+    uint8 below 256 rows, uint16 from there on) and a need: masks of
+    random bits, or clustered ones, each a few bits off one of a few
+    centres, the plus masks of one centre consecutive."""
+    rows = draw(st.integers(min_value=1, max_value=320))
+    counts = draw(st.integers(min_value=0, max_value=70)), draw(
+        st.integers(min_value=1, max_value=30)
+    )
+    density = draw(st.sampled_from([0.05, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        centres = rng.random((draw(st.integers(min_value=1, max_value=4)), rows)) < density
+        sides = []
+        for count in counts:
+            picks = np.sort(rng.integers(0, len(centres), count))
+            sides.append(centres[picks] ^ (rng.random((count, rows)) < 0.03))
+    else:
+        sides = [rng.random((count, rows)) < density for count in counts]
+    plus, minus = map(packed, sides)
+    shared = np.bitwise_count(plus[:, None] & minus[None]).sum(axis=2)
+    need = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=rows),
+            st.sampled_from(sorted(set(shared.ravel().tolist())) or [0]),
+        )
+    )
+    return plus, minus, need, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    masks=mask_sets(),
+    block=st.integers(min_value=1, max_value=2500),
+    rays=st.sampled_from([1, 5, 16]),
+)
+def test_candidate_pairs_match_scan_of_every_pair(masks, block, rays):
+    """Every pair sharing at least ``need`` rows is found, in (plus,
+    minus) order, with its common mask, whether the insertion counts every
+    pair (the pairs fit one ``PAIR_BLOCK``) or block unions first, and
+    whatever the size of the last plus block."""
+    plus, minus, need, rows = masks
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
+        monkeypatch.setattr(polytope, "UNION_RAYS", rays)
+        assert listed_pairs(plus, minus, need, rows) == scan_pairs(plus, minus, need)
+
+
+@pytest.mark.parametrize("name", dd_names())
+def test_candidate_pairs_on_golden_systems_match_count_of_every_pair(name, monkeypatch):
+    """Every ``_candidate_pairs`` call of a golden system, replayed with
+    the default constants and with blocks of 256 tests, so that the
+    larger insertions count block unions first, equals a count of every
+    pair at once."""
+    calls, candidate_pairs = [], polytope._candidate_pairs
+
+    def recording(*args):
+        calls.append(args)
+        return candidate_pairs(*args)
+
+    monkeypatch.setattr(polytope, "_candidate_pairs", recording)
+    enumerate_vertices(dd_system(name))
+    monkeypatch.setattr(polytope, "_candidate_pairs", candidate_pairs)
+    for block in (polytope.PAIR_BLOCK, 1 << 8):
+        monkeypatch.setattr(polytope, "PAIR_BLOCK", block)
+        for plus, minus, need, rows in calls:
+            shared = np.bitwise_count(plus[:, None] & minus[None]).sum(axis=2)
+            p, m = np.nonzero(shared >= need)
+            want = list(zip(p.tolist(), m.tolist(), (plus[p] & minus[m]).tolist()))
+            assert listed_pairs(plus, minus, need, rows) == want
 
 
 # -- adjacency ------------------------------------------------------------------
