@@ -6,7 +6,11 @@ a + b*sqrt(d) over Q(sqrt(d)), int64 when a bound shows every intermediate
 fits and Python ints in ``dtype=object`` otherwise, and float64 arrays on
 the float field.  ``primitive`` puts each vector of a stack in its kernel
 form: over the gcd of its entries on exact fields (content 1), scaled to
-unit max-norm on floats.  ``classify`` is each field's one matrix product,
+unit max-norm on floats.  Over Q(sqrt(d)) a vector is fixed only up to a
+field element, which that gcd cannot remove; ``normal_form`` removes it,
+so that each direction has one primitive form, whose first nonzero entry
+is rational, and its entries stay those of the minors that fix it.
+``classify`` is each field's one matrix product,
 of a stack of vectors with one row or with a stack of rows; the vertex
 enumerator classifies and combines whole stacks at once with it and
 ``combine_rays``, and decides which rays are adjacent from their tight
@@ -31,8 +35,9 @@ and ``argmax`` compare products and norms in kernel layout, ``to_scalar``
 turns them back into field values, and ``vertex_table`` the double
 description's rays into the value table of their coordinates.  ``argmax``
 and ``vertex_table`` key integer rows by ``distinct_rows``, so that only
-distinct values are compared or reach Python.  numpy is imported only
-where a lift is built or read.
+distinct values are compared or reach Python; over Q(sqrt(d)) a
+coordinate's row is its reduced quotient, one row per value.  numpy is
+imported only where a lift is built or read.
 """
 
 from __future__ import annotations
@@ -70,13 +75,12 @@ class _Kernel:
         ``combine_rays``, and the pivot joins the rays.  A row on which
         every lineality vector is tight is passed over.
 
-        Over Q(sqrt d) a vector is fixed only up to a field element, which
-        ``combine_rays`` does not remove: ``orient`` on its ``leading``
-        entry puts each lineality vector left in its primitive form after
-        every pick (else the entries' digits double with each pick), and
-        ``orient`` on its pick puts each ray in its form at the end.  So
-        the lineality left is primitive, its first nonzero entry rational
-        and positive."""
+        ``orient`` on its ``leading`` entry makes that entry of each
+        lineality vector left positive after every pick, and ``orient`` on
+        its pick makes each ray positive on it at the end; over Q(sqrt d)
+        ``orient`` also puts the vector in ``normal_form``, as
+        ``combine_rays`` does.  So the lineality left is primitive, its
+        first nonzero entry rational and positive."""
         import numpy as np
 
         stack = self.units(width)
@@ -159,17 +163,24 @@ class _ExactKernel(_Kernel):
         g[g == 0] = 1
         return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
+    @staticmethod
+    def quotient_rows(x, t):
+        """The integer row of each coordinate x / t that ``quotient`` reads,
+        one row of parts of x and of t each: the parts side by side."""
+        import numpy as np
+
+        return np.concatenate((x, t), axis=1)
+
     def vertex_table(self, rays) -> tuple:
         """The coordinates x / t of each ray (t, x) of a stack as a value
         table (``value_table``): the distinct values in order and a matrix
         with each ray's coordinates as ranks in them.
 
-        The raw parts of a coordinate, (x, t) over Q and (a, b, ta, tb) over
-        Q(sqrt d), are one integer row, and a block of rays at a time only
-        the block's distinct rows (``distinct_rows``) reach Python, where one
-        dict numbers them across blocks and each becomes one ``quotient``.
-        Equal values met as different rows, such as 1/2 and 2/4, share one
-        rank."""
+        Each coordinate is one integer row (``quotient_rows``), and a block
+        of rays at a time only the block's distinct rows (``distinct_rows``)
+        reach Python, where one dict numbers them across blocks and each
+        becomes one ``quotient``.  Equal values met as different rows, such
+        as 1/2 and 2/4 over Q, share one rank."""
         import numpy as np
 
         count, dim = rays.shape[:2]
@@ -178,9 +189,9 @@ class _ExactKernel(_Kernel):
         for block in row_blocks(count, n):
             part = rays[block]
             m = len(part)
-            x = part[:, 1:].reshape(m, n, -1)
-            t = np.broadcast_to(part[:, :1].reshape(m, 1, -1), x.shape)
-            raw = np.concatenate((x, t), axis=2).reshape(m * n, -1)
+            x = part[:, 1:].reshape(m * n, -1)
+            t = np.repeat(part[:, :1].reshape(m, -1), n, axis=0)
+            raw = self.quotient_rows(x, t)
             first, place = distinct_rows(raw)
             keys = map(tuple, raw[first].tolist())
             number = [numbers.setdefault(key, len(numbers)) for key in keys]
@@ -314,7 +325,10 @@ class _QuadraticKernel(_ExactKernel):
         return int(first[np.concatenate(exceeded).argmin()])
 
     def combine_rays(self, sp, rm, sm, rp):
-        """As the rational ``combine_rays``, on stacks of (a, b) rays."""
+        """As the rational ``combine_rays``, on stacks of (a, b) rays, each
+        ray then put in ``normal_form`` on its ``leading`` entry, so that
+        its entries are those of the minors that fix its direction and do
+        not grow with the combinations that made it."""
         import numpy as np
 
         d = self.d
@@ -324,35 +338,74 @@ class _QuadraticKernel(_ExactKernel):
         ya, yb = rp[..., 0], rp[..., 1]
         a = pa * xa + d * (pb * xb) - ma * ya - d * (mb * yb)
         b = pa * xb + pb * xa - ma * yb - mb * ya
+        # primitive first, so that the normal form's products stay small
+        rays = self.primitive(np.stack((a, b), axis=-1))
+        return self.normal_form(rays, self.leading(rays))
+
+    def normal_form(self, stack, s):
+        """Each vector of a stack times conj(s) * sign(conj(s)), one field
+        value s per vector, in primitive form.  The factor is a positive
+        field element, so no vector changes direction; when s is an entry
+        of its vector, that entry becomes rational with the sign of s, and
+        every positive field multiple of the vector has the same form.  In
+        int64 when the bound (1 + d) max|s| max(max|s|, max|v|) on the
+        products and on the norms of s that ``signs`` takes fits, else in
+        Python ints."""
+        import numpy as np
+
+        d = self.d
+        top = _top(s)
+        dtype = _int_dtype((1 + d) * top * max(top, _top(stack)))
+        stack, s = stack.astype(dtype, copy=False), s.astype(dtype, copy=False)
+        sign = self.signs(s[:, 0], -s[:, 1])[:, None]
+        ca, cb = sign * s[:, None, 0], -sign * s[:, None, 1]
+        xa, xb = stack[..., 0], stack[..., 1]
+        a = ca * xa + d * (cb * xb)
+        b = ca * xb + cb * xa
         return self.primitive(np.stack((a, b), axis=-1))
 
-    def quotient(self, a: int, b: int, ta: int, tb: int) -> Scalar:
-        """(a + b sqrt(d)) / (ta + tb sqrt(d)) as x * conj(t) over the
-        integer norm t * conj(t); a Fraction when it has no sqrt(d) part."""
+    def quotient_rows(self, x, t):
+        """The row (p, q, r) of each coordinate x / t = (p + q sqrt(d)) / r,
+        one (a, b) row of x and of t each: x * conj(t) and the norm
+        t * conj(t) over the gcd of the three, r positive, so that equal
+        values give equal rows.  In a dtype in which the products fit."""
+        import numpy as np
+
         d = self.d
-        norm = ta * ta - tb * tb * d
-        qa = Fraction(a * ta - b * tb * d, norm)
-        qb = b * ta - a * tb
-        return qa if qb == 0 else Quadratic(qa, Fraction(qb, norm), d)
+        dtype = _int_dtype((1 + d) * max(_top(x), _top(t)) ** 2)
+        x, t = x.astype(dtype, copy=False), t.astype(dtype, copy=False)
+        xa, xb, ta, tb = x[:, 0], x[:, 1], t[:, 0], t[:, 1]
+        rows = np.stack(
+            (xa * ta - d * (xb * tb), xb * ta - xa * tb, ta * ta - d * (tb * tb)),
+            axis=1,
+        )
+        g = np.gcd.reduce(rows, axis=1) * np.sign(rows[:, 2])
+        return rows // g[:, None]
+
+    def quotient(self, p: int, q: int, r: int) -> Scalar:
+        """(p + q sqrt(d)) / r; a Fraction when it has no sqrt(d) part."""
+        qa = Fraction(p, r)
+        return qa if q == 0 else Quadratic(qa, Fraction(q, r), self.d)
 
     def to_scalar(self, raw: tuple) -> Scalar:
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
 
-    def orient(self, stack, products):
-        """Each vector of a stack times the conjugate of its product s with
-        its row, negated where s * conj(s) = a^2 - d b^2 is negative, in
-        primitive form.  A vector is fixed only up to a field element; this
-        is the primitive integer form of its multiple whose product is a
-        positive rational, whatever element scaled it, not a multiple of it
-        whose coefficients grow."""
+    def leading(self, stack):
+        """The first nonzero entry of each vector of a nonempty stack."""
         import numpy as np
 
-        s = np.array(products, dtype=object).reshape(-1, 2)
-        flip = np.where(s[:, 0] ** 2 - self.d * s[:, 1] ** 2 < 0, -1, 1)
-        conj = np.stack((flip * s[:, 0], -flip * s[:, 1]), axis=-1)
-        stack = stack.astype(object)
-        return self.combine_rays(conj, stack, 0 * conj, stack)
+        first = (stack != 0).any(axis=-1).argmax(axis=1)
+        return stack[np.arange(len(stack)), first]
+
+    def orient(self, stack, products):
+        """Each vector of a stack in ``normal_form`` on its product s with
+        its row (one per vector), negated where s is negative.  A vector is
+        fixed only up to a field element; this is the primitive integer
+        form of its multiple whose product is a positive rational, whatever
+        element scaled it, not a multiple of it whose coefficients grow."""
+        signs = self.signs(products[:, 0], products[:, 1])
+        return super().orient(self.normal_form(stack, products), signs)
 
 
 class _FloatKernel(_Kernel):

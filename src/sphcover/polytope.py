@@ -23,14 +23,17 @@ and then only the plus masks of the blocks that pass (a mask inside the
 union shares no more rows with the minus mask than the union does).  The
 rest are tested for containment on the masks alone, one code path for
 every field, and the adjacent pairs are combined in one array step with a
-row gcd.  A third ray is looked for only among the rays tight on the
-inserted row and the other candidate pairs that share a ray with the pair
-(``_adjacent``).
+row gcd; over Q(sqrt d) each combined ray is then put in the kernel's
+``normal_form`` (its first nonzero entry rational), so that its entries
+do not grow with the insertions.  A third ray is looked for only among
+the rays tight on the inserted row and the other candidate pairs that
+share a ray with the pair (``_adjacent``).
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and the kernel's ``vertex_table``
-keys the raw parts of each coordinate x / t as integer rows
-(``_linalg.distinct_rows``) and makes one quotient per distinct raw tuple.
+keys each coordinate x / t as an integer row (``_linalg.distinct_rows``):
+its raw parts (x, t) over Q, its reduced quotient over Q(sqrt d), one row
+per value.  Each distinct row becomes one quotient.
 ``_linalg.value_table`` ranks the quotients by value (put in order by
 their floats, the order confirmed by one exact comparison per neighbouring
 pair) and the vertices are ordered by ``np.lexsort`` on the matrix of

@@ -518,6 +518,95 @@ def test_first_cone_reads_a_zero_row_after_large_entries():
     assert picks == [0, 2] and not len(lineality)
 
 
+# -- the Q(sqrt d) normal form --------------------------------------------------
+
+# entries near 2^62 take the normal form to Python ints
+near_2_62 = st.builds(
+    lambda k, sign: sign * (2**62 + k),
+    st.integers(min_value=-8, max_value=8),
+    st.sampled_from([1, -1]),
+)
+
+
+@st.composite
+def field_stacks(draw, d):
+    """Nonzero integer vectors of one width, pairs (a, b) for a + b sqrt(d),
+    some entries near 2^62, and one positive field factor per vector."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    part = st.one_of(small, small, near_2_62) if draw(st.booleans()) else small
+    vector = st.lists(st.tuples(part, part), min_size=width, max_size=width)
+    vectors = draw(
+        st.lists(vector.filter(lambda v: any(map(any, v))), min_size=1, max_size=4)
+    )
+    factor = st.tuples(small, small).filter(lambda x: Quadratic(*x, d) > 0)
+    factors = draw(st.lists(factor, min_size=len(vectors), max_size=len(vectors)))
+    return vectors, factors
+
+
+def normal_form(kernel, vectors):
+    """``normal_form`` of integer vectors on each one's first nonzero entry,
+    int64 when every entry fits, as lists."""
+    top = max(abs(x) for v in vectors for pair in v for x in pair)
+    stack = np.array(vectors, dtype=np.int64 if top < 2**63 else object)
+    lead = [next(x for x in v if any(x)) for v in vectors]
+    got = kernel.normal_form(stack, np.array(lead, dtype=stack.dtype))
+    assert (got.dtype == object) == ((1 + kernel.d) * top * top >= 2**62)
+    return got.tolist()
+
+
+@pytest.mark.parametrize("d", [2, 5, 6], ids=["d2", "d5", "d6"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_one_positive_multiple(d, data):
+    """The normal form of a vector is a positive field multiple of it whose
+    first nonzero entry is rational; it is its own normal form, and every
+    positive field multiple of the vector has the same one."""
+    kernel = _linalg.kernel_for(quadratic_field(d))
+    vectors, factors = data.draw(field_stacks(d))
+    got = normal_form(kernel, vectors)
+    for v, w in zip(vectors, got):
+        v, w = [Quadratic(*x, d) for x in v], [Quadratic(*x, d) for x in w]
+        assert all(x * z == y * u for x, y in zip(v, w) for u, z in zip(v, w))
+        lead = next(j for j, x in enumerate(v) if x != 0)
+        assert sign_of(w[lead]) == sign_of(v[lead]) and w[lead].b == 0
+    assert normal_form(kernel, got) == got
+    scaled = [combination(f, v, (0, 0), v, d) for v, f in zip(vectors, factors)]
+    assert normal_form(kernel, scaled) == got
+
+
+# the systems of Q(sqrt d) and their distinct coordinate values
+QUADRATIC_SYSTEMS = [
+    ("cone-6-exact", 22),
+    ("cone-9-exact", 52),
+    ("cone-10-exact", 59),
+    ("full-6", 11),
+]
+
+
+@pytest.mark.parametrize("name, values", QUADRATIC_SYSTEMS)
+def test_quadratic_rays_stay_in_int64(name, values, monkeypatch):
+    """Combined rays in normal form keep entries of the size of the minors
+    that fix them, so the final rays fit int64, and each distinct
+    coordinate value reaches ``quotient`` once."""
+    kernel = _linalg._QuadraticKernel
+    vertex_table, quotient = kernel.vertex_table, kernel.quotient
+    tops, calls = [], []
+
+    def table(self, rays):
+        tops.append(_linalg._top(rays))
+        return vertex_table(self, rays)
+
+    def value(self, *row):
+        calls.append(row)
+        return quotient(self, *row)
+
+    monkeypatch.setattr(kernel, "vertex_table", table)
+    monkeypatch.setattr(kernel, "quotient", value)
+    got = enumerate_vertices(dd_system(name))
+    assert len(tops) == 1 and tops[0] < 2**63
+    assert len(calls) == len(got.table[0]) == values
+
+
 # -- float refinement -----------------------------------------------------------
 
 

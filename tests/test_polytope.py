@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -142,6 +143,23 @@ class TestUnbounded:
             with pytest.raises(Unbounded) as err:
                 enumerate_vertices(HPolytope(2, hs, field))
             assert str(err.value) == f"polyhedron is unbounded along {direction}"
+
+    def test_recession_ray_of_an_insertion(self):
+        # the first cone takes the normals s (1, 1) and u (1, -1), so its
+        # recession rays run along (-1, -1) and (-1, 1); inserting u (0, 1)
+        # combines them into the one along (-1, 0), which -s (0, 1) keeps.
+        # That combined ray is reported in its normal form: a positive
+        # multiple whose first nonzero coordinate is rational
+        field = quadratic_field(2)
+        s, u = Quadratic(1, 1, 2), Quadratic(3, -2, 2)
+        zero = field.zero
+        normals = [(s, s), (u, -u), (zero, u), (zero, -s)]
+        hs = tuple(Halfspace(v, POLAR) for v in normals)
+        with pytest.raises(Unbounded) as err:
+            enumerate_vertices(HPolytope(2, hs, field))
+        assert str(err.value) == "polyhedron is unbounded along (-1, 0)"
+        assert err.value.direction == (-1, 0)
+        assert all(isinstance(x, F) for x in err.value.direction)
 
     @pytest.mark.parametrize(
         "field, s",
@@ -356,6 +374,14 @@ def quotient_value(x, t, d):
     return Quadratic(*x, d) / Quadratic(*t, d)
 
 
+def reduced_row(value):
+    """(p, q, r) with value = (p + q sqrt(d)) / r, r > 0 the least common
+    denominator of the value's two parts."""
+    p, q = (value.a, value.b) if isinstance(value, Quadratic) else (F(value), F(0))
+    r = math.lcm(p.denominator, q.denominator)
+    return (int(p * r), int(q * r), r)
+
+
 @st.composite
 def exact_rays(draw, d):
     """Raw rays (t, x) as the kernel of Q (d None) or Q(sqrt d) holds them,
@@ -405,11 +431,17 @@ def test_quotient_order_matches_sorted(d, data):
 def test_vertex_table_quotients_each_raw_tuple_once(d, data, entries):
     """With a few rays per block the table is still that of all rays: the
     distinct values in order, and one ``quotient`` per distinct raw tuple
-    across blocks, so that 1/2 and 2/4 are two calls and one value."""
+    across blocks.  Over Q the raw tuple is (x, t), so that 1/2 and 2/4 are
+    two calls and one value; over Q(sqrt d) it is the value's reduced row
+    (p, q, r), (p + q sqrt(d)) / r in lowest terms with r > 0, so that each
+    value is one call whatever multiple of its ray carries it."""
     kernel = kernel_for(RATIONAL if d is None else quadratic_field(d))
     rays = data.draw(exact_rays(d))
     values = [tuple(quotient_value(x, r[0], d) for x in r[1:]) for r in rays]
-    raw = {(x, r[0]) if d is None else (*x, *r[0]) for r in rays for x in r[1:]}
+    if d is None:
+        raw = {(x, r[0]) for r in rays for x in r[1:]}
+    else:
+        raw = {reduced_row(v) for v in chain.from_iterable(values)}
     blocks, quotient = _linalg.row_blocks, kernel.quotient
     for scale, dtype in ((1, np.int64), (BIG, object)):
         array = np.array(rays, dtype=dtype) * scale
@@ -422,7 +454,8 @@ def test_vertex_table_quotients_each_raw_tuple_once(d, data, entries):
                 kernel, "quotient", lambda *key: calls.append(key) or quotient(*key)
             )
             table, rank = kernel.vertex_table(array)
-        assert sorted(calls) == sorted(tuple(scale * x for x in key) for key in raw)
+        want = raw if d else {tuple(scale * x for x in key) for key in raw}
+        assert sorted(calls) == sorted(want)
         assert list(table) == sorted(set(chain.from_iterable(values)))
         assert [tuple(table[j] for j in row) for row in rank.tolist()] == values
 
