@@ -200,10 +200,13 @@ class _ExactKernel(_Kernel):
 
 
 def _top(stack) -> int:
-    """The largest absolute entry of an integer array, 0 when it is empty."""
+    """The largest absolute entry of an integer array (int64 or Python
+    ints), 0 when it is empty: from its largest and its smallest entry,
+    with no array of absolute values."""
     import numpy as np
 
-    return int(np.abs(stack).max(initial=0))
+    top = np.maximum.reduce(stack, axis=None, initial=0)
+    return max(int(top), -int(np.minimum.reduce(stack, axis=None, initial=0)))
 
 
 class _RationalKernel(_ExactKernel):

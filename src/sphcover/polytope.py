@@ -12,22 +12,31 @@ perturbation.  Exact backends run on integer (or integer-quadratic) ray
 coordinates; the float backend uses fixed absolute tolerances on rows and
 rays scaled to unit max-norm.
 
-Each insertion runs on whole arrays.  The rays are one matrix (int64 while
-a bound shows every product fits, Python ints otherwise; an (a, b) axis
-over Q(sqrt d); float64) and their tight sets are bit masks packed into
-uint64 words.  One product classifies every ray.  Pairs whose masks share
-fewer than n-1 rows are dropped by popcounts of word ANDs: every pair when
-the insertion's plus x minus pairs fit one ``PAIR_BLOCK``, else first the
-union of each block of ``UNION_RAYS`` plus masks against each minus mask,
-and then only the plus masks of the blocks that pass (a mask inside the
-union shares no more rows with the minus mask than the union does).  The
-rest are tested for containment on the masks alone, one code path for
-every field, and the adjacent pairs are combined in one array step with a
-row gcd; over Q(sqrt d) each combined ray is then put in the kernel's
-``normal_form`` (its first nonzero entry rational), so that its entries
-do not grow with the insertions.  A third ray is looked for only among
-the rays tight on the inserted row and the other candidate pairs that
-share a ray with the pair (``_adjacent``).
+Each insertion runs on whole arrays.  The rays are the first ``count`` rows
+of one store (int64 while a bound shows every product fits, Python ints
+otherwise; an (a, b) axis over Q(sqrt d); float64) and their tight sets
+the same rows of a store of bit masks packed into uint64 words.  An
+insertion writes only the rays it cuts off and adds, as cddlib deletes
+rays from its list: the fresh rays take the rows of the rays cut off, any
+more go past ``count``, and when fewer come the live rows past the new
+``count`` move into the rows left empty below it.  The stores grow
+geometrically from ``SPARE_RAYS`` rows past the first cone's and are made
+anew when ``classify`` changes the rays' dtype; no output depends on the
+order of the rows.  One product classifies every ray.  Pairs whose masks
+share fewer than n-1 rows are dropped by popcounts of word ANDs: every
+pair when the insertion's plus x minus pairs fit one ``PAIR_BLOCK``, else
+first the union of each block of ``UNION_RAYS`` plus masks against each
+minus mask, and then only the plus masks of the blocks that pass (a mask
+inside the union shares no more rows with the minus mask than the union
+does).  Rays made by one insertion are alike, so the union step takes the
+plus rays in the order they were made, which a third store numbers, not
+in store order.  The rest are tested for containment on the masks
+alone, one code path for every field, and the adjacent pairs are combined
+in one array step with a row gcd; over Q(sqrt d) each combined ray is then
+put in the kernel's ``normal_form`` (its first nonzero entry rational), so
+that its entries do not grow with the insertions.  A third ray is looked
+for only among the rays tight on the inserted row and the other candidate
+pairs that share a ray with the pair (``_adjacent``).
 
 The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and the kernel's ``vertex_table``
@@ -113,6 +122,9 @@ LONG_LIST = 16
 RANK_ENTRIES = 1 << 13
 # rays per block of the output stage's tight sets
 OUTPUT_RAYS = 1 << 10
+# rows of the DD's ray store past the first cone's, so that small systems
+# do not regrow it on every insertion that adds rays
+SPARE_RAYS = 256
 
 POLAR = "polar"  # <v, x> <= 1
 CONE = "cone"  # <c, x> >= 0
@@ -254,8 +266,13 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         # every constraint normal
         direction = lineality[0, 1:].tolist()
         raise Unbounded(tuple(map(kernel.to_scalar, direction)))
-    # ray j is tight on every selected row but row j, positive on row j
-    masks = np.zeros((dim, -(-len(rows) // 64)), dtype=np.uint64)
+    # the rays, their masks and the order in which they were made are the
+    # first count rows of three stores; ray j is tight on every selected
+    # row but row j, positive on row j
+    count = made = dim
+    rays = _room(rays, count, count + SPARE_RAYS, rays.dtype)
+    masks = np.zeros((len(rays), -(-len(rows) // 64)), dtype=np.uint64)
+    born = np.arange(len(rays))
     for j, idx in enumerate(selected):
         for i in selected:
             if i != idx:
@@ -264,25 +281,45 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     need = dim - 2
     remaining = [i for i in range(len(rows)) if i not in selected]
     for step, idx in enumerate(remaining):
-        rays, products, signs = kernel.classify(rays, rows[idx])
+        live, products, signs = kernel.classify(rays[:count], rows[idx])
+        if live.dtype != rays.dtype:
+            rays = _room(rays, count, count, live.dtype)
         word, bit = idx >> 6, np.uint64(1 << (idx & 63))
-        masks[signs == 0, word] |= bit
+        masks[:count][signs == 0, word] |= bit
         minus = np.flatnonzero(signs < 0)
         if not minus.size:
             continue
         plus = np.flatnonzero(signs > 0)
+        if not _dense(len(plus), len(minus)):
+            plus = plus[np.argsort(born[plus])]
         p, m, common = _candidate_pairs(masks[plus], masks[minus], need, len(rows))
         p, m = plus[p], minus[m]
-        adjacent = _adjacent(masks, signs, p, m, common)
+        adjacent = _adjacent(masks[:count], signs, p, m, common)
         p, m, common = p[adjacent], m[adjacent], common[adjacent]
-        fresh_rays = kernel.combine_rays(products[p], rays[m], products[m], rays[p])
+        fresh_rays = kernel.combine_rays(products[p], live[m], products[m], live[p])
         common[:, word] |= bit
-        keep = signs >= 0
-        rays = np.concatenate((rays[keep], fresh_rays))
-        masks = np.concatenate((masks[keep], common))
+        # the fresh rays take the minus rays' rows, then rows past the live
+        # ones; when fewer come, the live rows past the new count move into
+        # the minus rows left below it
+        size = count + len(fresh_rays) - len(minus)
+        rays = _room(rays, count, size, np.result_type(rays, fresh_rays))
+        masks = _room(masks, count, size, masks.dtype)
+        born = _room(born, count, size, born.dtype)
+        if size < count:
+            empty = minus[len(fresh_rays):]
+            holes = empty[empty < size]
+            moved = np.arange(size, count)
+            moved = moved[signs[moved] >= 0]
+            rays[holes], masks[holes] = rays[moved], masks[moved]
+            born[holes] = born[moved]
+        slots = np.concatenate((minus, np.arange(count, size)))[:len(fresh_rays)]
+        rays[slots], masks[slots] = fresh_rays, common
+        born[slots] = np.arange(made, made + len(slots))
+        count, made = size, made + len(slots)
         logger.debug(
-            "inserted %d/%d halfspaces, %d rays", step + 1, len(remaining), len(rays)
+            "inserted %d/%d halfspaces, %d rays", step + 1, len(remaining), count
         )
+    rays, masks = rays[:count], masks[:count]
 
     _, _, t_signs = kernel.classify(rays, rows[0])
     if (t_signs == 0).any():
@@ -332,37 +369,51 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     )
 
 
+def _room(store, count: int, size: int, dtype):
+    """``store`` when it holds ``dtype`` and at least ``size`` rows, else a
+    new store of ``dtype`` with its first ``count`` rows: as long as
+    ``store`` when it has the rows, else twice as long or ``size`` rows,
+    whichever is more.  The rows past ``count`` are unset."""
+    import numpy as np
+
+    if store.dtype == dtype and len(store) >= size:
+        return store
+    length = len(store) if len(store) >= size else max(size, 2 * len(store))
+    grown = np.empty((length,) + store.shape[1:], dtype=dtype)
+    grown[:count] = store[:count]
+    return grown
+
+
 def _candidate_pairs(plus, minus, need: int, rows: int):
     """(plus index, minus index, common mask) of every pair of packed tight
     masks over ``rows`` rows sharing at least ``need`` of them, in (plus,
     minus) order.
 
-    The plus masks are taken in blocks of ``UNION_RAYS`` consecutive rays,
-    and each block's union U is counted against every minus mask m
-    (``_sharing_pairs``).  Every plus mask p of the block lies inside U, so
-    |p & m| <= |U & m|, and a block whose union shares fewer than ``need``
-    rows with m holds no candidate for m: the test drops no pair.  When
-    the insertion's plus x minus pairs fit one ``PAIR_BLOCK``, every block
-    is one mask, its own union, and that count is the result.  Otherwise
-    the plus masks of each block that passes are counted against its minus
-    mask, gathered a whole block at a time (the last block's rays past the
-    end read as its last ray and dropped), at most ``PAIR_BLOCK`` mask
-    words (of one block at least) at a time, and the survivors are sorted
-    back into (plus, minus) order.  Popcounts are summed over the words in
-    which both some plus and some minus mask have a row, into uint8
-    (uint16 from 256 rows on).
+    The plus masks are taken in blocks of ``UNION_RAYS`` consecutive rays
+    (the test drops the most blocks when consecutive masks are alike, as
+    those of rays made one after another are), and each block's union U is
+    counted against every minus mask m (``_sharing_pairs``).  Every plus
+    mask p of the block lies inside U, so |p & m| <= |U & m|, and a block
+    whose union shares fewer than ``need`` rows with m holds no candidate
+    for m: the test drops no pair.  When the insertion's plus x minus pairs
+    fit one ``PAIR_BLOCK``, every block is one mask, its own union, and
+    that count is the result.  Otherwise the plus masks of each block that
+    passes are counted against its minus mask, gathered a whole block at a
+    time (the last block's rays past the end read as its last ray and
+    dropped), at most ``PAIR_BLOCK`` mask words (of one block at least) at
+    a time, and the survivors are sorted back into (plus, minus) order.
+    Popcounts are summed over the words in which both some plus and some
+    minus mask have a row, into uint8 (uint16 from 256 rows on).
     """
     import numpy as np
 
     dtype = np.uint8 if rows < 256 else np.uint16
-    size = 1 if len(plus) * len(minus) <= PAIR_BLOCK else min(UNION_RAYS, len(plus))
+    size = 1 if _dense(len(plus), len(minus)) else min(UNION_RAYS, len(plus))
     unions = plus
     if size > 1:
         unions = np.bitwise_or.reduceat(plus, np.arange(0, len(plus), size), axis=0)
     # the unions have rows in the same words as the plus masks
-    live = np.flatnonzero(
-        np.bitwise_or.reduce(unions, axis=0) & np.bitwise_or.reduce(minus, axis=0)
-    ).tolist()
+    live = np.flatnonzero(_union(unions) & _union(minus)).tolist()
     b, m = _sharing_pairs(unions, minus, need, live, dtype)
     if size == 1:
         return b, m, plus[b] & minus[m]
@@ -386,6 +437,26 @@ def _candidate_pairs(plus, minus, need: int, rows: int):
     order = np.argsort(p * len(minus) + m)
     p, m = p[order], m[order]
     return p, m, plus[p] & minus[m]
+
+
+def _dense(plus: int, minus: int) -> bool:
+    """Whether an insertion's ``plus`` x ``minus`` pairs fit one
+    ``PAIR_BLOCK``, so that ``_candidate_pairs`` counts every pair and
+    takes no union step."""
+    return plus * minus <= PAIR_BLOCK
+
+
+def _union(masks):
+    """The union of packed masks (words on the last axis).  numpy reduces
+    an array of several words over its ray axis about ten times slower than
+    it reduces each word's column alone, so those are reduced a column at a
+    time."""
+    import numpy as np
+
+    reduce = np.bitwise_or.reduce
+    if masks.shape[1] == 1:
+        return reduce(masks, axis=0)
+    return np.fromiter(map(reduce, masks.T), dtype=np.uint64, count=masks.shape[1])
 
 
 def _sharing_pairs(plus, minus, need: int, live, dtype):
@@ -437,7 +508,7 @@ def _adjacent(masks, signs, p, m, common):
 
     # only the words in which some common mask has a row, and the first: a
     # set with no row in a word lies inside every mask there
-    live = np.bitwise_or.reduce(common, axis=0) != 0
+    live = _union(common) != 0
     live[0] = True
     words = np.ascontiguousarray(common.T[live])
     covered = _covered(words, ~masks[signs == 0].T[live], 0)

@@ -129,6 +129,53 @@ def test_rank_chunking_invariant(name, entries, caplog, monkeypatch):
     assert dd_record(dd_system(name), caplog) == want
 
 
+def store_calls(monkeypatch) -> list:
+    """(rows before, rows after, whether it regrew) of every cutting
+    insertion's ``_room`` call on the mask store, filled in as the engine
+    runs."""
+    calls, room = [], polytope._room
+
+    def recording(store, count, size, dtype):
+        grown = room(store, count, size, dtype)
+        if dtype == np.uint64:
+            calls.append((count, size, len(grown) > len(store)))
+        return grown
+
+    monkeypatch.setattr(polytope, "_room", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, paths", [("full-5", (19, 2, 4)), ("full-8", (209, 17, 6))]
+)
+def test_ray_store_appends_and_fills_holes(name, paths, caplog, monkeypatch):
+    """The insertions that add more rays than they cut off append rows
+    past the live ones, and those that add fewer move live rows into the
+    rows of the rays cut off; both happen on the full polars of n = 5 and
+    n = 8 (counted: more, fewer, as many), and the n = 8 store regrows
+    from its first size.  The golden records still hold."""
+    calls = store_calls(monkeypatch)
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+    assert [size for _, size, _ in calls] == want["rays"]
+    more = sum(size > count for count, size, _ in calls)
+    fewer = sum(size < count for count, size, _ in calls)
+    assert (more, fewer, len(calls) - more - fewer) == paths
+    assert any(grew for *_, grew in calls) == (name == "full-8")
+
+
+@pytest.mark.parametrize("name", dd_names())
+def test_no_spare_rays(name, caplog, monkeypatch):
+    """``SPARE_RAYS`` only sizes the ray store past the first cone: with
+    no spare row the store regrows on the first insertion that adds rays,
+    and the vertices and ray counts are the default's."""
+    monkeypatch.setattr(polytope, "SPARE_RAYS", 0)
+    calls = store_calls(monkeypatch)
+    want = json.loads(GOLDEN.read_text())[name]
+    assert dd_record(dd_system(name), caplog) == want
+    assert next((grew for count, size, grew in calls if size > count), True)
+
+
 @pytest.mark.parametrize("block", [1, 1 << 20], ids=["1", "2^20"])
 @pytest.mark.parametrize("name", dd_names())
 def test_pair_block_invariant(name, block, caplog, monkeypatch):

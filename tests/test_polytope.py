@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphcover import _linalg
+from sphcover import _linalg, polytope
 from sphcover._linalg import kernel_for, value_table
 from sphcover.configgen import (
     SubsetSigns,
@@ -217,6 +217,42 @@ class TestUnbounded:
         with pytest.raises(Unbounded) as err:
             enumerate_vertices(HPolytope(4, hs, field))
         assert str(err.value) == "polyhedron is unbounded along " + want
+
+    @pytest.mark.parametrize(
+        "field, s, want",
+        [
+            (RATIONAL, F(1), "(-1, 0)"),
+            (quadratic_field(2), Quadratic(1, 1, 2), "(-1, 0)"),
+            (FLOAT, 1.0, "(-1.0, 0.0)"),
+        ],
+        ids=["Q", "Q(sqrt2)", "float"],
+    )
+    def test_recession_ray_moved_into_a_hole(self, field, s, want, monkeypatch):
+        # s (x + 3y), s (x + y), 3 s y, 3 s (x + y) <= 1 recede along (-1, 0)
+        # and (1, -1).  The last row cuts off two rays and adds one, so its
+        # insertion moves the last live ray of the store, the recession ray
+        # along (-1, 0), into the row of a ray cut off below the new count;
+        # that ray is still the one reported
+        kernel = kernel_for(field)
+        inputs, classify = [], kernel.classify
+
+        def recording(rays, rows):
+            inputs.append(rays.tolist())
+            return classify(rays, rows)
+
+        monkeypatch.setattr(kernel, "classify", recording)
+        monkeypatch.setattr(polytope, "kernel_for", lambda field: kernel)
+        zero = field.zero
+        normals = [(s, 3 * s), (s, s), (zero, 3 * s), (3 * s, 3 * s)]
+        hs = tuple(Halfspace(v, POLAR) for v in normals)
+        with pytest.raises(Unbounded) as err:
+            enumerate_vertices(HPolytope(2, hs, field))
+        assert str(err.value) == f"polyhedron is unbounded along {want}"
+        # the last insertion's rays, and the rays left after it
+        before, after = inputs[-2:]
+        ray = min(r for r in after if not np.any(r[0]))
+        row = after.index(ray)
+        assert before.index(ray) >= len(after) and before[row] not in after
 
     def test_non_interior_origin_config(self):
         # permutations of (2,-2,0,0,0) span only the zero-sum hyperplane,
