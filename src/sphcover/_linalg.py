@@ -15,9 +15,13 @@ of a stack of vectors with one row or with a stack of rows; the vertex
 enumerator classifies and combines whole stacks at once with it and
 ``combine_rays``, and decides which rays are adjacent from their tight
 masks alone, with no arithmetic, so no kernel answers rank questions for
-it.  Independent rows, first rays and null vectors come from
-``first_cone``: the double description's own insertion, run from the unit
-vectors with those same ``classify`` and ``combine_rays`` steps.
+it.  A reader that needs only the signs of a product, the certificate,
+takes them from ``product_signs``: one float64 product whose static error
+bound decides most signs, the rest recomputed exactly by ``pair_signs``,
+the exact products of rays and rows taken in pairs.  Independent rows,
+first rays and null vectors come from ``first_cone``: the double
+description's own insertion, run from the unit vectors with those same
+``classify`` and ``combine_rays`` steps.
 
 A point set is a table of its distinct coordinate values in ascending
 order plus an integer matrix of positions into that table, one row per
@@ -36,22 +40,23 @@ turns them back into field values, and ``vertex_table`` the double
 description's rays into the value table of their coordinates.  ``argmax``
 and ``vertex_table`` key integer rows by ``distinct_rows``, so that only
 distinct values are compared or reach Python; over Q(sqrt(d)) a
-coordinate's row is its reduced quotient, one row per value.  numpy is
-imported only where a lift is built or read.
+coordinate's row is its reduced quotient, one row per value, and
+``vertex_table`` confirms the order of the values with one ``pair_signs``
+call on those rows.  numpy is imported only where a lift is built or read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, starmap
-from math import lcm, prod
+from math import lcm, prod, sqrt
 
 from .scalar import Field, Quadratic, Scalar
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
 # product entries per block of rows, about 512 KiB either way: an exact
-# lifted product keeps some 16 int64 temporaries per entry, the float
-# certify one float64
+# lifted product keeps some 16 int64 temporaries per entry, the certify's
+# float64 products (and the signs ``product_signs`` takes from them) one
 BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
 
@@ -171,6 +176,65 @@ class _ExactKernel(_Kernel):
 
         return np.concatenate((x, t), axis=1)
 
+    def product_signs(self, rays, rows):
+        """The exact signs of the products of a stack of rays with a stack
+        of rows (a row of them per ray, as ``rays @ rows.T``), as int8, or
+        as ``classify`` gives them where the call falls back to it.
+
+        The rays and the rows are mapped to the float64 values of their
+        entries (``floats``) and multiplied in one BLAS product; a static
+        bound B on the error of every entry of it decides each sign whose
+        float clears B, and only the entries within B of 0 (tight pairs,
+        whose product is 0, most of all) are recomputed exactly from their
+        gathered ray and row by ``pair_signs``.  When an entry has no finite
+        float, or the products could overflow, the whole call is the exact
+        ``classify``.
+
+        The bound.  With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3), an
+        entry x = a + b sqrt(d) with integer a, b (b = 0 over Q) becomes
+        fl(fl(a) + fl(fl(b) fl(sqrt d))), at most gamma_4 m(x) from x, where
+        m(x) = |a| + |b| sqrt(d).  Let M_R and M_W bound m over the rays and
+        the rows, and w be the width.  Then the exact product of the floats
+        of a ray and a row is within w gamma_4 (2 + gamma_4) M_R M_W of the
+        product of the entries, and the computed sum of the w float products,
+        in any order and with or without fused multiply-adds, within
+        gamma_w w (1 + gamma_4)^2 M_R M_W of that (Higham (3.5)).  For
+        w u < 2^-33 the total is at most (w + 8) u (1 + 2^-31) w M_R M_W.
+        No product or partial sum underflows: a nonzero float of an entry
+        is at least 2^-52, as the difference of two floats of size 1 or
+        more.  M_R and M_W are taken in floats, as the largest
+        fl(|fl(a)| + fl(|fl(b)| fl(sqrt d))), each at least (1 - gamma_4)
+        times its m(x), and
+        B = 2^-52 (w + 9) w M_R M_W
+        is evaluated with three more roundings; so B, about twice the
+        total, bounds the error of every entry with room to spare.  When
+        w M_R M_W is below 2^1000 no partial sum comes near float64's
+        largest value."""
+        import numpy as np
+
+        width = rays.shape[1]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r, r_size = self.floats(rays)
+                w, w_size = self.floats(rows)
+            r_top, w_top = r_size.max(initial=0.0), w_size.max(initial=0.0)
+            top = width * float(r_top) * float(w_top)
+        except OverflowError:  # a Python int beyond float64's range
+            top = float("inf")
+        if not top < 2.0**1000:  # also when top is inf or nan
+            return self.classify(rays, rows)[2]
+        products = r @ w.T
+        bound = 2.0**-52 * (width + 9) * top
+        # int8 and bool temporaries only: the float product is the one
+        # large array
+        above, below = products > bound, products < -bound
+        signs = above.view(np.int8) - below.view(np.int8)
+        i, j = np.nonzero(above == below)  # neither: within the bound
+        if len(i):
+            signs[i, j] = self.pair_signs(rays[i], rows[j])
+        return signs
+
     def vertex_table(self, rays) -> tuple:
         """The coordinates x / t of each ray (t, x) of a stack as a value
         table (``value_table``): the distinct values in order and a matrix
@@ -180,7 +244,13 @@ class _ExactKernel(_Kernel):
         of rays at a time only the block's distinct rows (``distinct_rows``)
         reach Python, where one dict numbers them across blocks and each
         becomes one ``quotient``.  Equal values met as different rows, such
-        as 1/2 and 2/4 over Q, share one rank."""
+        as 1/2 and 2/4 over Q, share one rank.
+
+        The values are put in order by the floats of their rows, and one
+        ``pair_signs`` call gives the exact sign of each value minus the one
+        before it, (n2 t1 - n1 t2) / (t1 t2) for rows (n, t) with
+        numerators n and t > 0; only when distinct values share a float out
+        of order does ``value_table`` sort them by exact comparison."""
         import numpy as np
 
         count, dim = rays.shape[:2]
@@ -196,7 +266,27 @@ class _ExactKernel(_Kernel):
             keys = map(tuple, raw[first].tolist())
             number = [numbers.setdefault(key, len(numbers)) for key in keys]
             slots[block] = np.array(number, dtype=np.intp)[place].reshape(m, n)
-        return value_table(list(starmap(self.quotient, numbers)), slots)
+        values = list(starmap(self.quotient, numbers))
+        if len(values) < 2:
+            return value_table(values, slots)
+        # each value's numerator as a vector of width 1 in kernel layout,
+        # and its denominator
+        rows = np.array(list(numbers), dtype=object)
+        nums = rows[:, :-1].reshape((len(rows), 1) + np.shape(self.one))
+        dens = rows[:, -1:]
+        # Python int division: the float of each part correctly rounded
+        parts = nums / dens.reshape(dens.shape + (1,) * (nums.ndim - 2))
+        order = np.argsort(self.floats(parts)[0][:, 0], kind="stable")
+        earlier, later = order[:-1], order[1:]
+        steps = self.pair_signs(
+            np.concatenate((nums[later], nums[earlier]), axis=1),
+            np.concatenate((dens[earlier], -dens[later]), axis=1),
+        )
+        if (steps < 0).any():
+            return value_table(values, slots)
+        rank = np.zeros(len(values), dtype=np.intp)
+        rank[later] = np.cumsum(steps != 0)
+        return _ranked(values, rank, slots)
 
 
 def _top(stack) -> int:
@@ -230,6 +320,24 @@ class _RationalKernel(_ExactKernel):
         rays = rays.astype(dtype, copy=False)
         products = rays @ rows.astype(dtype, copy=False).T
         return rays, products, np.sign(products)
+
+    def pair_signs(self, rays, rows):
+        """The exact signs of the products of rays and rows taken in pairs,
+        ray i with row i, in a dtype in which width * max|row| * max|ray|
+        fits, each max counted as at least 1, so that both stacks fit."""
+        import numpy as np
+
+        dtype = _int_dtype(rays.shape[1] * max(1, _top(rows)) * max(1, _top(rays)))
+        rays, rows = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
+        return np.sign((rays * rows).sum(axis=1))
+
+    @staticmethod
+    def floats(stack) -> tuple:
+        """The float64 value of each entry of an integer stack, twice: as
+        the value and as the bound on its size that ``product_signs``
+        reads.  OverflowError when a Python int has no float."""
+        values = stack.astype(float)
+        return values, abs(values)
 
     def squared_norms(self, stack):
         """|v|^2 of each vector of a stack, in a dtype in which
@@ -272,16 +380,25 @@ class _QuadraticKernel(_ExactKernel):
             out[mixed] = sa[mixed] * np.sign(am * am - self.d * (bm * bm))
         return out
 
+    @staticmethod
+    def field_stack(stack):
+        """A stack of vectors in (a, b) layout: a rational stack (no (a, b)
+        axis) read as (a, 0)."""
+        import numpy as np
+
+        if stack.ndim == 3:
+            return stack
+        return np.stack((stack, np.zeros_like(stack)), axis=-1)
+
     def classify(self, rays, rows) -> tuple:
         """As the rational ``classify``, on (a, b) parts; a rational stack
-        of rays (no (a, b) axis) is read as (a, 0).  A product's parts are
+        of rays is read as (a, 0) (``field_stack``).  A product's parts are
         at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
         squares them and a combined entry is at most 2 (1 + d) S max|ray|."""
         import numpy as np
 
         d = self.d
-        if rays.ndim == 2:
-            rays = np.stack((rays, np.zeros_like(rays)), axis=-1)
+        rays = self.field_stack(rays)
         top = _top(rays)
         bound = rows.shape[-2] * (1 + d) * max(1, _top(rows)) * top
         dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
@@ -296,6 +413,32 @@ class _QuadraticKernel(_ExactKernel):
         del aa, bb  # free before, and stack after, the temporaries of signs
         signs = self.signs(a, b)
         return rays, np.stack((a, b), axis=-1), signs
+
+    def pair_signs(self, rays, rows):
+        """As the rational ``pair_signs``, on (a, b) parts, rational stacks
+        read as (a, 0): a product's parts are at most
+        S = width * (1 + d) * max|row| * max|ray|, each max counted as at
+        least 1, and ``signs`` squares them."""
+        d = self.d
+        rays, rows = self.field_stack(rays), self.field_stack(rows)
+        size = rays.shape[1] * (1 + d) * max(1, _top(rows)) * max(1, _top(rays))
+        dtype = _int_dtype((1 + d) * size * size)
+        r, w = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
+        ra, rb, wa, wb = r[..., 0], r[..., 1], w[..., 0], w[..., 1]
+        a = (ra * wa + d * (rb * wb)).sum(axis=1)
+        b = (ra * wb + rb * wa).sum(axis=1)
+        return self.signs(a, b)
+
+    def floats(self, stack) -> tuple:
+        """The float64 value fl(fl(a) + fl(fl(b) fl(sqrt d))) of each entry
+        a + b sqrt(d) of a stack, a rational one read as (a, 0), and the
+        bound fl(|fl(a)| + fl(|fl(b)| fl(sqrt d))) on its size that
+        ``product_signs`` reads.  OverflowError when a Python int has no
+        float."""
+        stack = self.field_stack(stack)
+        a, b = stack[..., 0].astype(float), stack[..., 1].astype(float)
+        root = sqrt(self.d)
+        return a + b * root, abs(a) + abs(b) * root
 
     def squared_norms(self, stack):
         """|v|^2 = (sum a^2 + d b^2, sum 2 a b) of each vector of a stack,
@@ -531,8 +674,10 @@ class Lift:
     def rays(self):
         """The primitive kernel ray (t, x) of (1, p) for each vector p:
         ``stack(t=1)`` in the kernel's primitive form, so that entries stay
-        as small as the vector's own denominators allow."""
-        return self.kernel.primitive(self.stack(t=1))
+        as small as the vector's own denominators allow, and in int64 when
+        they fit, even where the scale left it."""
+        rays = self.kernel.primitive(self.stack(t=1))
+        return rays.astype(_int_dtype(_top(rays)), copy=False)
 
 
 def index_dtype(size: int):
@@ -589,7 +734,17 @@ def value_table(values, index, key=None) -> tuple:
     rank = _ranks(keys, sorted(positions, key=floats.__getitem__))
     if rank is None:
         rank = _ranks(keys, sorted(positions, key=keys.__getitem__))
-    rank = np.array(rank, dtype=index_dtype(max(rank, default=-1) + 1))
+    return _ranked(values, rank, index)
+
+
+def _ranked(values, rank, index) -> tuple:
+    """The value table of ``values`` given the rank of each among the
+    distinct values: the first value of each rank in order, and ``index``
+    renumbered into them (as ``index_dtype``)."""
+    import numpy as np
+
+    rank = np.asarray(rank, dtype=np.intp)
+    rank = rank.astype(index_dtype(int(rank.max(initial=-1)) + 1))
     first = np.unique(rank, return_index=True)[1].tolist()
     return tuple(map(values.__getitem__, first)), rank[index]
 

@@ -27,7 +27,7 @@ from math import factorial
 
 import mpmath
 
-from ._linalg import FLOAT_BLOCK_ENTRIES, Lift, row_blocks, row_keys
+from ._linalg import FLOAT_BLOCK_ENTRIES, row_blocks, row_keys
 from ._linalg import lift as lift_table
 from .configgen import (
     Configuration,
@@ -229,24 +229,20 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
 
     On exact backends the products of the configuration's lifted polar
     rows (scale, -p) with the rays of the vertices' lift (``VertexSet.lift``,
-    which ``max_squared_norm`` reads too) are checked nonnegative by the
-    kernel's ``classify``, a block of rows at a time.  The float backend
-    bounds the inner products by 1 + FLOAT_CHECK_EPS, also a block of
-    points at a time.
+    which ``max_squared_norm`` reads too) are checked nonnegative by their
+    exact signs from the kernel's ``product_signs``.  The float backend
+    bounds the inner products by 1 + FLOAT_CHECK_EPS.  Both take a block of
+    points at a time, of FLOAT_BLOCK_ENTRIES products.
     """
     lift = config.lift
+    blocks = row_blocks(len(lift.vectors), len(vertices.vertices), FLOAT_BLOCK_ENTRIES)
     if not config.field.is_exact:
         points, vs = lift.vectors, vertices.lift.vectors.T
-        feasible = all(
-            (points[rows] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS
-            for rows in row_blocks(len(points), vs.shape[1], FLOAT_BLOCK_ENTRIES)
-        )
+        feasible = all((points[b] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS for b in blocks)
     else:
-        # the polar rows (scale, -p), lifted a block at a time like the products
-        rays, kernel, points = vertices.lift.rays(), lift.kernel, lift.vectors
-        blocks = row_blocks(len(points), len(rays))
-        polar = (Lift(lift.scale, points[b], kernel).stack(1, -1) for b in blocks)
-        feasible = all((kernel.classify(rays, rows)[2] >= 0).all() for rows in polar)
+        rays, polar, kernel = vertices.lift.rays(), lift.stack(1, -1), lift.kernel
+        signs = (kernel.product_signs(rays, polar[b]) for b in blocks)
+        feasible = all((s >= 0).all() for s in signs)
     if not feasible:
         raise RuntimeError(
             "symmetry reduction produced an infeasible vertex; this is a bug"

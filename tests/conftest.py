@@ -34,18 +34,22 @@ def random_polar_instance(rng: random.Random) -> HPolytope:
 @pytest.fixture
 def dtypes(monkeypatch):
     """The dtypes ``_linalg._int_dtype`` chooses, in call order, outside
-    ``first_cone``: the first cone starts from unit vectors, on which int64
-    is right whatever the rows, so only the insertions and lifted checks
-    after it are recorded."""
-    chosen, original = [], _linalg._int_dtype
-    first_cone, depth = _linalg._Kernel.first_cone, []
+    ``first_cone`` and ``vertex_table``: the first cone starts from unit
+    vectors, on which int64 is right whatever the rows, and the vertex
+    table orders the output's coordinate values, whose integers are those
+    of the quotients, not of the rays; so only the insertions and lifted
+    checks are recorded."""
+    chosen, original, depth = [], _linalg._int_dtype, []
 
-    def outside(self, rows, width):
-        depth.append(None)
-        try:
-            return first_cone(self, rows, width)
-        finally:
-            depth.pop()
+    def outside(method):
+        def unrecorded(*args):
+            depth.append(None)
+            try:
+                return method(*args)
+            finally:
+                depth.pop()
+
+        return unrecorded
 
     def recording(bound):
         dtype = original(bound)
@@ -53,6 +57,10 @@ def dtypes(monkeypatch):
             chosen.append(dtype)
         return dtype
 
-    monkeypatch.setattr(_linalg._Kernel, "first_cone", outside)
+    for cls, name in (
+        (_linalg._Kernel, "first_cone"),
+        (_linalg._ExactKernel, "vertex_table"),
+    ):
+        monkeypatch.setattr(cls, name, outside(getattr(cls, name)))
     monkeypatch.setattr(_linalg, "_int_dtype", recording)
     return chosen

@@ -195,6 +195,18 @@ class TestCertifyVertices:
         with pytest.raises(RuntimeError, match="infeasible vertex"):
             _certify_vertices(VertexSet((vertex, pushed), ((), ())), config)
 
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_rejects_vertex_pushed_below_float_resolution(self, n):
+        """Pushed by 1 + 2^-60 the vertex has the floats of the attaining
+        one, so only the exact recompute of the products that float64
+        cannot decide sees the violated constraint."""
+        config = builtin_configuration(n)
+        vertex = covering_radius(config).attaining_vertex
+        pushed = tuple((1 + F(1, 2**60)) * x for x in vertex)
+        assert list(map(float, pushed)) == list(map(float, vertex))
+        with pytest.raises(RuntimeError, match="infeasible vertex"):
+            _certify_vertices(VertexSet((vertex, pushed), ((), ())), config)
+
 
 class TestThreshold:
     def test_equality_edge(self):

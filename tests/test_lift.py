@@ -21,7 +21,12 @@ from sphcover.configgen import (
     make_configuration,
     validate,
 )
-from sphcover.covering import _certify_vertices, covering_radius, deep_hole_check
+from sphcover.covering import (
+    _certify_vertices,
+    _orbit_representatives,
+    covering_radius,
+    deep_hole_check,
+)
 from sphcover.polytope import (
     CONE,
     POLAR,
@@ -30,6 +35,7 @@ from sphcover.polytope import (
     VertexSet,
     enumerate_vertices,
     polar_hrep,
+    symmetry_cone,
 )
 from sphcover.scalar import FLOAT, RATIONAL, Quadratic, dot, quadratic_field, sign_of
 
@@ -158,6 +164,102 @@ def test_classify_width_bound(d, rays, rows, rational):
     check_classify(d, rays, rows, rational)
 
 
+# -- exact signs from one float64 product ---------------------------------------
+
+# a unit of Z[sqrt d] for each d, a^2 - d b^2 = +-1
+UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1)}
+
+
+def unit_conjugate(d, power):
+    """a - b sqrt(d) for (a + b sqrt(d)) = unit^power: a field value of size
+    1 / (2 a) whose two parts, a and b sqrt(d), cancel."""
+    u, v = UNITS[d]
+    a, b = 1, 0
+    for _ in range(power):
+        a, b = a * u + d * b * v, a * v + b * u
+    return [a, -b]
+
+
+def cancelling_powers(d):
+    """The powers whose ``unit_conjugate`` has a from 2^52 to 2^60."""
+    return [k for k in range(80) if 2**52 <= unit_conjugate(d, k)[0] <= 2**60]
+
+
+@st.composite
+def sign_cases(draw, d):
+    """Rays and rows of one width with small entries, plus planted exact
+    zeros (a row orthogonal to a ray, the zero row), entries whose float64
+    product has the wrong sign or none, and now and then entries past
+    float64: one ray and two rows holding 2^h, h 300 (a finite float
+    product), 520 (products past float64's range) or 1100 (no float)."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    zero = 0 if d is None else [0, 0]
+    part = st.integers(min_value=-(2**20), max_value=2**20)
+    entry = part if d is None else st.lists(part, min_size=2, max_size=2)
+    vector = st.lists(entry, min_size=width, max_size=width)
+    rays = draw(st.lists(vector, max_size=5))
+    rows = draw(st.lists(vector, max_size=5)) + [[zero] * width]
+    if rays and width >= 2:
+        r = rays[0]
+        minus = -r[0] if d is None else [-r[0][0], -r[0][1]]
+        rows.append([r[1], minus] + [zero] * (width - 2))
+    if d is None and width >= 3:
+        # (2^e + s/2 + 1) - (2^e + s) + (s/2 - 2) = -1 with s = 2^(e-52), the
+        # spacing of floats at 2^e: the first entry rounds up by s/2 - 1,
+        # so summed in order the floats give s/2 - 2 >= 0
+        e = draw(st.integers(min_value=54, max_value=60))
+        s = 2 ** (e - 52)
+        rays.append([2**e + s // 2 + 1, -(2**e + s), s // 2 - 2] + [0] * (width - 3))
+        rows += [[1, 1, 1] + [0] * (width - 3), [-1, -1, -1] + [0] * (width - 3)]
+    elif d is not None:
+        power = draw(st.sampled_from(cancelling_powers(d)))
+        rays.append([unit_conjugate(d, power)] + [zero] * (width - 1))
+        rows += [[[1, 0]] + [zero] * (width - 1), [[-1, 0]] + [zero] * (width - 1)]
+    huge = draw(st.sampled_from([None, None, 300, 520, 1100]))
+    if huge is not None:
+        big = 2**huge if d is None else [0, 2**huge]
+        rays.append([big] + [zero] * (width - 1))
+        rows.append([zero] * (width - 1) + [big])
+        rows.append([big] * width)
+    return width, rays, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, 2, 3, 5]), st.data())
+def test_product_signs_match_python_int_products(d, data):
+    """``product_signs`` against the signs of the products of Fractions or
+    Quadratics, on int64 stacks (when the entries fit) and on Python-int
+    stacks alike."""
+    width, rays, rows = data.draw(sign_cases(d))
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    want = [[sign_of(x) for x in row] for row in reference_products(rays, rows, d)]
+    parts = () if d is None else (2,)
+    for dtype in (np.int64, object):
+        try:
+            ray_array = np.array(rays, dtype=dtype).reshape((len(rays), width) + parts)
+            row_array = np.array(rows, dtype=dtype).reshape((len(rows), width) + parts)
+        except OverflowError:  # entries past int64
+            continue
+        assert kernel.product_signs(ray_array, row_array).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "d, power, dtype",
+    [(2, 43, np.int64), (2, 46, object), (5, 26, np.int64), (5, 28, object)],
+)
+def test_product_signs_where_float_signs_are_wrong(d, power, dtype):
+    """The float64 product of a unit's conjugate with +-1 has the opposite
+    sign of the exact one; only the exact recompute gets it right."""
+    kernel = _linalg.kernel_for(quadratic_field(d))
+    value = unit_conjugate(d, power)
+    rays = np.array([[value]], dtype=dtype)
+    rows = np.array([[[1, 0]], [[-1, 0]]], dtype=dtype)
+    want = Quadratic(*value, d).sign()
+    floats = kernel.floats(rays)[0] @ kernel.floats(rows)[0].T
+    assert np.sign(floats).tolist() == [[-want, want]]
+    assert kernel.product_signs(rays, rows).tolist() == [[want, -want]]
+
+
 @st.composite
 def repeated_rows(draw):
     """Integer rows of one width drawn from a pool of a few, with entries
@@ -257,6 +359,7 @@ class TestPythonIntPath:
         assert validate(config).ok and reference_one_norm(config)
         vertices = enumerate_vertices(polar_hrep(config)).vertices
         assert len(vertices) == 8 and reference_feasible(config, vertices)
+        assert VertexSet(vertices, ((),) * 8).lift.rays().dtype == object
         _certify_vertices(VertexSet(vertices, ((),) * 8), config)
         pushed = push(vertices[0])
         assert not reference_feasible(config, [pushed])
@@ -292,7 +395,10 @@ def test_python_ints_agree_with_int64(n, monkeypatch):
     config = builtin_configuration(n)
     report = covering_radius(config)
     assert deep_hole_check(config, report)
-    monkeypatch.setattr(_linalg, "_int_dtype", lambda bound: object)
+    chosen = []
+    monkeypatch.setattr(
+        _linalg, "_int_dtype", lambda bound: chosen.append(object) or object
+    )
     config = builtin_configuration(n)
     assert validate(config).ok
     forced = covering_radius(config)
@@ -300,8 +406,26 @@ def test_python_ints_agree_with_int64(n, monkeypatch):
     assert forced.attaining_vertex == report.attaining_vertex
     assert deep_hole_check(config, forced)
     vertex = report.attaining_vertex
+    chosen.clear()
     with pytest.raises(RuntimeError, match="infeasible vertex"):
         _certify_vertices(VertexSet((vertex, push(vertex)), ((), ())), config)
+    # the certify's exact recompute ran, in Python ints
+    assert chosen
+
+
+def test_vertex_rays_narrow_to_int64():
+    """The n=7 cone's vertices share a scale of 126 bits, so their stack
+    leaves int64, but their primitive rays have entries of 15 bits:
+    ``Lift.rays`` gives them as int64, equal to the Python-int rays."""
+    config = builtin_configuration(7)
+    halfspaces = symmetry_cone(7, config.field) + tuple(
+        Halfspace(p, POLAR) for p in _orbit_representatives(config)
+    )
+    lift = enumerate_vertices(HPolytope(7, halfspaces, config.field)).lift
+    assert lift.scale >= 2**63
+    rays = lift.rays()
+    assert rays.dtype == np.int64 and _linalg._top(rays) < 2**15
+    assert rays.tolist() == lift.kernel.primitive(lift.stack(t=1)).tolist()
 
 
 # -- homogenized rows against a per-row reference ------------------------------

@@ -496,6 +496,28 @@ def test_vertex_table_quotients_each_raw_tuple_once(d, data, entries):
         assert [tuple(table[j] for j in row) for row in rank.tolist()] == values
 
 
+def test_vertex_table_sorts_exactly_when_floats_are_out_of_order(monkeypatch):
+    """(a - b sqrt 2) with a + b sqrt 2 = (1 + sqrt 2)^44 is about 1e-17 but
+    its float is -4.0, so the float order puts it below -1; the signs of
+    the neighbouring differences show it, and ``value_table`` sorts the
+    values exactly instead."""
+    a, b = 1, 0
+    for _ in range(44):
+        a, b = a + 2 * b, a + b
+    tiny = Quadratic(a, -b, 2)
+    assert tiny.sign() == 1 and float(tiny) == -4.0
+    calls = []
+    monkeypatch.setattr(
+        _linalg, "value_table", lambda *args: calls.append(args) or value_table(*args)
+    )
+    kernel = kernel_for(quadratic_field(2))
+    rays = np.array([[[1, 0], [a, -b], [-1, 0], [-5, 0]]], dtype=object)
+    table, rank = kernel.vertex_table(rays)
+    assert len(calls) == 1
+    assert table == (F(-5), F(-1), tiny)
+    assert rank.tolist() == [[2, 1, 0]]
+
+
 @pytest.mark.parametrize("d", [None, 2], ids=["Q", "d2"])
 def test_vertex_table_equal_values_share_rank(d):
     # 1/2 as (1, 2) and as (2, 4), 0 as (0, 2) and (0, 4)
