@@ -592,12 +592,16 @@ def field_stacks(draw, d):
 
 def normal_form(kernel, vectors):
     """``normal_form`` of integer vectors on each one's first nonzero entry,
-    int64 when every entry fits, as lists."""
+    int64 when every entry fits, as lists; in Python ints exactly when its
+    bound (1 + d) max|s| max(max|s|, max|v|), s the first entries, does
+    not fit int64."""
     top = max(abs(x) for v in vectors for pair in v for x in pair)
     stack = np.array(vectors, dtype=np.int64 if top < 2**63 else object)
     lead = [next(x for x in v if any(x)) for v in vectors]
     got = kernel.normal_form(stack, np.array(lead, dtype=stack.dtype))
-    assert (got.dtype == object) == ((1 + kernel.d) * top * top >= 2**62)
+    lead_top = max(abs(x) for pair in lead for x in pair)
+    bound = (1 + kernel.d) * lead_top * max(lead_top, top)
+    assert (got.dtype == object) == (bound >= 2**62)
     return got.tolist()
 
 
