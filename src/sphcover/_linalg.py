@@ -10,48 +10,59 @@ unit max-norm on floats.  Over Q(sqrt(d)) a vector is fixed only up to a
 field element, which that gcd cannot remove; ``normal_form`` removes it,
 so that each direction has one primitive form, whose first nonzero entry
 is rational, and its entries stay those of the minors that fix it.
-``classify`` is each field's one matrix product,
-of a stack of vectors with one row or with a stack of rows; the vertex
-enumerator classifies and combines whole stacks at once with it and
-``combine_rays``, and decides which rays are adjacent from their tight
-masks alone, with no arithmetic, so no kernel answers rank questions for
-it.  A reader that needs only the signs of a product, the certificate,
-takes them from ``product_signs``: one float64 product whose static error
-bound decides most signs, the rest recomputed exactly by ``pair_signs``,
-the exact products of rays and rows taken in pairs.  Independent rows,
-first rays and null vectors come from ``first_cone``: the double
-description's own insertion, run from the unit vectors with those same
-``classify`` and ``combine_rays`` steps.
+
+The exact arithmetic is written once, on ``_ExactKernel``; a field gives
+only its entrywise product (``multiply``), its matrix product
+(``matmul``, three integer products over Q(sqrt(d))) and the sign of its
+values (``sign``), and every dtype comes from one bound, ``dtype``.
+``classify`` is the one matrix product, of a stack of vectors with one row
+or with a stack of rows; the vertex enumerator classifies and combines
+whole stacks at once with it and ``combine_rays``, and decides which rays
+are adjacent from their tight masks alone, with no arithmetic, so no
+kernel answers rank questions for it.  A reader that needs only the signs
+of a product, the certificate, takes them from ``product_signs``: one
+float64 product whose static error bound decides most signs, the rest
+recomputed exactly by ``pair_signs``, the exact products of rays and rows
+taken in pairs.  Independent rows, first rays and null vectors come from
+``first_cone``: the double description's own insertion, run from the unit
+vectors with those same ``classify`` and ``combine_rays`` steps.
 
 A point set is a table of its distinct coordinate values in ascending
 order plus an integer matrix of positions into that table, one row per
-point; ``value_table`` builds it for every point set, from rule tables,
-scalar tuples and the vertex enumerator's quotients alike.
-A :class:`Lift` holds the set as one stack of vectors in its kernel's
-layout under one common denominator: each table value is converted once
-and the stack is the converted table indexed by the positions, so that the
-checks which read every point or vertex run as ``classify`` products.
-``lift`` is the one place where scalars become kernel integers, and this
-module the only one that reads the (a, b) layout: the double
-description's rows, ``validate``'s span check, the certificate's polar
-rows and ``rank`` read a lift's ``stack``; the kernels' ``squared_norms``
-and ``argmax`` compare products and norms in kernel layout, ``to_scalar``
-turns them back into field values, and ``vertex_table`` the double
-description's rays into the value table of their coordinates.  ``argmax``
-and ``vertex_table`` key integer rows by ``distinct_rows``, so that only
-distinct values are compared or reach Python; over Q(sqrt(d)) a
-coordinate's row is its reduced quotient, one row per value, and
-``vertex_table`` confirms the order of the values with one ``pair_signs``
-call on those rows.  numpy is imported only where a lift is built or read.
+point; ``value_table`` builds it for every point set given by its values,
+from rule tables and scalar tuples, and ``vertex_table`` for the vertex
+enumerator's quotients.  A :class:`Lift` holds the set as one stack of
+vectors in its kernel's layout under one common denominator: each table
+value is converted once and the stack is the converted table indexed by
+the positions, so that the checks which read every point or vertex run as
+``classify`` products.  ``lift`` is the one place where scalars become
+kernel integers, and this module the only one that reads the (a, b)
+layout: the double description's rows, ``validate``'s span check, the
+certificate's polar rows and ``rank`` read a lift's ``stack``; the
+kernels' ``squared_norms`` and ``argmax`` compare products and norms in
+kernel layout, ``to_scalar`` turns them back into field values, and
+``vertex_table`` the double description's rays into the value table of
+their coordinates.  numpy is imported only where a lift is built or read.
+
+Exact values are put in order by one routine, ``ranks``: by their floats,
+the order confirmed by one ``pair_signs`` call on the neighbouring
+differences, and sorted by exact comparison only when that finds a step
+down.  ``vertex_table`` ranks each distinct coordinate row once (keyed by
+``distinct_rows``; over Q(sqrt(d)) a coordinate's row is its reduced
+quotient, one row per value), the Q(sqrt(d)) ``argmax`` its distinct
+values, and ``value_table`` the rows of its values' lift; floats are
+ranked by one ``np.unique`` of their keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain, starmap
 from math import lcm, prod, sqrt
+from operator import matmul, mul
 
-from .scalar import Field, Quadratic, Scalar
+from .scalar import RATIONAL, Field, Quadratic, Scalar, quadratic_field
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
 # product entries per block of rows, about 512 KiB either way: an exact
@@ -64,6 +75,8 @@ FLOAT_BLOCK_ENTRIES = 65536
 class _Kernel:
     """Basis questions: independent rows, first rays and null spaces,
     all through ``first_cone``."""
+
+    multiply = mul  # the entrywise product, broadcast
 
     def first_cone(self, rows, width: int) -> tuple:
         """The first picks of a double description: the indices of the
@@ -121,18 +134,12 @@ class _Kernel:
         return picks, rays, stack[len(picks):]
 
     def leading(self, stack):
-        """The first nonzero entry of each vector of a nonempty stack, zero
-        as ``classify`` decides it: the entries are classified as rays of
-        width 1 against the row (1)."""
+        """The first nonzero entry of each vector of a nonempty stack; a
+        float is zero within ``ZERO_EPS``, as ``classify`` decides it."""
         import numpy as np
 
-        count, width = stack.shape[:2]
-        entries = stack.reshape((count * width, 1) + stack.shape[2:])
-        _, values, signs = self.classify(entries, self.units(1)[0])
-        first = (signs.reshape(count, width) != 0).argmax(axis=1)
-        return values.reshape((count, width) + values.shape[1:])[
-            np.arange(count), first
-        ]
+        nonzero = (abs(stack) > ZERO_EPS).any(axis=tuple(range(2, stack.ndim)))
+        return stack[np.arange(len(stack)), nonzero.argmax(axis=1)]
 
     def orient(self, stack, products):
         """Each vector of a stack, negated where its product with its row
@@ -154,9 +161,20 @@ class _Kernel:
 
         return np.multiply.outer(np.eye(width, dtype=np.int64), self.one)
 
+    def combine_rays(self, sp, rm, sm, rp):
+        """sp * rm - sm * rp in ``normal_form``, one (sp, rm, sm, rp) per
+        row of the stacks."""
+        return self.normal_form(
+            self.multiply(sp[:, None], rm) - self.multiply(sm[:, None], rp)
+        )
+
 
 class _ExactKernel(_Kernel):
-    """Kernels with integer entries, each vector kept primitive."""
+    """Kernels with integer entries, each vector kept primitive.  A field
+    gives its entrywise product (``multiply``), its matrix product of rays
+    with columns (``matmul``, as ``@`` takes them) and the sign of its values
+    (``sign``); the arithmetic that reads them is written here once, each
+    call in the dtype that ``dtype`` takes from the sizes of its entries."""
 
     @staticmethod
     def primitive(stack):
@@ -168,6 +186,15 @@ class _ExactKernel(_Kernel):
         g[g == 0] = 1
         return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
 
+    # each direction has one primitive form, over Q
+    normal_form = primitive
+
+    @staticmethod
+    def field_stack(stack):
+        """A stack of vectors in kernel layout: as it is, but over
+        Q(sqrt(d)), where a rational stack is read as (a, 0)."""
+        return stack
+
     @staticmethod
     def quotient_rows(x, t):
         """The integer row of each coordinate x / t that ``quotient`` reads,
@@ -175,6 +202,94 @@ class _ExactKernel(_Kernel):
         import numpy as np
 
         return np.concatenate((x, t), axis=1)
+
+    def dtype(self, width, x, y, then=None):
+        """int64 when every intermediate of a call fits, else Python ints.
+        A sum of ``width`` products of entries at most x and y in size is at
+        most S = width (1 + d) x y (d = 0 over Q).  When ``then`` is given,
+        ``sign`` is taken of such sums, which over Q(sqrt d) squares their
+        parts, (1 + d) S^2, and they multiply entries at most ``then``,
+        (1 + d) S then."""
+        size = width * (1 + self.d) * x * y
+        if then is not None:
+            size = max(size, (1 + self.d) * size * max(then, size if self.d else 0))
+        return _int_dtype(size)
+
+    def classify(self, rays, rows) -> tuple:
+        """The exact product: the products of a stack of rays with one row
+        (one per ray) or with a stack of rows (a row of them per ray, as
+        ``rays @ rows.T``) and their signs, and the rays (a rational stack
+        read as (a, 0) over Q(sqrt d), ``field_stack``) in the dtype in
+        which ``combine_rays`` on them cannot overflow: a product is at most
+        S = width (1 + d) max|row| max|ray|, a combined entry at most
+        2 (1 + d) S max|ray|.  max|row| counts as at least 1, so that the
+        rays themselves fit also against a zero row."""
+        rays = self.field_stack(rays)
+        top = _top(rays)
+        dtype = self.dtype(rays.shape[1], max(1, _top(rows)), top, 2 * top)
+        rays, rows = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
+        # a stack of rows as columns; one row is its own column
+        columns = rows if rows.ndim < rays.ndim else rows.swapaxes(0, 1)
+        products = self.matmul(rays, columns)
+        return rays, products, self.sign(products)
+
+    def pair_signs(self, rays, rows):
+        """The exact signs of the products of rays and rows taken in pairs,
+        ray i with row i, rational stacks read as (a, 0) over Q(sqrt d), in
+        the dtype of S = width (1 + d) max|row| max|ray|, each max counted
+        as at least 1, so that both stacks fit."""
+        rays, rows = self.field_stack(rays), self.field_stack(rows)
+        dtype = self.dtype(rays.shape[1], max(1, _top(rows)), max(1, _top(rays)), 0)
+        rays, rows = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
+        # ray i times row i: a stack of 1 x 1 matrix products
+        return self.sign(self.matmul(rays[:, None], rows[:, :, None])[:, 0, 0])
+
+    def squared_norms(self, stack):
+        """|v|^2 of each vector of a stack in kernel layout, in the dtype of
+        width (1 + d) max|v|^2."""
+        top = _top(stack)
+        stack = stack.astype(self.dtype(stack.shape[1], top, top), copy=False)
+        return self.matmul(stack[:, None], stack[:, :, None])[:, 0, 0]
+
+    def ranks(self, rows):
+        """The rank of each value among the distinct values, from one
+        integer row (n, t) per value n / t: the parts of the numerator n in
+        kernel layout, then the denominator t > 0.
+
+        The values are put in order by their floats, and one ``pair_signs``
+        call gives the exact sign of each value minus the one before it,
+        (n2 t1 - n1 t2) / (t1 t2), which confirms that order and gives equal
+        values one rank.  Only when a sign is negative (distinct values whose
+        floats are out of order) are the values sorted by exact comparison,
+        one ``pair_signs`` call per comparison: a float filter with an exact
+        decision behind it (Shewchuk, Discrete Comput. Geom. 18, 1997)."""
+        import numpy as np
+
+        count = len(rows)
+        nums = rows[:, :-1].reshape((count, 1) + np.shape(self.one))
+        dens = rows[:, -1:]
+
+        def signs(i, j):  # of value i minus value j, pairwise
+            return self.pair_signs(
+                np.concatenate((nums[i], nums[j]), axis=1),
+                np.concatenate((dens[j], -dens[i]), axis=1),
+            )
+
+        try:
+            # Python int division: the float of each part correctly rounded
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts = nums / dens.reshape(dens.shape + (1,) * (nums.ndim - 2))
+                order = np.argsort(self.floats(parts)[0][:, 0], kind="stable")
+        except OverflowError:  # a value past float64's range
+            order = np.arange(count)
+        steps = signs(order[1:], order[:-1])
+        if (steps < 0).any():
+            compare = cmp_to_key(lambda i, j: signs([i], [j])[0])
+            order = np.array(sorted(order.tolist(), key=compare), dtype=np.intp)
+            steps = signs(order[1:], order[:-1])
+        rank = np.zeros(count, dtype=np.intp)
+        rank[order[1:]] = np.cumsum(steps != 0)
+        return rank
 
     def product_signs(self, rays, rows):
         """The exact signs of the products of a stack of rays with a stack
@@ -243,19 +358,14 @@ class _ExactKernel(_Kernel):
         Each coordinate is one integer row (``quotient_rows``), and a block
         of rays at a time only the block's distinct rows (``distinct_rows``)
         reach Python, where one dict numbers them across blocks and each
-        becomes one ``quotient``.  Equal values met as different rows, such
-        as 1/2 and 2/4 over Q, share one rank.
-
-        The values are put in order by the floats of their rows, and one
-        ``pair_signs`` call gives the exact sign of each value minus the one
-        before it, (n2 t1 - n1 t2) / (t1 t2) for rows (n, t) with
-        numerators n and t > 0; only when distinct values share a float out
-        of order does ``value_table`` sort them by exact comparison."""
+        becomes one ``quotient``.  The rows new to the dict, kept as arrays,
+        are put in order by ``ranks``, so that equal values met as different
+        rows, such as 1/2 and 2/4 over Q, share one rank."""
         import numpy as np
 
         count, dim = rays.shape[:2]
         n = dim - 1
-        numbers, slots = {}, np.empty((count, n), dtype=np.intp)
+        numbers, rows, slots = {}, [], np.empty((count, n), dtype=np.intp)
         for block in row_blocks(count, n):
             part = rays[block]
             m = len(part)
@@ -263,30 +373,14 @@ class _ExactKernel(_Kernel):
             t = np.repeat(part[:, :1].reshape(m, -1), n, axis=0)
             raw = self.quotient_rows(x, t)
             first, place = distinct_rows(raw)
-            keys = map(tuple, raw[first].tolist())
+            raw, known = raw[first], len(numbers)
+            keys = map(tuple, raw.tolist())
             number = [numbers.setdefault(key, len(numbers)) for key in keys]
-            slots[block] = np.array(number, dtype=np.intp)[place].reshape(m, n)
+            number = np.array(number, dtype=np.intp)
+            rows.append(raw[number >= known])
+            slots[block] = number[place].reshape(m, n)
         values = list(starmap(self.quotient, numbers))
-        if len(values) < 2:
-            return value_table(values, slots)
-        # each value's numerator as a vector of width 1 in kernel layout,
-        # and its denominator
-        rows = np.array(list(numbers), dtype=object)
-        nums = rows[:, :-1].reshape((len(rows), 1) + np.shape(self.one))
-        dens = rows[:, -1:]
-        # Python int division: the float of each part correctly rounded
-        parts = nums / dens.reshape(dens.shape + (1,) * (nums.ndim - 2))
-        order = np.argsort(self.floats(parts)[0][:, 0], kind="stable")
-        earlier, later = order[:-1], order[1:]
-        steps = self.pair_signs(
-            np.concatenate((nums[later], nums[earlier]), axis=1),
-            np.concatenate((dens[earlier], -dens[later]), axis=1),
-        )
-        if (steps < 0).any():
-            return value_table(values, slots)
-        rank = np.zeros(len(values), dtype=np.intp)
-        rank[later] = np.cumsum(steps != 0)
-        return _ranked(values, rank, slots)
+        return _ranked(values, self.ranks(np.concatenate(rows)), slots)
 
 
 def _top(stack) -> int:
@@ -300,36 +394,18 @@ def _top(stack) -> int:
 
 
 class _RationalKernel(_ExactKernel):
-    """Vectors as integer arrays."""
+    """Vectors as integer arrays: Q as d = 0, with no sqrt(d) part."""
 
     one = 1
+    d = 0
+    matmul = matmul
 
-    def classify(self, rays, rows) -> tuple:
-        """The exact product: the products of a stack of rays with one row
-        (one per ray) or with a stack of rows (a row of them per ray, as
-        ``rays @ rows.T``) and their signs, and the rays in the dtype in
-        which ``combine_rays`` on them cannot overflow: a product is at most
-        S = width * max|row| * max|ray|, a combined entry at most
-        2 * S * max|ray|.  max|row| counts as at least 1, so that the rays
-        themselves fit also against a zero row."""
+    @staticmethod
+    def sign(values):
+        """Elementwise sign of an integer array."""
         import numpy as np
 
-        top = _top(rays)
-        bound = rows.shape[-1] * max(1, _top(rows)) * top
-        dtype = _int_dtype(2 * bound * top)
-        rays = rays.astype(dtype, copy=False)
-        products = rays @ rows.astype(dtype, copy=False).T
-        return rays, products, np.sign(products)
-
-    def pair_signs(self, rays, rows):
-        """The exact signs of the products of rays and rows taken in pairs,
-        ray i with row i, in a dtype in which width * max|row| * max|ray|
-        fits, each max counted as at least 1, so that both stacks fit."""
-        import numpy as np
-
-        dtype = _int_dtype(rays.shape[1] * max(1, _top(rows)) * max(1, _top(rays)))
-        rays, rows = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
-        return np.sign((rays * rows).sum(axis=1))
+        return np.sign(values)
 
     @staticmethod
     def floats(stack) -> tuple:
@@ -338,17 +414,6 @@ class _RationalKernel(_ExactKernel):
         reads.  OverflowError when a Python int has no float."""
         values = stack.astype(float)
         return values, abs(values)
-
-    def squared_norms(self, stack):
-        """|v|^2 of each vector of a stack, in a dtype in which
-        width * max|v|^2 fits."""
-        stack = stack.astype(_int_dtype(stack.shape[1] * _top(stack) ** 2), copy=False)
-        return (stack * stack).sum(axis=1)
-
-    def combine_rays(self, sp, rm, sm, rp):
-        """sp * rm - sm * rp in primitive form, one (sp, rm, sm, rp) per
-        row of the stacks."""
-        return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
 
     def quotient(self, x: int, t: int) -> Fraction:
         return Fraction(x, t)
@@ -366,12 +431,13 @@ class _QuadraticKernel(_ExactKernel):
     def __init__(self, d: int):
         self.d = d
 
-    def signs(self, a, b):
-        """Elementwise sign of a + b sqrt(d) on integer arrays a, b (int64
-        or Python ints): entries whose parts have opposite signs are decided
-        by the sign of a^2 - d b^2, computed on those entries only."""
+    def sign(self, values):
+        """Elementwise sign of a + b sqrt(d) on a stack of (a, b) values
+        (int64 or Python ints): entries whose parts have opposite signs are
+        decided by the sign of a^2 - d b^2, computed on those entries only."""
         import numpy as np
 
+        a, b = values[..., 0], values[..., 1]
         sa, sb = np.sign(a), np.sign(b)
         out = np.sign(sa + sb)
         mixed = sa * sb < 0
@@ -390,44 +456,27 @@ class _QuadraticKernel(_ExactKernel):
             return stack
         return np.stack((stack, np.zeros_like(stack)), axis=-1)
 
-    def classify(self, rays, rows) -> tuple:
-        """As the rational ``classify``, on (a, b) parts; a rational stack
-        of rays is read as (a, 0) (``field_stack``).  A product's parts are
-        at most S = width * (1 + d) * max|row| * max|ray|, ``signs``
-        squares them and a combined entry is at most 2 (1 + d) S max|ray|."""
+    def multiply(self, x, y):
+        """The entrywise product of stacks of (a, b) values, broadcast."""
         import numpy as np
 
-        d = self.d
-        rays = self.field_stack(rays)
-        top = _top(rays)
-        bound = rows.shape[-2] * (1 + d) * max(1, _top(rows)) * top
-        dtype = _int_dtype((1 + d) * bound * max(bound, 2 * top))
-        rays = rays.astype(dtype, copy=False)
-        w = rows.astype(dtype, copy=False)
-        ra, rb = rays[..., 0], rays[..., 1]
-        wa, wb = w[..., 0].T, w[..., 1].T
-        # three matrix products: ra wb + rb wa = (ra + rb)(wa + wb) - aa - bb,
-        # whose sums are at most 4 * width * max|row| * max|ray| < 2 S
-        aa, bb = ra @ wa, rb @ wb
-        a, b = aa + d * bb, (ra + rb) @ (wa + wb) - aa - bb
-        del aa, bb  # free before, and stack after, the temporaries of signs
-        signs = self.signs(a, b)
-        return rays, np.stack((a, b), axis=-1), signs
+        xa, xb = x[..., 0, None], x[..., 1, None]
+        ya, yb = y[..., 0, None], y[..., 1, None]
+        a, b = xa * ya + self.d * (xb * yb), xa * yb + xb * ya
+        return np.concatenate((a, b), axis=-1)
 
-    def pair_signs(self, rays, rows):
-        """As the rational ``pair_signs``, on (a, b) parts, rational stacks
-        read as (a, 0): a product's parts are at most
-        S = width * (1 + d) * max|row| * max|ray|, each max counted as at
-        least 1, and ``signs`` squares them."""
-        d = self.d
-        rays, rows = self.field_stack(rays), self.field_stack(rows)
-        size = rays.shape[1] * (1 + d) * max(1, _top(rows)) * max(1, _top(rays))
-        dtype = _int_dtype((1 + d) * size * size)
-        r, w = rays.astype(dtype, copy=False), rows.astype(dtype, copy=False)
-        ra, rb, wa, wb = r[..., 0], r[..., 1], w[..., 0], w[..., 1]
-        a = (ra * wa + d * (rb * wb)).sum(axis=1)
-        b = (ra * wb + rb * wa).sum(axis=1)
-        return self.signs(a, b)
+    def matmul(self, rays, columns):
+        """The matrix product of stacks of (a, b) values in three integer
+        products: ra wb + rb wa is (ra + rb)(wa + wb) - ra wa - rb wb, whose
+        sums are at most 4 width max|row| max|ray| < 2^63 when the bound of
+        the caller's dtype, at least 3 width max|row| max|ray|, is below
+        2^62."""
+        import numpy as np
+
+        ra, rb, wa, wb = rays[..., 0], rays[..., 1], columns[..., 0], columns[..., 1]
+        aa, bb = ra @ wa, rb @ wb
+        a, b = aa + self.d * bb, (ra + rb) @ (wa + wb) - aa - bb
+        return np.concatenate((a[..., None], b[..., None]), axis=-1)
 
     def floats(self, stack) -> tuple:
         """The float64 value fl(fl(a) + fl(fl(b) fl(sqrt d))) of each entry
@@ -440,90 +489,52 @@ class _QuadraticKernel(_ExactKernel):
         root = sqrt(self.d)
         return a + b * root, abs(a) + abs(b) * root
 
-    def squared_norms(self, stack):
-        """|v|^2 = (sum a^2 + d b^2, sum 2 a b) of each vector of a stack,
-        in a dtype in which width * (1 + d) * max|v|^2 fits."""
-        import numpy as np
-
-        d = self.d
-        bound = stack.shape[1] * (1 + d) * _top(stack) ** 2
-        stack = stack.astype(_int_dtype(bound), copy=False)
-        a, b = stack[..., 0], stack[..., 1]
-        u, w = (a * a + d * (b * b)).sum(axis=1), 2 * (a * b).sum(axis=1)
-        return np.stack((u, w), axis=-1)
-
     def argmax(self, values) -> int:
         """The index of the first largest of a stack of (a, b) values: the
-        first row of the distinct value (``distinct_rows``) that no other
-        exceeds, by ``signs`` of the differences of the distinct values, a
-        block at a time, in a dtype in which those signs fit."""
+        first row (``distinct_rows``) of the distinct value of top rank
+        (``ranks``, each value over the denominator 1)."""
         import numpy as np
 
         first, _ = distinct_rows(values)
         distinct = values[first]
-        top = _top(distinct)
-        distinct = distinct.astype(_int_dtype(4 * (1 + self.d) * top * top), copy=False)
-        exceeded = []
-        for block in row_blocks(len(distinct), len(distinct)):
-            # value j - value i, a row of j per value i of the block
-            diff = distinct[None] - distinct[block, None]
-            exceeded.append((self.signs(diff[..., 0], diff[..., 1]) > 0).any(axis=1))
-        return int(first[np.concatenate(exceeded).argmin()])
+        ones = np.ones((len(distinct), 1), dtype=distinct.dtype)
+        return int(first[self.ranks(np.concatenate((distinct, ones), axis=1)).argmax()])
 
-    def combine_rays(self, sp, rm, sm, rp):
-        """As the rational ``combine_rays``, on stacks of (a, b) rays, each
-        ray then put in ``normal_form`` on its ``leading`` entry, so that
-        its entries are those of the minors that fix its direction and do
-        not grow with the combinations that made it."""
-        import numpy as np
-
-        d = self.d
-        pa, pb = sp[:, None, 0], sp[:, None, 1]
-        ma, mb = sm[:, None, 0], sm[:, None, 1]
-        xa, xb = rm[..., 0], rm[..., 1]
-        ya, yb = rp[..., 0], rp[..., 1]
-        a = pa * xa + d * (pb * xb) - ma * ya - d * (mb * yb)
-        b = pa * xb + pb * xa - ma * yb - mb * ya
-        # primitive first, so that the normal form's products stay small
-        rays = self.primitive(np.stack((a, b), axis=-1))
-        return self.normal_form(rays, self.leading(rays))
-
-    def normal_form(self, stack, s):
+    def normal_form(self, stack, s=None):
         """Each vector of a stack times conj(s) * sign(conj(s)), one field
-        value s per vector, in primitive form.  The factor is a positive
-        field element, so no vector changes direction; when s is an entry
-        of its vector, that entry becomes rational with the sign of s, and
-        every positive field multiple of the vector has the same form.  In
-        int64 when the bound (1 + d) max|s| max(max|s|, max|v|) on the
-        products and on the norms of s that ``signs`` takes fits, else in
-        Python ints."""
+        value s per vector, in primitive form; without s, the stack made
+        primitive first, so that the products stay small, and s its
+        ``leading`` entries.  The factor is a positive field element, so no
+        vector changes direction; when s is an entry of its vector, that
+        entry becomes rational with the sign of s, and every positive field
+        multiple of the vector has the same form.  In the dtype of
+        (1 + d) max|s| max(max|s|, max|v|), which bounds the products and
+        the norms of s that ``sign`` takes."""
         import numpy as np
 
-        d = self.d
+        if s is None:
+            stack = self.primitive(stack)
+            s = self.leading(stack)
         top = _top(s)
-        dtype = _int_dtype((1 + d) * top * max(top, _top(stack)))
+        dtype = self.dtype(1, top, max(top, _top(stack)))
         stack, s = stack.astype(dtype, copy=False), s.astype(dtype, copy=False)
-        sign = self.signs(s[:, 0], -s[:, 1])[:, None]
-        ca, cb = sign * s[:, None, 0], -sign * s[:, None, 1]
-        xa, xb = stack[..., 0], stack[..., 1]
-        a = ca * xa + d * (cb * xb)
-        b = ca * xb + cb * xa
-        return self.primitive(np.stack((a, b), axis=-1))
+        conj = s * np.array([1, -1])
+        factor = conj * self.sign(conj)[:, None]
+        return self.primitive(self.multiply(factor[:, None], stack))
 
     def quotient_rows(self, x, t):
         """The row (p, q, r) of each coordinate x / t = (p + q sqrt(d)) / r,
         one (a, b) row of x and of t each: x * conj(t) and the norm
         t * conj(t) over the gcd of the three, r positive, so that equal
-        values give equal rows.  In a dtype in which the products fit."""
+        values give equal rows.  In the dtype of (1 + d) max(|x|, |t|)^2."""
         import numpy as np
 
-        d = self.d
-        dtype = _int_dtype((1 + d) * max(_top(x), _top(t)) ** 2)
+        top = max(_top(x), _top(t))
+        dtype = self.dtype(1, top, top)
         x, t = x.astype(dtype, copy=False), t.astype(dtype, copy=False)
-        xa, xb, ta, tb = x[:, 0], x[:, 1], t[:, 0], t[:, 1]
-        rows = np.stack(
-            (xa * ta - d * (xb * tb), xb * ta - xa * tb, ta * ta - d * (tb * tb)),
-            axis=1,
+        conj = t * np.array([1, -1])
+        rows = np.concatenate(
+            (self.multiply(x, conj), self.multiply(t, conj)[:, :1]), axis=1
         )
         g = np.gcd.reduce(rows, axis=1) * np.sign(rows[:, 2])
         return rows // g[:, None]
@@ -537,21 +548,13 @@ class _QuadraticKernel(_ExactKernel):
         a, b = raw
         return Fraction(a) if b == 0 else Quadratic(a, b, self.d)
 
-    def leading(self, stack):
-        """The first nonzero entry of each vector of a nonempty stack."""
-        import numpy as np
-
-        first = (stack != 0).any(axis=-1).argmax(axis=1)
-        return stack[np.arange(len(stack)), first]
-
     def orient(self, stack, products):
         """Each vector of a stack in ``normal_form`` on its product s with
         its row (one per vector), negated where s is negative.  A vector is
         fixed only up to a field element; this is the primitive integer
         form of its multiple whose product is a positive rational, whatever
         element scaled it, not a multiple of it whose coefficients grow."""
-        signs = self.signs(products[:, 0], products[:, 1])
-        return super().orient(self.normal_form(stack, products), signs)
+        return super().orient(self.normal_form(stack, products), self.sign(products))
 
 
 class _FloatKernel(_Kernel):
@@ -565,6 +568,9 @@ class _FloatKernel(_Kernel):
         scale = abs(stack).max(axis=1)
         scale[scale == 0.0] = 1.0
         return stack / scale[:, None]
+
+    # each direction has one unit max-norm form
+    normal_form = primitive
 
     def classify(self, rays, rows) -> tuple:
         """Products of a stack of rays with one row or a stack of rows, as
@@ -580,11 +586,6 @@ class _FloatKernel(_Kernel):
             products += column * rows[..., j]
         signs = (products > ZERO_EPS).astype(int) - (products < -ZERO_EPS)
         return rays, products, signs
-
-    def combine_rays(self, sp, rm, sm, rp):
-        """sp * rm - sm * rp scaled to unit max-norm, one (sp, rm, sm, rp)
-        per row of the stacks."""
-        return self.primitive(sp[:, None] * rm - sm[:, None] * rp)
 
     def squared_norms(self, stack):
         """|v|^2 of each vector of a stack, its squares summed column by
@@ -718,22 +719,22 @@ def distinct_rows(stack) -> tuple:
 def value_table(values, index, key=None) -> tuple:
     """The distinct values of ``values`` in ascending order, the first of
     equal values kept, and ``index``, an array of positions into
-    ``values``, renumbered into them (as ``index_dtype``).  Values are
-    equal when their ``key``s are, when ``key`` is given.
+    ``values``, renumbered into them (as ``index_dtype``).
 
-    The values are put in order by their floats, and one exact comparison
-    of each neighbouring pair confirms that order and gives equal values
-    held in different objects one rank; only when distinct values share a
-    float out of order are they sorted by exact comparison.
+    Floats are ranked by one ``np.unique`` of their ``key``s, and are equal
+    when their keys are.  Exact values (no ``key``) are lifted once, in the
+    field that ``lift`` infers, and ranked by the kernel's ``ranks`` on the
+    rows (v, scale) of their lift.
     """
     import numpy as np
 
-    keys = values if key is None else list(map(key, values))
-    floats = list(map(float, keys))
-    positions = range(len(keys))
-    rank = _ranks(keys, sorted(positions, key=floats.__getitem__))
-    if rank is None:
-        rank = _ranks(keys, sorted(positions, key=keys.__getitem__))
+    if key is not None:
+        rank = np.unique(np.array(list(map(key, values))), return_inverse=True)[1]
+    else:
+        lifted = lift(values, np.arange(len(values)))
+        vectors = lifted.stack()
+        scale = np.full(len(values), lifted.scale, dtype=vectors.dtype)
+        rank = lifted.kernel.ranks(np.column_stack((vectors, scale)))
     return _ranked(values, rank, index)
 
 
@@ -749,23 +750,10 @@ def _ranked(values, rank, index) -> tuple:
     return tuple(map(values.__getitem__, first)), rank[index]
 
 
-def _ranks(values, order: list):
-    """The rank of each value among the distinct values if ``order`` sorts
-    ``values``, else None."""
-    rank = [0] * len(values)
-    r = 0
-    for prev, cur in zip(order, order[1:]):
-        if values[prev] != values[cur]:
-            if not values[prev] < values[cur]:
-                return None
-            r += 1
-        rank[cur] = r
-    return rank
-
-
-def lift(values, index, field: Field) -> Lift:
+def lift(values, index, field: Field | None = None) -> Lift:
     """The vectors ``values[index[i]]`` as a :class:`Lift`: the one place
-    where scalars become kernel integers.
+    where scalars become kernel integers.  Without ``field`` the values are
+    exact and their field is Q(sqrt d) when one is a Quadratic of d, else Q.
 
     Each table value a + b sqrt(d) is converted once, to the numerators of
     a and b over the least common denominator of every part, which is the
@@ -776,6 +764,9 @@ def lift(values, index, field: Field) -> Lift:
     """
     import numpy as np
 
+    if field is None:
+        d = next((x.d for x in values if isinstance(x, Quadratic)), None)
+        field = RATIONAL if d is None else quadratic_field(d)
     kernel = kernel_for(field)
     if not field.is_exact:
         return Lift(1, np.array(values, dtype=float)[index], kernel)
@@ -784,7 +775,7 @@ def lift(values, index, field: Field) -> Lift:
         parts.append([x.b if isinstance(x, Quadratic) else 0 for x in values])
     scale = lcm(*(x.denominator for x in chain.from_iterable(parts)))
     parts = [[x.numerator * (scale // x.denominator) for x in p] for p in parts]
-    top = max(map(abs, chain.from_iterable(parts)))
+    top = max(map(abs, chain.from_iterable(parts)), default=0)
     dtype = np.int64 if top < 2**63 else object
     table = np.array(parts, dtype=dtype).T.reshape((-1,) + np.shape(kernel.one))
     return Lift(scale, table[index], kernel)

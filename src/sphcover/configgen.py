@@ -221,8 +221,9 @@ def _sorted_table(values: list, index, field: Field) -> tuple:
     """``_linalg.value_table`` with values merged by ``_value_key``: on the
     float field those equal to 12 decimals are one value, the first one
     kept, and a float zero is 0.0."""
-    if not field.is_exact:
-        values = [x + 0.0 for x in values]
+    if field.is_exact:
+        return _linalg.value_table(values, index)
+    values = [x + 0.0 for x in values]
     return _linalg.value_table(values, index, _value_key(field))
 
 

@@ -42,12 +42,12 @@ The exact output stage stays on integers, a block of rays at a time: the
 tight sets come from the packed masks, and the kernel's ``vertex_table``
 keys each coordinate x / t as an integer row (``_linalg.distinct_rows``):
 its raw parts (x, t) over Q, its reduced quotient over Q(sqrt d), one row
-per value.  Each distinct row becomes one quotient.
-``_linalg.value_table`` ranks the quotients by value (put in order by
-their floats, the order confirmed by one exact comparison per neighbouring
-pair) and the vertices are ordered by ``np.lexsort`` on the matrix of
-their value ranks, so that the result is sorted by value with no
-comparison of vertex tuples.  The returned :class:`VertexSet` keeps the
+per value.  Each distinct row becomes one quotient, and the kernel's
+``ranks`` ranks the distinct rows by value (put in order by their floats,
+the order confirmed by one exact sign call on the neighbouring
+differences) with no comparison of quotient objects; the vertices are
+ordered by ``np.lexsort`` on the matrix of their value ranks, so that the
+result is sorted by value with no comparison of vertex tuples.  The returned :class:`VertexSet` keeps the
 distinct values in order and the matrix of the vertices' value ranks as
 its value table, and its vertices share the value objects of that table.
 Its ``lift`` (one integer matrix over a common denominator, built from
@@ -77,18 +77,7 @@ from pathlib import Path
 from ._linalg import Lift, kernel_for, value_table
 from ._linalg import lift as lift_table
 from .configgen import Configuration
-from .scalar import (
-    FLOAT,
-    RATIONAL,
-    Field,
-    Quadratic,
-    Vector,
-    dot,
-    format_scalar,
-    parse_scalar,
-    quadratic_field,
-    sign_of,
-)
+from .scalar import FLOAT, Field, Vector, dot, format_scalar, parse_scalar, sign_of
 
 __all__ = [
     "HPolytope",
@@ -177,9 +166,9 @@ class VertexSet:
     def lift(self) -> Lift:
         """The vertices lifted once: exact ones from their value table
         (built by ``_linalg.value_table`` from every coordinate when the set
-        came without one) and lifted over Q(sqrt d) when a coordinate is a
-        Quadratic, over Q when all are Fractions (``_linalg.lift``); float
-        ones, which share few coordinate values, as their float64 matrix."""
+        came without one) in the field that ``_linalg.lift`` infers from
+        them; float ones, which share few coordinate values, as their
+        float64 matrix."""
         import numpy as np
 
         if isinstance(self.vertices[0][0], float):
@@ -189,9 +178,7 @@ class VertexSet:
             coords = list(chain.from_iterable(self.vertices))
             index = np.arange(len(coords)).reshape(len(self.vertices), -1)
             table = value_table(coords, index)
-        values, index = table
-        d = next((x.d for x in values if isinstance(x, Quadratic)), None)
-        return lift_table(values, index, RATIONAL if d is None else quadratic_field(d))
+        return lift_table(*table)
 
 
 def polar_hrep(config: Configuration) -> HPolytope:

@@ -4,9 +4,11 @@ Each check is compared with a pure-Python reference computed here on the
 configuration's scalars, on the int64 path and on the Python-int path.
 """
 
+import ast
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,13 +64,9 @@ def test_signs_match_quadratic_sign(d, pairs, units):
         pairs += units
     kernel = _linalg.kernel_for(quadratic_field(d))
     want = [Quadratic(a, b, d).sign() for a, b in pairs]
-    a, b = zip(*pairs)
-    small = kernel.signs(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    small = kernel.sign(np.array(pairs, dtype=np.int64))
     # the same values times 2^40 no longer square inside int64
-    big = kernel.signs(
-        np.array([x << 40 for x in a], dtype=object),
-        np.array([x << 40 for x in b], dtype=object),
-    )
+    big = kernel.sign(np.array([[x << 40, y << 40] for x, y in pairs], dtype=object))
     assert small.tolist() == want
     assert big.tolist() == want
 
@@ -162,6 +160,167 @@ WIDE = [[1, -3 * 10**8]] + [[0, -3 * 10**8]] * 7
 )
 def test_classify_width_bound(d, rays, rows, rational):
     check_classify(d, rays, rows, rational)
+
+
+# -- the dtype rules ------------------------------------------------------------
+
+
+def planted_stack(d, count, width, top):
+    """A ``count`` x ``width`` int64 stack of small entries (parts over
+    Q(sqrt d)) whose largest absolute entry is ``top``, planted once as a
+    negative a part and, over Q(sqrt d), once as a b part."""
+    stack = np.ones((count, width) + (() if d is None else (2,)), dtype=np.int64)
+    stack.flat[0] = -top
+    stack.flat[-1] = top
+    return stack
+
+
+# the documented bound of each exact dtype rule, with a stack of the planted
+# size x as the call's ray (or vector) stack and small other entries: int64
+# exactly when it is below 2^62.  g is 1 + d over Q(sqrt d), 1 over Q.
+ROW_TOP, S_TOP = 3, 2
+
+
+def classify_rule(d, width, x):
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    rays = planted_stack(d, 2, width, x)
+    rows = planted_stack(d, 3, width, ROW_TOP)
+    return kernel.classify(rays, rows)[0].dtype
+
+
+def classify_bound(d, width, x):
+    # a product is at most S = w g max(1, |row|) |ray|; a combined entry
+    # 2 g S |ray|, and Q(sqrt d)'s signs square a product, g S^2
+    if d is None:
+        return 2 * width * ROW_TOP * x * x
+    size = width * (1 + d) * ROW_TOP * x
+    return (1 + d) * size * max(size, 2 * x)
+
+
+def pair_signs_rule(d, width, x):
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    rays = planted_stack(d, 3, width, x)
+    return kernel.pair_signs(rays, planted_stack(d, 3, width, ROW_TOP)).dtype
+
+
+def pair_signs_bound(d, width, x):
+    # S = w g max(1, |row|) max(1, |ray|), squared by Q(sqrt d)'s signs
+    if d is None:
+        return width * ROW_TOP * x
+    size = width * (1 + d) * ROW_TOP * x
+    return (1 + d) * size * size
+
+
+def squared_norms_rule(d, width, x):
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    return kernel.squared_norms(planted_stack(d, 3, width, x)).dtype
+
+
+def squared_norms_bound(d, width, x):
+    return width * (1 if d is None else 1 + d) * x * x
+
+
+def normal_form_rule(d, width, x):
+    kernel = _linalg.kernel_for(quadratic_field(d))
+    s = planted_stack(d, 3, 1, S_TOP)[:, 0]
+    return kernel.normal_form(planted_stack(d, 3, width, x), s).dtype
+
+
+def normal_form_bound(d, width, x):
+    # the products of conj(s) and the vectors, and the norms of s
+    return (1 + d) * S_TOP * max(S_TOP, x)
+
+
+def quotient_rows_rule(d, width, x):
+    kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
+    # one row of parts per coordinate x / t, as ``vertex_table`` reads them
+    x, t = planted_stack(d, 4, 1, x), planted_stack(d, 4, 1, 1)
+    return kernel.quotient_rows(x.reshape(4, -1), t.reshape(4, -1)).dtype
+
+
+def quotient_rows_bound(d, width, x):
+    # over Q the row is the parts themselves, which stay as they are
+    return 0 if d is None else (1 + d) * x * x
+
+
+def largest_below(bound, limit=2**62):
+    """The largest x >= 1 with bound(x) < limit, for a nondecreasing bound."""
+    lo, hi = 1, 2
+    while bound(hi) < limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < limit else (lo, mid)
+    return lo
+
+
+RULES = {
+    "classify": (classify_rule, classify_bound),
+    "pair_signs": (pair_signs_rule, pair_signs_bound),
+    "squared_norms": (squared_norms_rule, squared_norms_bound),
+    "normal_form": (normal_form_rule, normal_form_bound),
+    "quotient_rows": (quotient_rows_rule, quotient_rows_bound),
+}
+# Q has no normal form beyond its primitive one
+CASES = [(r, d) for r in RULES for d in (None, 2, 5) if d or r != "normal_form"]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize(
+    "rule, d", CASES, ids=[f"{r}-{'Q' if d is None else f'd{d}'}" for r, d in CASES]
+)
+def test_exact_dtype_rules(rule, d, width):
+    """Each exact rule keeps int64 exactly when its documented bound is
+    below 2^62: entries planted at the largest size that keeps it below,
+    and one more (entries of 2^62 and past it where the bound is 0)."""
+    call, bound = RULES[rule]
+    x = largest_below(lambda x: bound(d, width, x)) if bound(d, width, 2) else 2**62
+    for size in (x, x + 1):
+        fits = bound(d, width, size) < 2**62
+        assert call(d, width, size) == (np.int64 if fits else object)
+    assert bound(d, width, x + 1) >= 2**62 or not bound(d, width, 2)
+
+
+def int_dtype_callers(path: Path) -> set:
+    """The functions of a module, as ``Class.function``, that call
+    ``_linalg._int_dtype``: by its bare name in ``_linalg`` or where it is
+    imported, as ``_linalg._int_dtype`` anywhere.  A module that defines its
+    own ``_int_dtype`` (the oracle, which shares no code with the kernels)
+    calls that one by the bare name."""
+    tree = ast.parse(path.read_text())
+    own = path.name != "_linalg.py" and any(
+        isinstance(node, ast.FunctionDef) and node.name == "_int_dtype"
+        for node in tree.body
+    )
+    callers = set()
+
+    def visit(node, names):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = names + [node.name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            bare = isinstance(func, ast.Name) and func.id == "_int_dtype" and not own
+            dotted = isinstance(func, ast.Attribute) and func.attr == "_int_dtype"
+            if bare or dotted:
+                callers.add(".".join(names))
+        for child in ast.iter_child_nodes(node):
+            visit(child, names)
+
+    visit(tree, [])
+    return callers
+
+
+def test_one_routine_picks_the_exact_dtypes():
+    """Every exact dtype comes from ``_ExactKernel.dtype``'s one bound; only
+    ``Lift.rays``, which narrows rays already made, reads ``_int_dtype``
+    apart from it."""
+    src = Path(_linalg.__file__).parent
+    callers = {
+        f"{path.stem}:{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in int_dtype_callers(path)
+    }
+    assert callers == {"_linalg:_ExactKernel.dtype", "_linalg:Lift.rays"}
 
 
 # -- exact signs from one float64 product ---------------------------------------

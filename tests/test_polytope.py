@@ -496,26 +496,52 @@ def test_vertex_table_quotients_each_raw_tuple_once(d, data, entries):
         assert [tuple(table[j] for j in row) for row in rank.tolist()] == values
 
 
-def test_vertex_table_sorts_exactly_when_floats_are_out_of_order(monkeypatch):
-    """(a - b sqrt 2) with a + b sqrt 2 = (1 + sqrt 2)^44 is about 1e-17 but
-    its float is -4.0, so the float order puts it below -1; the signs of
-    the neighbouring differences show it, and ``value_table`` sorts the
-    values exactly instead."""
+def tiny_conjugate():
+    """(a - b sqrt 2) with a + b sqrt 2 = (1 + sqrt 2)^44: about 1e-17, but
+    its float is -4.0, so the float order puts it below -1."""
     a, b = 1, 0
     for _ in range(44):
         a, b = a + 2 * b, a + b
     tiny = Quadratic(a, -b, 2)
     assert tiny.sign() == 1 and float(tiny) == -4.0
-    calls = []
-    monkeypatch.setattr(
-        _linalg, "value_table", lambda *args: calls.append(args) or value_table(*args)
-    )
+    return tiny
+
+
+def sorted_exactly(monkeypatch, table_call) -> list:
+    """The ranks that ``table_call`` gives the values -5, -1 and the tiny
+    conjugate, whose table is in exact order: the signs of the neighbouring
+    differences showed the float order wrong, and the exact sort ran, one
+    ``pair_signs`` per comparison between the check of the float order and
+    that of the exact one (two steps each)."""
+    calls, pair_signs = [], _linalg._QuadraticKernel.pair_signs
+
+    def spy(self, rays, rows):
+        calls.append(len(rays))
+        return pair_signs(self, rays, rows)
+
+    monkeypatch.setattr(_linalg._QuadraticKernel, "pair_signs", spy)
+    table, rank = table_call(tiny_conjugate())
+    assert len(calls) > 2 and calls[0] == calls[-1] == 2
+    assert set(calls[1:-1]) == {1}
+    assert table == (F(-5), F(-1), tiny_conjugate())
+    return rank.tolist()
+
+
+def test_vertex_table_sorts_exactly_when_floats_are_out_of_order(monkeypatch):
     kernel = kernel_for(quadratic_field(2))
-    rays = np.array([[[1, 0], [a, -b], [-1, 0], [-5, 0]]], dtype=object)
-    table, rank = kernel.vertex_table(rays)
-    assert len(calls) == 1
-    assert table == (F(-5), F(-1), tiny)
-    assert rank.tolist() == [[2, 1, 0]]
+
+    def table(tiny):
+        rays = [[[1, 0], [tiny.a, tiny.b], [-1, 0], [-5, 0]]]
+        return kernel.vertex_table(np.array(rays, dtype=object))
+
+    assert sorted_exactly(monkeypatch, table) == [[2, 1, 0]]
+
+
+def test_value_table_sorts_exactly_when_floats_are_out_of_order(monkeypatch):
+    def table(tiny):
+        return value_table([tiny, F(-1), F(-5)], np.arange(3))
+
+    assert sorted_exactly(monkeypatch, table) == [2, 1, 0]
 
 
 @pytest.mark.parametrize("d", [None, 2], ids=["Q", "d2"])
@@ -578,7 +604,10 @@ def test_value_order_breaks_float_ties_exactly():
     assert values == (F(0), F(1, 3), ABOVE_THIRD) and rank.tolist() == [2, 1, 0]
 
 
-@pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
+# times 2^600, squared norms have no float64 value
+@pytest.mark.parametrize(
+    "big", [0, BIG, 2**600 + 1], ids=["int64", "python-int", "past-float"]
+)
 @pytest.mark.parametrize("quadratic", [False, True], ids=["Q", "d2"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -587,7 +616,7 @@ def test_max_squared_norm_matches_max(quadratic, big, data):
     of them wins, as with ``max``."""
     pool = POOL if quadratic else [x for x in POOL if type(x) is F]
     if big:
-        pool = [x * F(BIG, 3) for x in pool]
+        pool = [x * F(big, 3) for x in pool]
     n = data.draw(st.integers(min_value=1, max_value=4))
     vertices = data.draw(
         st.lists(
