@@ -21,37 +21,39 @@ whole stacks at once with it and ``combine_rays``, and decides which rays
 are adjacent from their tight masks alone, with no arithmetic, so no
 kernel answers rank questions for it.  A reader that needs only the signs
 of a product, the certificate, takes them from ``product_signs``: one
-float64 product whose static error bound decides most signs, the rest
-recomputed exactly by ``pair_signs``, the exact products of rays and rows
-taken in pairs.  Independent rows, first rays and null vectors come from
-``first_cone``: the double description's own insertion, run from the unit
-vectors with those same ``classify`` and ``combine_rays`` steps.
+float64 product per block of rows whose static error bound decides most
+signs, the rest recomputed exactly by ``pair_signs``, the exact products
+of rays and rows taken in pairs.  Independent rows, first rays and null
+vectors come from ``first_cone``: the double description's own
+insertion, run from the unit vectors with those same ``classify`` and
+``combine_rays`` steps.
 
 A point set is a table of its distinct coordinate values in ascending
 order plus an integer matrix of positions into that table, one row per
 point; ``value_table`` builds it for every point set given by its values,
 from rule tables and scalar tuples, and ``vertex_table`` for the vertex
-enumerator's quotients.  A :class:`Lift` holds the set as one stack of
-vectors in its kernel's layout under one common denominator: each table
-value is converted once and the stack is the converted table indexed by
-the positions, so that the checks which read every point or vertex run as
-``classify`` products.  ``lift`` is the one place where scalars become
+enumerator's quotients.  A :class:`Lift` holds a point set as one stack
+of vectors in its kernel's layout under one common denominator: each
+table value is converted once and the stack is the converted table
+indexed by the positions.  ``lift`` is the one place where scalars become
 kernel integers, and this module the only one that reads the (a, b)
 layout: the double description's rows, ``validate``'s span check, the
-certificate's polar rows and ``rank`` read a lift's ``stack``; the
-kernels' ``squared_norms`` and ``argmax`` compare products and norms in
-kernel layout, ``to_scalar`` turns them back into field values, and
-``vertex_table`` the double description's rays into the value table of
-their coordinates.  numpy is imported only where a lift is built or read.
+certificate's polar rows and ``rank`` read a lift's ``stack``.  The
+vertex enumerator's rays (t, x), each over its own denominator t, stay
+with its vertex set and are read as they are by ``vertex_table``, by the
+kernels' ``squared_norms`` and ``argmax`` and by ``product_signs``; only a
+vertex set made elsewhere lifts its vertices, once, for its rays.
+``to_scalar`` turns products back into field values.  numpy is imported
+only where a stack is built or read.
 
 Exact values are put in order by one routine, ``ranks``: by their floats,
 the order confirmed by one ``pair_signs`` call on the neighbouring
 differences, and sorted by exact comparison only when that finds a step
 down.  ``vertex_table`` ranks each distinct coordinate row once (keyed by
 ``distinct_rows``; over Q(sqrt(d)) a coordinate's row is its reduced
-quotient, one row per value), the Q(sqrt(d)) ``argmax`` its distinct
-values, and ``value_table`` the rows of its values' lift; floats are
-ranked by one ``np.unique`` of their keys.
+quotient, one row per value), ``argmax`` values over their denominators,
+and ``value_table`` the rows of its values' lift; floats are ranked by
+one ``np.unique`` of their keys.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ from .scalar import RATIONAL, Field, Quadratic, Scalar, quadratic_field
 
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
 # product entries per block of rows, about 512 KiB either way: an exact
-# lifted product keeps some 16 int64 temporaries per entry, the certify's
-# float64 products (and the signs ``product_signs`` takes from them) one
+# lifted product keeps some 16 int64 temporaries per entry, the float64
+# products of ``product_signs`` and of the float certify one
 BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
 
@@ -148,11 +150,6 @@ class _Kernel:
 
         flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
         return np.where(flip, 0 - stack, stack)
-
-    def argmax(self, values) -> int:
-        """The index of the first largest of a stack of field values in
-        kernel layout."""
-        return int(values.argmax())
 
     def units(self, width: int):
         """The ``width`` unit vectors in kernel layout, one per row: the
@@ -291,18 +288,27 @@ class _ExactKernel(_Kernel):
         rank[order[1:]] = np.cumsum(steps != 0)
         return rank
 
+    def argmax(self, values, dens) -> int:
+        """The index of the first largest of the values n / t, one n and
+        one rational t > 0 per value in kernel layout: the first of the top
+        rank (``ranks``)."""
+        import numpy as np
+
+        rows = (values.reshape(len(values), -1), dens.reshape(len(dens), -1)[:, :1])
+        return int(self.ranks(np.concatenate(rows, axis=1)).argmax())
+
     def product_signs(self, rays, rows):
         """The exact signs of the products of a stack of rays with a stack
-        of rows (a row of them per ray, as ``rays @ rows.T``), as int8, or
-        as ``classify`` gives them where the call falls back to it.
+        of rows (a row of them per ray, as ``rays @ rows.T``), as int8.
 
-        The rays and the rows are mapped to the float64 values of their
-        entries (``floats``) and multiplied in one BLAS product; a static
-        bound B on the error of every entry of it decides each sign whose
+        The rays and the rows are mapped once to the float64 values of their
+        entries (``floats``) and bounded once.  A block of rows of
+        ``FLOAT_BLOCK_ENTRIES`` products at a time is one BLAS product; a
+        static bound B on the error of every entry decides each sign whose
         float clears B, and only the entries within B of 0 (tight pairs,
         whose product is 0, most of all) are recomputed exactly from their
         gathered ray and row by ``pair_signs``.  When an entry has no finite
-        float, or the products could overflow, the whole call is the exact
+        float, or the products could overflow, each block is the exact
         ``classify``.
 
         The bound.  With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
@@ -337,17 +343,20 @@ class _ExactKernel(_Kernel):
             top = width * float(r_top) * float(w_top)
         except OverflowError:  # a Python int beyond float64's range
             top = float("inf")
-        if not top < 2.0**1000:  # also when top is inf or nan
-            return self.classify(rays, rows)[2]
-        products = r @ w.T
         bound = 2.0**-52 * (width + 9) * top
-        # int8 and bool temporaries only: the float product is the one
-        # large array
-        above, below = products > bound, products < -bound
-        signs = above.view(np.int8) - below.view(np.int8)
-        i, j = np.nonzero(above == below)  # neither: within the bound
-        if len(i):
-            signs[i, j] = self.pair_signs(rays[i], rows[j])
+        signs = np.empty((len(rays), len(rows)), dtype=np.int8)
+        for block in row_blocks(len(rows), len(rays), FLOAT_BLOCK_ENTRIES):
+            if not top < 2.0**1000:  # also when top is inf or nan
+                signs[:, block] = self.classify(rays, rows[block])[2]
+                continue
+            # int8 and bool temporaries only: the float product is the one
+            # large array
+            products = r @ w[block].T
+            above, below = products > bound, products < -bound
+            out = signs[:, block]
+            np.subtract(above.view(np.int8), below.view(np.int8), out=out)
+            i, j = np.nonzero(above == below)  # neither: within the bound
+            out[i, j] = self.pair_signs(rays[i], rows[block][j])
         return signs
 
     def vertex_table(self, rays) -> tuple:
@@ -489,17 +498,6 @@ class _QuadraticKernel(_ExactKernel):
         root = sqrt(self.d)
         return a + b * root, abs(a) + abs(b) * root
 
-    def argmax(self, values) -> int:
-        """The index of the first largest of a stack of (a, b) values: the
-        first row (``distinct_rows``) of the distinct value of top rank
-        (``ranks``, each value over the denominator 1)."""
-        import numpy as np
-
-        first, _ = distinct_rows(values)
-        distinct = values[first]
-        ones = np.ones((len(distinct), 1), dtype=distinct.dtype)
-        return int(first[self.ranks(np.concatenate((distinct, ones), axis=1)).argmax()])
-
     def normal_form(self, stack, s=None):
         """Each vector of a stack times conj(s) * sign(conj(s)), one field
         value s per vector, in primitive form; without s, the stack made
@@ -595,6 +593,10 @@ class _FloatKernel(_Kernel):
             norms = norms + stack[:, j] * stack[:, j]
         return norms
 
+    def argmax(self, values, dens) -> int:
+        """The index of the first largest of the values n / t."""
+        return int((values / dens).argmax())
+
     def to_scalar(self, raw: float) -> Scalar:
         return raw
 
@@ -671,14 +673,6 @@ class Lift:
                 np.asarray(t, dtype=dtype) * self.scale
             )
         return stack
-
-    def rays(self):
-        """The primitive kernel ray (t, x) of (1, p) for each vector p:
-        ``stack(t=1)`` in the kernel's primitive form, so that entries stay
-        as small as the vector's own denominators allow, and in int64 when
-        they fit, even where the scale left it."""
-        rays = self.kernel.primitive(self.stack(t=1))
-        return rays.astype(_int_dtype(_top(rays)), copy=False)
 
 
 def index_dtype(size: int):

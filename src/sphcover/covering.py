@@ -228,21 +228,19 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
     """Every enumerated vertex must satisfy every original polar constraint.
 
     On exact backends the products of the configuration's lifted polar
-    rows (scale, -p) with the rays of the vertices' lift (``VertexSet.lift``,
+    rows (scale, -p) with the vertices' rays (t, x) (``VertexSet.rays``,
     which ``max_squared_norm`` reads too) are checked nonnegative by their
-    exact signs from the kernel's ``product_signs``.  The float backend
-    bounds the inner products by 1 + FLOAT_CHECK_EPS.  Both take a block of
-    points at a time, of FLOAT_BLOCK_ENTRIES products.
+    exact signs from one call of the kernel's ``product_signs``.  The float
+    backend bounds the inner products by 1 + FLOAT_CHECK_EPS, a block of
+    points of FLOAT_BLOCK_ENTRIES products at a time.
     """
-    lift = config.lift
-    blocks = row_blocks(len(lift.vectors), len(vertices.vertices), FLOAT_BLOCK_ENTRIES)
-    if not config.field.is_exact:
-        points, vs = lift.vectors, vertices.lift.vectors.T
-        feasible = all((points[b] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS for b in blocks)
+    lift, rays = config.lift, vertices.rays[0]
+    if config.field.is_exact:
+        feasible = (lift.kernel.product_signs(rays, lift.stack(1, -1)) >= 0).all()
     else:
-        rays, polar, kernel = vertices.lift.rays(), lift.stack(1, -1), lift.kernel
-        signs = (kernel.product_signs(rays, polar[b]) for b in blocks)
-        feasible = all((s >= 0).all() for s in signs)
+        points, vs = lift.vectors, rays[:, 1:].T.copy()  # contiguous for BLAS
+        blocks = row_blocks(len(points), len(rays), FLOAT_BLOCK_ENTRIES)
+        feasible = all((points[b] @ vs).max() <= 1.0 + FLOAT_CHECK_EPS for b in blocks)
     if not feasible:
         raise RuntimeError(
             "symmetry reduction produced an infeasible vertex; this is a bug"
@@ -345,7 +343,7 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
         # p.vec is the product of the lifted p and vec over both scales
         hole = lift_table(vec, np.arange(len(vec))[None], field)
         _, products, _ = kernel.classify(lift.vectors, hole.vectors[0])
-        i = kernel.argmax(products)
+        i = kernel.argmax(products, np.ones_like(products))
         best = kernel.to_scalar(products[i:i + 1].tolist()[0])
         best /= lift.scale * hole.scale
         if sign_of(best) <= 0:

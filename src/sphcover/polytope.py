@@ -47,12 +47,10 @@ per value.  Each distinct row becomes one quotient, and the kernel's
 the order confirmed by one exact sign call on the neighbouring
 differences) with no comparison of quotient objects; the vertices are
 ordered by ``np.lexsort`` on the matrix of their value ranks, so that the
-result is sorted by value with no comparison of vertex tuples.  The returned :class:`VertexSet` keeps the
-distinct values in order and the matrix of the vertices' value ranks as
-its value table, and its vertices share the value objects of that table.
-Its ``lift`` (one integer matrix over a common denominator, built from
-that table and cached) serves ``max_squared_norm`` and the covering
-module's certificate.
+result is sorted by value with no comparison of vertex tuples, and share
+the value objects of the table.  The returned :class:`VertexSet` keeps the
+engine's own rays in the order of its vertices (``rays``), which
+``max_squared_norm`` and the covering module's certificate read.
 
 The float output stage runs on arrays too.  Each ray is re-solved from its
 tight rows to remove the drift of the insertions: the rays are grouped by
@@ -74,7 +72,7 @@ from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
-from ._linalg import Lift, kernel_for, value_table
+from ._linalg import _top, kernel_for
 from ._linalg import lift as lift_table
 from .configgen import Configuration
 from .scalar import FLOAT, Field, Vector, dot, format_scalar, parse_scalar, sign_of
@@ -158,27 +156,30 @@ class HPolytope:
 class VertexSet:
     vertices: tuple  # tuple[Vector, ...]
     tight_sets: tuple  # tuple[tuple[int, ...], ...], halfspace indices
-    # exact vertices as a value table: the distinct coordinate values in
-    # order and the matrix of each vertex's positions in them
-    table: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
+    # the engine's own (rays, kernel), which ``rays`` returns when given
+    engine_rays: tuple | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
-    def lift(self) -> Lift:
-        """The vertices lifted once: exact ones from their value table
-        (built by ``_linalg.value_table`` from every coordinate when the set
-        came without one) in the field that ``_linalg.lift`` infers from
-        them; float ones, which share few coordinate values, as their
-        float64 matrix."""
+    def rays(self) -> tuple:
+        """The ray (t, x) of each vertex x / t, t > 0, as one stack in
+        kernel layout, and its kernel: the engine's own, else derived once
+        from the vertices.  Exact ones are lifted over one common
+        denominator (``_linalg.lift``) and made primitive, in int64 when
+        the kernel's ``dtype`` bound shows that they fit; float ones are
+        (1, x)."""
         import numpy as np
 
+        if self.engine_rays is not None:
+            return self.engine_rays
         if isinstance(self.vertices[0][0], float):
-            return Lift(1, np.array(self.vertices, dtype=float), kernel_for(FLOAT))
-        table = self.table
-        if table is None:
-            coords = list(chain.from_iterable(self.vertices))
-            index = np.arange(len(coords)).reshape(len(self.vertices), -1)
-            table = value_table(coords, index)
-        return lift_table(*table)
+            return np.array([(1.0, *v) for v in self.vertices]), kernel_for(FLOAT)
+        coords = list(chain.from_iterable(self.vertices))
+        index = np.arange(len(coords)).reshape(len(self.vertices), -1)
+        lifted = lift_table(coords, index)
+        rays, kernel = lifted.kernel.primitive(lifted.stack(t=1)), lifted.kernel
+        return rays.astype(kernel.dtype(1, _top(rays), 1), copy=False), kernel
 
 
 def polar_hrep(config: Configuration) -> HPolytope:
@@ -339,7 +340,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         for start in range(0, len(rank), OUTPUT_RAYS):
             vertices += map(tuple, table[rank[start:start + OUTPUT_RAYS]])
         tights = map(tights.__getitem__, order.tolist())
-        return VertexSet(tuple(vertices), tuple(tights), (values, rank))
+        return VertexSet(tuple(vertices), tuple(tights), (rays[order], kernel))
 
     # deduplication keeps the first ray in (ray, mask) order
     keys = [masks[:, j] for j in range(masks.shape[1])]
@@ -610,15 +611,15 @@ def _refine_float_rays(tight_rows, rays, index, counts):
 def max_squared_norm(vertices: VertexSet):
     """Exact maximum of sum(x_i^2) over vertices, with the first attaining vertex.
 
-    The vertices are compared on ``vertices.lift`` by its kernel's
-    ``squared_norms`` (scale^2 |v|^2 in kernel layout; float squares summed
-    column by column as ``dot`` sums them) and ``argmax``.
+    The vertices are compared as |x|^2 / t^2 on their rays (t, x)
+    (``VertexSet.rays``) by the kernel's ``squared_norms`` and ``argmax``;
+    float squares are summed column by column as ``dot`` sums them.
     """
     if not vertices.vertices:
         raise ValueError("empty vertex set")
-    lift = vertices.lift
-    kernel = lift.kernel
-    best = vertices.vertices[kernel.argmax(kernel.squared_norms(lift.vectors))]
+    rays, kernel = vertices.rays
+    norms, dens = kernel.squared_norms(rays[:, 1:]), kernel.squared_norms(rays[:, :1])
+    best = vertices.vertices[kernel.argmax(norms, dens)]
     return dot(best, best), best
 
 

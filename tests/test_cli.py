@@ -10,7 +10,7 @@ import pytest
 from sphcover import cli
 from sphcover.cli import main
 from sphcover.configgen import builtin_configuration
-from sphcover.polytope import HPolytope, dump_hpolytope, symmetry_cone
+from sphcover.polytope import HPolytope, VertexSet, dump_hpolytope, symmetry_cone
 
 
 def run(capsys, *argv):
@@ -296,6 +296,37 @@ class TestOracle:
         assert code == 0 and not err
         assert out.splitlines()[1].startswith("vertices: skipped (")
         assert out.splitlines()[-1] == "agreement: OK"
+
+    def test_one_dimension_has_no_cone(self, capsys, tmp_path):
+        """The engine's system of a 1-d configuration is its polar alone, as
+        in ``covering_radius``: the symmetry cone needs n >= 2."""
+        generator = {"type": "subset_values", "support": 1, "a": "1", "b": "0"}
+        path = _config(tmp_path, generator, dimension=1)
+        code, out, err = run(capsys, "oracle", path)
+        assert code == 0 and not err
+        assert out.splitlines()[1:] == ["vertices: 2 = 2, OK", "agreement: OK"]
+
+    @pytest.mark.parametrize("shift, agrees", [(0.0, True), (1e-6, False)])
+    def test_float_vertices_agree_within_tolerance(
+        self, capsys, monkeypatch, tmp_path, shift, agrees
+    ):
+        """The float engine's refined vertices of the square, such as
+        (-0.0, -1.0000000000000002), agree with the brute force's (0.0,
+        -1.0) within 1e-9; a vertex moved by 1e-6 does not."""
+        brute_force = cli.brute_force_vertices
+
+        def moved(poly):
+            brute = brute_force(poly)
+            (x, y), *rest = brute.vertices
+            return VertexSet(((x + shift, y), *rest), brute.tight_sets)
+
+        monkeypatch.setattr(cli, "brute_force_vertices", moved)
+        generator = {"type": "subset_values", "support": 1, "a": "1", "b": "0"}
+        path = _config(tmp_path, generator, dimension=2, field={"kind": "float"})
+        code, out, _ = run(capsys, "oracle", path)
+        assert code == (0 if agrees else 1)
+        want = "vertices: 4 = 4, OK" if agrees else "vertices: oracle 4 != engine 4"
+        assert out.splitlines()[1].startswith(want)
 
     def test_sampling_mismatch_exits_one(self, capsys, monkeypatch, cross4_path):
         monkeypatch.setattr(cli, "sampled_covering_radius", lambda *args: 3.0)

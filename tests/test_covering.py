@@ -208,6 +208,35 @@ class TestCertifyVertices:
             _certify_vertices(VertexSet((vertex, pushed), ((), ())), config)
 
 
+    @pytest.mark.parametrize(
+        "n", [n for n in builtin_dimensions() if builtin_configuration(n).field.is_exact]
+    )
+    def test_no_lift_after_enumeration(self, n, monkeypatch):
+        """From the enumeration to the certificate the exact path reads the
+        engine's own rays: within ``covering_radius`` no scalar reaches
+        ``_linalg.lift`` once ``enumerate_vertices`` has returned."""
+        from sphcover import _linalg, configgen, polytope
+
+        events, lift, enumerate_ = [], _linalg.lift, covering.enumerate_vertices
+
+        def lifting(*args):
+            events.append("lift")
+            return lift(*args)
+
+        def enumerating(poly):
+            vertices = enumerate_(poly)
+            events.append("enumerated")
+            return vertices
+
+        for module in (_linalg, configgen, polytope, covering):
+            for name, value in vars(module).items():
+                if value is lift:
+                    monkeypatch.setattr(module, name, lifting)
+        monkeypatch.setattr(covering, "enumerate_vertices", enumerating)
+        covering_radius(builtin_configuration(n))
+        assert "lift" in events and events[-1] == "enumerated"
+
+
 class TestThreshold:
     def test_equality_edge(self):
         verdict = threshold_check(5, F(2, 5), RATIONAL)

@@ -13,6 +13,7 @@ import json
 import logging
 import random
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from sphcover.polytope import (
     POLAR,
     Halfspace,
     HPolytope,
+    VertexSet,
     enumerate_vertices,
     max_squared_norm,
     polar_hrep,
@@ -638,7 +640,8 @@ QUADRATIC_SYSTEMS = [
 def test_quadratic_rays_stay_in_int64(name, values, monkeypatch):
     """Combined rays in normal form keep entries of the size of the minors
     that fix them, so the final rays fit int64, and each distinct
-    coordinate value reaches ``quotient`` once."""
+    coordinate value reaches ``quotient`` once.  The vertex set keeps the
+    rays that the table was made from."""
     kernel = _linalg._QuadraticKernel
     vertex_table, quotient = kernel.vertex_table, kernel.quotient
     tops, calls = [], []
@@ -655,7 +658,21 @@ def test_quadratic_rays_stay_in_int64(name, values, monkeypatch):
     monkeypatch.setattr(kernel, "quotient", value)
     got = enumerate_vertices(dd_system(name))
     assert len(tops) == 1 and tops[0] < 2**63
-    assert len(calls) == len(got.table[0]) == values
+    assert _linalg._top(got.rays[0]) == tops[0]
+    assert len(calls) == len(set(chain.from_iterable(got.vertices))) == values
+
+
+@pytest.mark.parametrize("name", [n for n in dd_names() if "float" not in n])
+def test_engine_rays_are_the_rays_of_the_vertices(name):
+    """On every exact system, the built-in cones n = 5..10 among them, the
+    rays a vertex set keeps from the engine, in the order of its vertices,
+    are the rays a set of the same vertices derives from them: lifted over
+    one common denominator and made primitive, entry for entry."""
+    got = enumerate_vertices(dd_system(name))
+    rays, kernel = got.rays
+    want, derived = VertexSet(got.vertices, got.tight_sets).rays
+    assert type(kernel) is type(derived)
+    assert rays.dtype == want.dtype == np.int64 and rays.tolist() == want.tolist()
 
 
 # -- float refinement -----------------------------------------------------------

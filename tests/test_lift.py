@@ -311,16 +311,16 @@ def int_dtype_callers(path: Path) -> set:
 
 
 def test_one_routine_picks_the_exact_dtypes():
-    """Every exact dtype comes from ``_ExactKernel.dtype``'s one bound; only
-    ``Lift.rays``, which narrows rays already made, reads ``_int_dtype``
-    apart from it."""
+    """Every exact dtype comes from ``_ExactKernel.dtype``'s one bound, the
+    narrowing of the rays that ``VertexSet.rays`` derives too: no other
+    routine reads ``_int_dtype``."""
     src = Path(_linalg.__file__).parent
     callers = {
         f"{path.stem}:{name}"
         for path in sorted(src.glob("*.py"))
         for name in int_dtype_callers(path)
     }
-    assert callers == {"_linalg:_ExactKernel.dtype", "_linalg:Lift.rays"}
+    assert callers == {"_linalg:_ExactKernel.dtype"}
 
 
 # -- exact signs from one float64 product ---------------------------------------
@@ -518,7 +518,7 @@ class TestPythonIntPath:
         assert validate(config).ok and reference_one_norm(config)
         vertices = enumerate_vertices(polar_hrep(config)).vertices
         assert len(vertices) == 8 and reference_feasible(config, vertices)
-        assert VertexSet(vertices, ((),) * 8).lift.rays().dtype == object
+        assert VertexSet(vertices, ((),) * 8).rays[0].dtype == object
         _certify_vertices(VertexSet(vertices, ((),) * 8), config)
         pushed = push(vertices[0])
         assert not reference_feasible(config, [pushed])
@@ -573,18 +573,21 @@ def test_python_ints_agree_with_int64(n, monkeypatch):
 
 
 def test_vertex_rays_narrow_to_int64():
-    """The n=7 cone's vertices share a scale of 126 bits, so their stack
-    leaves int64, but their primitive rays have entries of 15 bits:
-    ``Lift.rays`` gives them as int64, equal to the Python-int rays."""
+    """The n=7 cone's vertices share a scale of 126 bits, so their lifted
+    stack leaves int64, but their primitive rays have entries of 15 bits:
+    the rays a vertex set derives from them are int64, equal to the
+    Python-int rays."""
     config = builtin_configuration(7)
     halfspaces = symmetry_cone(7, config.field) + tuple(
         Halfspace(p, POLAR) for p in _orbit_representatives(config)
     )
-    lift = enumerate_vertices(HPolytope(7, halfspaces, config.field)).lift
+    vertices = enumerate_vertices(HPolytope(7, halfspaces, config.field)).vertices
+    coords = [x for v in vertices for x in v]
+    lift = _linalg.lift(coords, np.arange(len(coords)).reshape(len(vertices), -1))
     assert lift.scale >= 2**63
-    rays = lift.rays()
+    rays, kernel = VertexSet(vertices, ((),) * len(vertices)).rays
     assert rays.dtype == np.int64 and _linalg._top(rays) < 2**15
-    assert rays.tolist() == lift.kernel.primitive(lift.stack(t=1)).tolist()
+    assert rays.tolist() == kernel.primitive(lift.stack(t=1)).tolist()
 
 
 # -- homogenized rows against a per-row reference ------------------------------
