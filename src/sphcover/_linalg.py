@@ -43,8 +43,7 @@ vertex enumerator's rays (t, x), each over its own denominator t, stay
 with its vertex set and are read as they are by ``vertex_table``, by the
 kernels' ``squared_norms`` and ``argmax`` and by ``product_signs``; only a
 vertex set made elsewhere lifts its vertices, once, for its rays.
-``to_scalar`` turns products back into field values.  numpy is imported
-only where a stack is built or read.
+``to_scalar`` turns products back into field values.
 
 Exact values are put in order by one routine, ``ranks``: by their floats,
 the order confirmed by one ``pair_signs`` call on the neighbouring
@@ -63,6 +62,8 @@ from functools import cmp_to_key
 from itertools import chain, starmap
 from math import lcm, prod, sqrt
 from operator import matmul, mul
+
+import numpy as np
 
 from .scalar import RATIONAL, Field, Quadratic, Scalar, quadratic_field
 
@@ -101,8 +102,6 @@ class _Kernel:
         ``orient`` also puts the vector in ``normal_form``, as
         ``combine_rays`` does.  So the lineality left is primitive, its
         first nonzero entry rational and positive."""
-        import numpy as np
-
         stack = self.units(width)
         picks, pick_rows = [], []
         for index, row in enumerate(rows):
@@ -138,24 +137,18 @@ class _Kernel:
     def leading(self, stack):
         """The first nonzero entry of each vector of a nonempty stack; a
         float is zero within ``ZERO_EPS``, as ``classify`` decides it."""
-        import numpy as np
-
         nonzero = (abs(stack) > ZERO_EPS).any(axis=tuple(range(2, stack.ndim)))
         return stack[np.arange(len(stack)), nonzero.argmax(axis=1)]
 
     def orient(self, stack, products):
         """Each vector of a stack, negated where its product with its row
         (one per vector) is negative; float zeros stay 0.0."""
-        import numpy as np
-
         flip = (np.array(products) < 0).reshape((-1,) + (1,) * (stack.ndim - 1))
         return np.where(flip, 0 - stack, stack)
 
     def units(self, width: int):
         """The ``width`` unit vectors in kernel layout, one per row: the
         identity times the kernel's ``one``."""
-        import numpy as np
-
         return np.multiply.outer(np.eye(width, dtype=np.int64), self.one)
 
     def combine_rays(self, sp, rm, sm, rp):
@@ -177,8 +170,6 @@ class _ExactKernel(_Kernel):
     def primitive(stack):
         """Each vector of a stack divided by the gcd of its entries; a zero
         vector stays as it is."""
-        import numpy as np
-
         g = np.gcd.reduce(stack.reshape(len(stack), prod(stack.shape[1:])), axis=1)
         g[g == 0] = 1
         return stack // g.reshape((-1,) + (1,) * (stack.ndim - 1))
@@ -196,8 +187,6 @@ class _ExactKernel(_Kernel):
     def quotient_rows(x, t):
         """The integer row of each coordinate x / t that ``quotient`` reads,
         one row of parts of x and of t each: the parts side by side."""
-        import numpy as np
-
         return np.concatenate((x, t), axis=1)
 
     def dtype(self, width, x, y, then=None):
@@ -260,8 +249,6 @@ class _ExactKernel(_Kernel):
         floats are out of order) are the values sorted by exact comparison,
         one ``pair_signs`` call per comparison: a float filter with an exact
         decision behind it (Shewchuk, Discrete Comput. Geom. 18, 1997)."""
-        import numpy as np
-
         count = len(rows)
         nums = rows[:, :-1].reshape((count, 1) + np.shape(self.one))
         dens = rows[:, -1:]
@@ -292,8 +279,6 @@ class _ExactKernel(_Kernel):
         """The index of the first largest of the values n / t, one n and
         one rational t > 0 per value in kernel layout: the first of the top
         rank (``ranks``)."""
-        import numpy as np
-
         rows = (values.reshape(len(values), -1), dens.reshape(len(dens), -1)[:, :1])
         return int(self.ranks(np.concatenate(rows, axis=1)).argmax())
 
@@ -332,8 +317,6 @@ class _ExactKernel(_Kernel):
         total, bounds the error of every entry with room to spare.  When
         w M_R M_W is below 2^1000 no partial sum comes near float64's
         largest value."""
-        import numpy as np
-
         width = rays.shape[1]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -370,8 +353,6 @@ class _ExactKernel(_Kernel):
         becomes one ``quotient``.  The rows new to the dict, kept as arrays,
         are put in order by ``ranks``, so that equal values met as different
         rows, such as 1/2 and 2/4 over Q, share one rank."""
-        import numpy as np
-
         count, dim = rays.shape[:2]
         n = dim - 1
         numbers, rows, slots = {}, [], np.empty((count, n), dtype=np.intp)
@@ -396,8 +377,6 @@ def _top(stack) -> int:
     """The largest absolute entry of an integer array (int64 or Python
     ints), 0 when it is empty: from its largest and its smallest entry,
     with no array of absolute values."""
-    import numpy as np
-
     top = np.maximum.reduce(stack, axis=None, initial=0)
     return max(int(top), -int(np.minimum.reduce(stack, axis=None, initial=0)))
 
@@ -412,8 +391,6 @@ class _RationalKernel(_ExactKernel):
     @staticmethod
     def sign(values):
         """Elementwise sign of an integer array."""
-        import numpy as np
-
         return np.sign(values)
 
     @staticmethod
@@ -444,8 +421,6 @@ class _QuadraticKernel(_ExactKernel):
         """Elementwise sign of a + b sqrt(d) on a stack of (a, b) values
         (int64 or Python ints): entries whose parts have opposite signs are
         decided by the sign of a^2 - d b^2, computed on those entries only."""
-        import numpy as np
-
         a, b = values[..., 0], values[..., 1]
         sa, sb = np.sign(a), np.sign(b)
         out = np.sign(sa + sb)
@@ -459,16 +434,12 @@ class _QuadraticKernel(_ExactKernel):
     def field_stack(stack):
         """A stack of vectors in (a, b) layout: a rational stack (no (a, b)
         axis) read as (a, 0)."""
-        import numpy as np
-
         if stack.ndim == 3:
             return stack
         return np.stack((stack, np.zeros_like(stack)), axis=-1)
 
     def multiply(self, x, y):
         """The entrywise product of stacks of (a, b) values, broadcast."""
-        import numpy as np
-
         xa, xb = x[..., 0, None], x[..., 1, None]
         ya, yb = y[..., 0, None], y[..., 1, None]
         a, b = xa * ya + self.d * (xb * yb), xa * yb + xb * ya
@@ -480,8 +451,6 @@ class _QuadraticKernel(_ExactKernel):
         sums are at most 4 width max|row| max|ray| < 2^63 when the bound of
         the caller's dtype, at least 3 width max|row| max|ray|, is below
         2^62."""
-        import numpy as np
-
         ra, rb, wa, wb = rays[..., 0], rays[..., 1], columns[..., 0], columns[..., 1]
         aa, bb = ra @ wa, rb @ wb
         a, b = aa + self.d * bb, (ra + rb) @ (wa + wb) - aa - bb
@@ -508,8 +477,6 @@ class _QuadraticKernel(_ExactKernel):
         multiple of the vector has the same form.  In the dtype of
         (1 + d) max|s| max(max|s|, max|v|), which bounds the products and
         the norms of s that ``sign`` takes."""
-        import numpy as np
-
         if s is None:
             stack = self.primitive(stack)
             s = self.leading(stack)
@@ -525,8 +492,6 @@ class _QuadraticKernel(_ExactKernel):
         one (a, b) row of x and of t each: x * conj(t) and the norm
         t * conj(t) over the gcd of the three, r positive, so that equal
         values give equal rows.  In the dtype of (1 + d) max(|x|, |t|)^2."""
-        import numpy as np
-
         top = max(_top(x), _top(t))
         dtype = self.dtype(1, top, top)
         x, t = x.astype(dtype, copy=False), t.astype(dtype, copy=False)
@@ -575,8 +540,6 @@ class _FloatKernel(_Kernel):
         the exact ``classify`` gives them, each summed column by column as a
         Python ``sum`` of the entry products sums it, and their signs: zero
         within ``ZERO_EPS``."""
-        import numpy as np
-
         rows = np.asarray(rows)
         columns = rays.T.reshape(rays.T.shape + (1,) * (rows.ndim - 1))
         products = np.zeros((len(rays),) + rows.shape[:-1])
@@ -614,8 +577,6 @@ def rank(rows, field: Field) -> int:
 
     ``perfbench/workloads.py`` draws its random instances with it.
     """
-    import numpy as np
-
     values = list(chain.from_iterable(rows))
     index = np.arange(len(values)).reshape(len(rows), -1)
     lifted = lift(values, index, field)
@@ -626,8 +587,6 @@ def rank(rows, field: Field) -> int:
 
 def _int_dtype(bound: int):
     """int64 when ``bound`` shows every intermediate fits, else Python ints."""
-    import numpy as np
-
     return np.int64 if bound < 2**62 else object
 
 
@@ -655,8 +614,6 @@ class Lift:
         """The vectors v, each times ``sign`` (one per vector) when given,
         with a leading entry t * scale (one t per vector, or one for all)
         when ``t`` is given.  Python ints when the scale leaves int64."""
-        import numpy as np
-
         vectors = self.vectors
         dtype = vectors.dtype if self.scale < 2**63 else object
         if t is None and sign is None:
@@ -678,8 +635,6 @@ class Lift:
 def index_dtype(size: int):
     """int8 positions into a table of at most 128 values, int16 into one
     of at most 32,768, else intp."""
-    import numpy as np
-
     return np.int8 if size <= 128 else np.int16 if size <= 2**15 else np.intp
 
 
@@ -689,8 +644,6 @@ def row_keys(index, base: int):
     the entries lie in [0, base) (positions), or are balanced digits in
     (-base / 2, base / 2), the keys are equal exactly when the rows are, and
     sort as the rows do.  int64 when every key fits, Python ints otherwise."""
-    import numpy as np
-
     width = index.shape[1]
     dtype = np.int64 if base**width <= 2**63 else object
     weights = np.array([base ** (width - 1 - j) for j in range(width)], dtype=dtype)
@@ -703,8 +656,6 @@ def distinct_rows(stack) -> tuple:
     row's place among them: one ``np.unique`` of the rows' ``row_keys``,
     the entries, at most top in size, read as balanced digits in base
     2 top + 1."""
-    import numpy as np
-
     keys = row_keys(stack, 2 * _top(stack) + 1)
     _, first, place = np.unique(keys, return_index=True, return_inverse=True)
     return first, place
@@ -720,8 +671,6 @@ def value_table(values, index, key=None) -> tuple:
     field that ``lift`` infers, and ranked by the kernel's ``ranks`` on the
     rows (v, scale) of their lift.
     """
-    import numpy as np
-
     if key is not None:
         rank = np.unique(np.array(list(map(key, values))), return_inverse=True)[1]
     else:
@@ -736,8 +685,6 @@ def _ranked(values, rank, index) -> tuple:
     """The value table of ``values`` given the rank of each among the
     distinct values: the first value of each rank in order, and ``index``
     renumbered into them (as ``index_dtype``)."""
-    import numpy as np
-
     rank = np.asarray(rank, dtype=np.intp)
     rank = rank.astype(index_dtype(int(rank.max(initial=-1)) + 1))
     first = np.unique(rank, return_index=True)[1].tolist()
@@ -756,8 +703,6 @@ def lift(values, index, field: Field | None = None) -> Lift:
     of the scale is the whole denominator of some part.  A value outside
     the field raises TypeError.
     """
-    import numpy as np
-
     if field is None:
         d = next((x.d for x in values if isinstance(x, Quadratic)), None)
         field = RATIONAL if d is None else quadratic_field(d)

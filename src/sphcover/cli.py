@@ -255,6 +255,11 @@ def _cmd_oracle(args, parser) -> int:
         return EXIT_USAGE
     try:
         dumped = load_hpolytope(args.hrep) if args.hrep else None
+        if dumped and dumped.dimension != config.dimension:
+            raise ValueError(
+                f"{args.hrep}: dim={dumped.dimension}, expected the "
+                f"configuration's dimension {config.dimension}"
+            )
     except (OSError, ValueError) as exc:
         print(f"halfspace dump error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,8 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable, Union
 
+import numpy as np
+
 from . import _linalg
 from .scalar import (
     FLOAT,
@@ -143,8 +145,6 @@ def _expand_index(rule: GeneratorRule, n: int, field: Field) -> tuple:
     decreasing order of those integers are in the lexicographic order of
     ``combinations(support, k)``.
     """
-    import numpy as np
-
     if isinstance(rule, Pattern):
         total = sum(count for _, count in rule.entries)
         if total != n:
@@ -274,8 +274,6 @@ class Configuration:
     def table(self) -> tuple:
         """``(values, index)`` of points given by hand.  A point of the
         wrong length is a :class:`ConfigurationError`."""
-        import numpy as np
-
         if any(len(p) != self.dimension for p in self.points):
             raise ConfigurationError("point dimension mismatch")
         values = list(chain.from_iterable(self.points))
@@ -321,8 +319,6 @@ def make_configuration(
     points are the distinct rows of the position matrix in ascending order
     of their ``_linalg.row_keys``, which is ``sorted(set(points))``.
     """
-    import numpy as np
-
     rules = tuple(rules)
     if not rules:
         raise ConfigurationError("configuration has no points")
@@ -357,8 +353,6 @@ def validate(config: Configuration) -> ValidationReport:
     be interior to the convex hull; the conclusive boundedness check happens
     during vertex enumeration.
     """
-    import numpy as np
-
     try:
         values, index = config.table
     except ConfigurationError as exc:

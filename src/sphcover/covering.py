@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
+import numpy as np
 
 from ._linalg import FLOAT_BLOCK_ENTRIES, row_blocks, row_keys
 from ._linalg import lift as lift_table
@@ -200,8 +201,6 @@ def _orbit_representatives(config: Configuration) -> list | None:
     (rearrangement), so one polar constraint per pattern suffices there;
     soundness is re-checked against every original point after enumeration.
     """
-    import numpy as np
-
     if not config.negation_closed:
         return None
     values, index = config.table
@@ -331,8 +330,6 @@ def deep_hole_check(config: Configuration, report: CoveringReport) -> bool:
     taken on the configuration's lift, by the kernel's ``classify`` on
     exact backends.
     """
-    import numpy as np
-
     field = config.field
     vec = report.attaining_vertex
     lift = config.lift

@@ -38,17 +38,18 @@ that its entries do not grow with the insertions.  A third ray is looked
 for only among the rays tight on the inserted row and the other candidate
 pairs that share a ray with the pair (``_adjacent``).
 
-The exact output stage stays on integers, a block of rays at a time: the
-tight sets come from the packed masks, and the kernel's ``vertex_table``
-keys each coordinate x / t as an integer row (``_linalg.distinct_rows``):
+The insertions hand over copies of the live rows, so no store outlives
+them.  The exact output stage stays on integers, a block of rays at a
+time: the kernel's ``vertex_table`` keys each coordinate x / t as an integer row (``_linalg.distinct_rows``):
 its raw parts (x, t) over Q, its reduced quotient over Q(sqrt d), one row
 per value.  Each distinct row becomes one quotient, and the kernel's
 ``ranks`` ranks the distinct rows by value (put in order by their floats,
 the order confirmed by one exact sign call on the neighbouring
-differences) with no comparison of quotient objects; the vertices are
-ordered by ``np.lexsort`` on the matrix of their value ranks, so that the
-result is sorted by value with no comparison of vertex tuples, and share
-the value objects of the table.  The returned :class:`VertexSet` keeps the
+differences) with no comparison of quotient objects; the rays and masks
+are ordered by ``np.lexsort`` on the matrix of their value ranks before
+the tight sets (from the packed masks) and the vertices are made, so that
+the result is sorted by value with no comparison of vertex tuples, and the
+vertices share the value objects of the table.  The returned :class:`VertexSet` keeps the
 engine's own rays in the order of its vertices (``rays``), which
 ``max_squared_norm`` and the covering module's certificate read.
 
@@ -71,6 +72,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from ._linalg import _top, kernel_for
 from ._linalg import lift as lift_table
@@ -169,8 +172,6 @@ class VertexSet:
         denominator (``_linalg.lift``) and made primitive, in int64 when
         the kernel's ``dtype`` bound shows that they fit; float ones are
         (1, x)."""
-        import numpy as np
-
         if self.engine_rays is not None:
             return self.engine_rays
         if isinstance(self.vertices[0][0], float):
@@ -218,8 +219,6 @@ def _homogenized_rows(poly: HPolytope, kernel):
 
     The normals are lifted at once; ``primitive`` then gives each row the
     kernel form it has alone.  Row 0 keeps sign +1, its float zeros 0.0."""
-    import numpy as np
-
     n = poly.dimension
     if any(len(hs.normal) != n for hs in poly.halfspaces):
         raise ValueError("halfspace dimension mismatch")
@@ -238,8 +237,6 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
     insertions, which for a pure polar system means the origin is not
     interior to the convex hull of the defining points.
     """
-    import numpy as np
-
     n = poly.dimension
     dim = n + 1
     field = poly.field
@@ -254,6 +251,62 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         # every constraint normal
         direction = lineality[0, 1:].tolist()
         raise Unbounded(tuple(map(kernel.to_scalar, direction)))
+    rays, masks = _insert_halfspaces(kernel, rows, selected, rays)
+
+    _, _, t_signs = kernel.classify(rays, rows[0])
+    if (t_signs == 0).any():
+        # the first unbounded ray in (ray, mask) order
+        vec = min(rays[t_signs == 0].tolist())
+        raise Unbounded(tuple(map(kernel.to_scalar, vec[1:])))
+
+    # the rays left are bounded, so none is tight on row 0 (t >= 0), and
+    # halfspace i is row i + 1.  Exact rays are put in vertex order first.
+    # Python objects are made a block of rays at a time, so that their
+    # temporaries stay small next to the output; the float rays are refined
+    # a block at a time too.
+    if field.is_exact:
+        values, rank = kernel.vertex_table(rays)
+        # lexsort's last key is its first
+        order = np.lexsort(rank.T[::-1])
+        rays, masks, rank = rays[order], masks[order], rank[order]
+    else:
+        out = np.empty(rays.shape)  # refined rays
+    tights = []
+    for start in range(0, len(rays), OUTPUT_RAYS):
+        block = slice(start, start + OUTPUT_RAYS)
+        index, counts = _tight_indices(masks[block], len(rows))
+        if not field.is_exact:
+            out[block] = _refine_float_rays(rows, rays[block], index, counts)
+        index = (index - 1).tolist()
+        tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
+    if field.is_exact:
+        table = np.array(values, dtype=object)
+        vertices = []
+        for start in range(0, len(rank), OUTPUT_RAYS):
+            vertices += map(tuple, table[rank[start:start + OUTPUT_RAYS]])
+        return VertexSet(tuple(vertices), tuple(tights), (rays, kernel))
+
+    # deduplication keeps the first ray in (ray, mask) order
+    keys = [masks[:, j] for j in range(masks.shape[1])]
+    keys += [rays[:, j] for j in reversed(range(dim))]
+    order = np.lexsort(keys)
+    coords = out[:, 1:] / out[:, :1]
+    _, first = np.unique(np.rint(coords[order] / DEDUP_EPS), axis=0, return_index=True)
+    kept = order[first]
+    # lexsort's last key is its first
+    kept = kept[np.lexsort(coords[kept].T[::-1])]
+    return VertexSet(
+        tuple(map(tuple, coords[kept].tolist())),
+        tuple(map(tights.__getitem__, kept.tolist())),
+    )
+
+
+def _insert_halfspaces(kernel, rows, selected: list, rays) -> tuple:
+    """The rays of the first cone ``rays`` (on the ``selected`` rows) cut by
+    every other row in turn, and their packed tight masks: copies of the
+    live rows of the stores, so that the stores and the last insertion's
+    temporaries are gone before the output is made."""
+    dim = rays.shape[1]
     # the rays, their masks and the order in which they were made are the
     # first count rows of three stores; ray j is tight on every selected
     # row but row j, positive on row j
@@ -307,54 +360,7 @@ def enumerate_vertices(poly: HPolytope) -> VertexSet:
         logger.debug(
             "inserted %d/%d halfspaces, %d rays", step + 1, len(remaining), count
         )
-    rays, masks = rays[:count], masks[:count]
-
-    _, _, t_signs = kernel.classify(rays, rows[0])
-    if (t_signs == 0).any():
-        # the first unbounded ray in (ray, mask) order
-        vec = min(rays[t_signs == 0].tolist())
-        raise Unbounded(tuple(map(kernel.to_scalar, vec[1:])))
-
-    # the rays left are bounded, so none is tight on row 0 (t >= 0), and
-    # halfspace i is row i + 1.  Python objects are made a block of rays at
-    # a time, so that their temporaries stay small next to the output; the
-    # float rays are refined a block at a time too.
-    tights = []
-    if field.is_exact:
-        values, rank = kernel.vertex_table(rays)
-    else:
-        out = np.empty(rays.shape)  # refined rays
-    for start in range(0, len(rays), OUTPUT_RAYS):
-        block = slice(start, start + OUTPUT_RAYS)
-        index, counts = _tight_indices(masks[block], len(rows))
-        if not field.is_exact:
-            out[block] = _refine_float_rays(rows, rays[block], index, counts)
-        index = (index - 1).tolist()
-        tights += (tuple(r[:c]) for r, c in zip(index, counts.tolist()))
-    if field.is_exact:
-        # lexsort's last key is its first
-        order = np.lexsort(rank.T[::-1])
-        rank = rank[order]
-        table = np.array(values, dtype=object)
-        vertices = []
-        for start in range(0, len(rank), OUTPUT_RAYS):
-            vertices += map(tuple, table[rank[start:start + OUTPUT_RAYS]])
-        tights = map(tights.__getitem__, order.tolist())
-        return VertexSet(tuple(vertices), tuple(tights), (rays[order], kernel))
-
-    # deduplication keeps the first ray in (ray, mask) order
-    keys = [masks[:, j] for j in range(masks.shape[1])]
-    keys += [rays[:, j] for j in reversed(range(dim))]
-    order = np.lexsort(keys)
-    coords = out[:, 1:] / out[:, :1]
-    _, first = np.unique(np.rint(coords[order] / DEDUP_EPS), axis=0, return_index=True)
-    kept = order[first]
-    # lexsort's last key is its first
-    kept = kept[np.lexsort(coords[kept].T[::-1])]
-    return VertexSet(
-        tuple(map(tuple, coords[kept].tolist())),
-        tuple(map(tights.__getitem__, kept.tolist())),
-    )
+    return rays[:count].copy(), masks[:count].copy()
 
 
 def _room(store, count: int, size: int, dtype):
@@ -362,8 +368,6 @@ def _room(store, count: int, size: int, dtype):
     new store of ``dtype`` with its first ``count`` rows: as long as
     ``store`` when it has the rows, else twice as long or ``size`` rows,
     whichever is more.  The rows past ``count`` are unset."""
-    import numpy as np
-
     if store.dtype == dtype and len(store) >= size:
         return store
     length = len(store) if len(store) >= size else max(size, 2 * len(store))
@@ -393,8 +397,6 @@ def _candidate_pairs(plus, minus, need: int, rows: int):
     Popcounts are summed over the words in which both some plus and some
     minus mask have a row, into uint8 (uint16 from 256 rows on).
     """
-    import numpy as np
-
     dtype = np.uint8 if rows < 256 else np.uint16
     size = 1 if _dense(len(plus), len(minus)) else min(UNION_RAYS, len(plus))
     unions = plus
@@ -439,8 +441,6 @@ def _union(masks):
     an array of several words over its ray axis about ten times slower than
     it reduces each word's column alone, so those are reduced a column at a
     time."""
-    import numpy as np
-
     reduce = np.bitwise_or.reduce
     if masks.shape[1] == 1:
         return reduce(masks, axis=0)
@@ -451,8 +451,6 @@ def _sharing_pairs(plus, minus, need: int, live, dtype):
     """(plus index, minus index) of every pair of packed masks sharing at
     least ``need`` rows, in (plus, minus) order, counted by
     ``_shared_rows`` a block of plus masks at a time."""
-    import numpy as np
-
     step = max(1, PAIR_BLOCK // len(minus))
     p, m = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for start in range(0, len(plus), step):
@@ -469,8 +467,6 @@ def _shared_rows(counts, a, b, live) -> None:
     """Add to ``counts`` the rows shared by the packed masks ``a`` and
     ``b`` (broadcast to its shape, words on the last axis): the popcounts
     of their ANDs over the words ``live``."""
-    import numpy as np
-
     for j in live:
         counts += np.bitwise_count(a[..., j] & b[..., j])
 
@@ -492,8 +488,6 @@ def _adjacent(masks, signs, p, m, common):
     blocks of at most ``PAIR_BLOCK`` tests (of one row at least), on the
     masks' words taken one at a time.
     """
-    import numpy as np
-
     # only the words in which some common mask has a row, and the first: a
     # set with no row in a word lies inside every mask there
     live = _union(common) != 0
@@ -532,8 +526,6 @@ def _covered(sets, complements, least: int):
     """Whether each packed set, one word per row of ``sets``, lies inside
     more than ``least`` of the masks whose complements are given the same
     way, in blocks of at most ``PAIR_BLOCK`` tests (of one set at least)."""
-    import numpy as np
-
     covered = np.empty(sets.shape[1], dtype=bool)
     step = max(1, PAIR_BLOCK // max(1, complements.shape[1]))
     for start in range(0, sets.shape[1], step):
@@ -556,8 +548,6 @@ def _tight_indices(masks, rows: int):
     """Row indices of the set bits of each packed mask over ``rows`` rows,
     in increasing order and padded with ``rows`` to equal length, and the
     popcount of each mask."""
-    import numpy as np
-
     bits = np.unpackbits(
         masks.astype("<u8", copy=False).view(np.uint8),
         axis=1,
@@ -587,8 +577,6 @@ def _refine_float_rays(tight_rows, rays, index, counts):
     is the one a single ray's SVD would take, unpadded, so the vectors are
     the same whatever the chunk.
     """
-    import numpy as np
-
     dim = rays.shape[1]
     out = rays.copy()
     for k in np.flatnonzero(np.bincount(counts)).tolist():

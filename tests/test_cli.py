@@ -306,6 +306,28 @@ class TestOracle:
         assert code == 0 and not err
         assert out.splitlines()[1:] == ["vertices: 2 = 2, OK", "agreement: OK"]
 
+    def test_hrep_of_another_dimension_exit_two(self, capsys, tmp_path, monkeypatch):
+        """A 3-d cube's dump against a 2-d square configuration is refused
+        before anything is enumerated, not brute-forced into a mismatch."""
+        def enumeration(*args, **kwargs):
+            raise AssertionError("a system was enumerated")
+
+        for name in ("covering_radius", "brute_force_vertices", "enumerate_vertices"):
+            monkeypatch.setattr(cli, name, enumeration)
+        generator = {"type": "subset_values", "support": 1, "a": "1", "b": "0"}
+        config = _config(tmp_path, generator, dimension=2)
+        dump = tmp_path / "cube.txt"
+        rows = ["1 0 0", "0 1 0", "0 0 1", "-1 0 0", "0 -1 0", "0 0 -1"]
+        dump.write_text(
+            "hpolytope dim=3 field=rational\n" + "".join(f"polar: {r}\n" for r in rows)
+        )
+        code, out, err = run(capsys, "oracle", config, "--hrep", str(dump))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"halfspace dump error: {dump}: dim=3, expected the configuration's "
+            "dimension 2\n"
+        )
+
     @pytest.mark.parametrize("shift, agrees", [(0.0, True), (1e-6, False)])
     def test_float_vertices_agree_within_tolerance(
         self, capsys, monkeypatch, tmp_path, shift, agrees

@@ -8,10 +8,12 @@ cutting insertion (read from the engine's DEBUG record) and
 ``repr(max_squared_norm(...))``.
 """
 
+import gc
 import hashlib
 import json
 import logging
 import random
+import weakref
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -164,6 +166,29 @@ def test_ray_store_appends_and_fills_holes(name, paths, caplog, monkeypatch):
     fewer = sum(size < count for count, size, _ in calls)
     assert (more, fewer, len(calls) - more - fewer) == paths
     assert any(grew for *_, grew in calls) == (name == "full-8")
+
+
+@pytest.mark.parametrize("name", ["full-6", "full-8", "cone-7-exact"])
+def test_stores_are_gone_before_the_vertex_table(name, monkeypatch):
+    """Every store ``_room`` returns is freed by the time the exact vertex
+    table is made, so the output is not built on top of them."""
+    stores, alive = [], []
+    room, vertex_table = polytope._room, _linalg._ExactKernel.vertex_table
+
+    def recording(*args):
+        store = room(*args)
+        stores.append(weakref.ref(store))
+        return store
+
+    def table(self, rays):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in stores))
+        return vertex_table(self, rays)
+
+    monkeypatch.setattr(polytope, "_room", recording)
+    monkeypatch.setattr(_linalg._ExactKernel, "vertex_table", table)
+    enumerate_vertices(dd_system(name))
+    assert stores and alive == [0]
 
 
 @pytest.mark.parametrize("name", dd_names())
