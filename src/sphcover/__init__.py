@@ -32,6 +32,7 @@ from .covering import (
     arccos_decimal,
     covering_radius,
     deep_hole_check,
+    polar_system,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -106,6 +107,7 @@ __all__ = [
     "max_squared_norm",
     "parse_scalar",
     "polar_hrep",
+    "polar_system",
     "quadratic_field",
     "report_to_dict",
     "reports_to_csv",

@@ -19,12 +19,12 @@ values (``sign``), and every dtype comes from one bound, ``dtype``.
 or with a stack of rows; the vertex enumerator classifies and combines
 whole stacks at once with it and ``combine_rays``, and decides which rays
 are adjacent from their tight masks alone, with no arithmetic, so no
-kernel answers rank questions for it.  A reader that needs only the signs
-of a product, the certificate, takes them from ``product_signs``: one
-float64 product per block of rows whose static error bound decides most
-signs, the rest recomputed exactly by ``pair_signs``, the exact products
-of rays and rows taken in pairs.  Independent rows, first rays and null
-vectors come from ``first_cone``: the double description's own
+kernel answers rank questions for it.  A reader that needs only to know
+that no product is negative, the certificate, asks ``products_nonnegative``:
+one float64 product per block of rows whose static error bound decides
+most signs, the rest recomputed exactly by ``pair_signs``, the exact
+products of rays and rows taken in pairs.  Independent rows, first rays
+and null vectors come from ``first_cone``: the double description's own
 insertion, run from the unit vectors with those same ``classify`` and
 ``combine_rays`` steps.
 
@@ -41,8 +41,8 @@ layout: the double description's rows, ``validate``'s span check, the
 certificate's polar rows and ``rank`` read a lift's ``stack``.  The
 vertex enumerator's rays (t, x), each over its own denominator t, stay
 with its vertex set and are read as they are by ``vertex_table``, by the
-kernels' ``squared_norms`` and ``argmax`` and by ``product_signs``; only a
-vertex set made elsewhere lifts its vertices, once, for its rays.
+kernels' ``squared_norms`` and ``argmax`` and by ``products_nonnegative``;
+only a vertex set made elsewhere lifts its vertices, once, for its rays.
 ``to_scalar`` turns products back into field values.
 
 Exact values are put in order by one routine, ``ranks``: by their floats,
@@ -70,7 +70,7 @@ from .scalar import RATIONAL, Field, Quadratic, Scalar, quadratic_field
 ZERO_EPS = 1e-9  # float zero test, absolute: kernel rows and rays have unit max-norm
 # product entries per block of rows, about 512 KiB either way: an exact
 # lifted product keeps some 16 int64 temporaries per entry, the float64
-# products of ``product_signs`` and of the float certify one
+# products of ``products_nonnegative`` and of the float certify one
 BLOCK_ENTRIES = 4096
 FLOAT_BLOCK_ENTRIES = 65536
 
@@ -282,18 +282,20 @@ class _ExactKernel(_Kernel):
         rows = (values.reshape(len(values), -1), dens.reshape(len(dens), -1)[:, :1])
         return int(self.ranks(np.concatenate(rows, axis=1)).argmax())
 
-    def product_signs(self, rays, rows):
-        """The exact signs of the products of a stack of rays with a stack
-        of rows (a row of them per ray, as ``rays @ rows.T``), as int8.
+    def products_nonnegative(self, rays, rows) -> bool:
+        """Whether every product of a stack of rays with a stack of rows
+        (``rays @ rows.T``) is >= 0, decided exactly.
 
-        The rays and the rows are mapped once to the float64 values of their
-        entries (``floats``) and bounded once.  A block of rows of
-        ``FLOAT_BLOCK_ENTRIES`` products at a time is one BLAS product; a
-        static bound B on the error of every entry decides each sign whose
-        float clears B, and only the entries within B of 0 (tight pairs,
-        whose product is 0, most of all) are recomputed exactly from their
-        gathered ray and row by ``pair_signs``.  When an entry has no finite
-        float, or the products could overflow, each block is the exact
+        The rays are mapped once to the float64 values of their entries
+        (``floats``) and bounded once, the rows a block of
+        ``FLOAT_BLOCK_ENTRIES`` products at a time, and each block is one
+        BLAS product: a static bound B on the error of every entry decides
+        each sign whose float clears B above 0, and only the entries at or
+        below B (tight pairs, whose product is 0, most of all; a negative
+        one only when the answer is False) are recomputed exactly from their
+        gathered ray and row by ``pair_signs``.  The answer is False at the
+        first block with a negative sign.  When an entry has no finite
+        float, or the products could overflow, the block is the exact
         ``classify``.
 
         The bound.  With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham,
@@ -301,11 +303,11 @@ class _ExactKernel(_Kernel):
         entry x = a + b sqrt(d) with integer a, b (b = 0 over Q) becomes
         fl(fl(a) + fl(fl(b) fl(sqrt d))), at most gamma_4 m(x) from x, where
         m(x) = |a| + |b| sqrt(d).  Let M_R and M_W bound m over the rays and
-        the rows, and w be the width.  Then the exact product of the floats
-        of a ray and a row is within w gamma_4 (2 + gamma_4) M_R M_W of the
-        product of the entries, and the computed sum of the w float products,
-        in any order and with or without fused multiply-adds, within
-        gamma_w w (1 + gamma_4)^2 M_R M_W of that (Higham (3.5)).  For
+        the block's rows, and w be the width.  Then the exact product of the
+        floats of a ray and a row is within w gamma_4 (2 + gamma_4) M_R M_W
+        of the product of the entries, and the computed sum of the w float
+        products, in any order and with or without fused multiply-adds,
+        within gamma_w w (1 + gamma_4)^2 M_R M_W of that (Higham (3.5)).  For
         w u < 2^-33 the total is at most (w + 8) u (1 + 2^-31) w M_R M_W.
         No product or partial sum underflows: a nonzero float of an entry
         is at least 2^-52, as the difference of two floats of size 1 or
@@ -317,30 +319,28 @@ class _ExactKernel(_Kernel):
         total, bounds the error of every entry with room to spare.  When
         w M_R M_W is below 2^1000 no partial sum comes near float64's
         largest value."""
+        def floats(stack):  # with the largest size inf when one has no float
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return self.floats(stack)
+            except OverflowError:  # a Python int beyond float64's range
+                return None, float("inf")
+
         width = rays.shape[1]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r, r_size = self.floats(rays)
-                w, w_size = self.floats(rows)
-            r_top, w_top = r_size.max(initial=0.0), w_size.max(initial=0.0)
-            top = width * float(r_top) * float(w_top)
-        except OverflowError:  # a Python int beyond float64's range
-            top = float("inf")
-        bound = 2.0**-52 * (width + 9) * top
-        signs = np.empty((len(rays), len(rows)), dtype=np.int8)
+        r, r_top = floats(rays)
         for block in row_blocks(len(rows), len(rays), FLOAT_BLOCK_ENTRIES):
-            if not top < 2.0**1000:  # also when top is inf or nan
-                signs[:, block] = self.classify(rays, rows[block])[2]
-                continue
-            # int8 and bool temporaries only: the float product is the one
-            # large array
-            products = r @ w[block].T
-            above, below = products > bound, products < -bound
-            out = signs[:, block]
-            np.subtract(above.view(np.int8), below.view(np.int8), out=out)
-            i, j = np.nonzero(above == below)  # neither: within the bound
-            out[i, j] = self.pair_signs(rays[i], rows[block][j])
-        return signs
+            part = rows[block]
+            w, w_top = floats(part)
+            top = width * r_top * w_top
+            if top < 2.0**1000:
+                # the entries whose floats do not clear B above 0
+                i, j = np.nonzero(r @ w.T <= 2.0**-52 * (width + 9) * top)
+                signs = self.pair_signs(rays[i], part[j])
+            else:  # also when top is inf or nan
+                signs = self.classify(rays, part)[2]
+            if (signs < 0).any():
+                return False
+        return True
 
     def vertex_table(self, rays) -> tuple:
         """The coordinates x / t of each ray (t, x) of a stack as a value
@@ -395,11 +395,11 @@ class _RationalKernel(_ExactKernel):
 
     @staticmethod
     def floats(stack) -> tuple:
-        """The float64 value of each entry of an integer stack, twice: as
-        the value and as the bound on its size that ``product_signs``
+        """The float64 value of each entry of an integer stack, and the
+        largest of their sizes, the bound that ``products_nonnegative``
         reads.  OverflowError when a Python int has no float."""
         values = stack.astype(float)
-        return values, abs(values)
+        return values, float(abs(values).max(initial=0.0))
 
     def quotient(self, x: int, t: int) -> Fraction:
         return Fraction(x, t)
@@ -459,13 +459,13 @@ class _QuadraticKernel(_ExactKernel):
     def floats(self, stack) -> tuple:
         """The float64 value fl(fl(a) + fl(fl(b) fl(sqrt d))) of each entry
         a + b sqrt(d) of a stack, a rational one read as (a, 0), and the
-        bound fl(|fl(a)| + fl(|fl(b)| fl(sqrt d))) on its size that
-        ``product_signs`` reads.  OverflowError when a Python int has no
-        float."""
+        largest of the bounds fl(|fl(a)| + fl(|fl(b)| fl(sqrt d))) on their
+        sizes, which ``products_nonnegative`` reads.  OverflowError when a
+        Python int has no float."""
         stack = self.field_stack(stack)
         a, b = stack[..., 0].astype(float), stack[..., 1].astype(float)
         root = sqrt(self.d)
-        return a + b * root, abs(a) + abs(b) * root
+        return a + b * root, float((abs(a) + abs(b) * root).max(initial=0.0))
 
     def normal_form(self, stack, s=None):
         """Each vector of a stack times conj(s) * sign(conj(s)), one field

@@ -12,6 +12,7 @@ import errno
 import logging
 import os
 import sys
+import time
 from math import dist
 
 from .configgen import ConfigurationError, config_to_float, load_configuration
@@ -20,6 +21,7 @@ from .covering import (
     BoundVerificationError,
     SymmetryError,
     covering_radius,
+    polar_system,
     reports_to_csv,
     reports_to_json,
     reports_to_text,
@@ -30,14 +32,7 @@ from .oracle import (
     brute_force_vertices,
     sampled_covering_radius,
 )
-from .polytope import (
-    HPolytope,
-    Unbounded,
-    enumerate_vertices,
-    load_hpolytope,
-    polar_hrep,
-    symmetry_cone,
-)
+from .polytope import Unbounded, enumerate_vertices, load_hpolytope
 from .scalar import format_scalar
 
 EXIT_OK = 0
@@ -104,9 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="halfspace dump to brute-force instead of the derived system",
     )
-    oracle.add_argument("--samples", type=int, default=0, metavar="N")
-    oracle.add_argument("--seed", type=int, default=0, metavar="S")
-    oracle.add_argument("--timing", action="store_true")
+    oracle.add_argument(
+        "--samples", type=int, default=0, metavar="N", help="Monte Carlo sample count"
+    )
+    oracle.add_argument(
+        "--seed", type=int, default=0, metavar="S", help="seed of the random directions"
+    )
+    oracle.add_argument(
+        "--timing", action="store_true", help="print wall time; log progress to stderr"
+    )
     return parser
 
 
@@ -244,6 +245,7 @@ def _cmd_radius(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
+    start = time.perf_counter()
     if args.samples < 0:
         parser.error("--samples must be non-negative")
     if args.seed < 0:
@@ -278,10 +280,7 @@ def _cmd_oracle(args, parser) -> int:
     failures = []
     lines = [f"engine:   radius {report.radius} from {report.cardinality} points"]
 
-    n = config.dimension
-    # the cone only where it has rows, as ``covering_radius`` takes it
-    cone = symmetry_cone(n, config.field) if n >= 2 else ()
-    engine_poly = HPolytope(n, cone + polar_hrep(config).halfspaces, config.field)
+    engine_poly = polar_system(config, report.used_symmetry)
     try:
         brute = brute_force_vertices(dumped or engine_poly)
     except InstanceTooLarge as exc:
@@ -315,6 +314,8 @@ def _cmd_oracle(args, parser) -> int:
                 f"sampling: lower bound {sampled:.5f} > {radius:.5f}, MISMATCH"
             )
 
+    if args.timing:
+        lines.append(f"wall time: {time.perf_counter() - start:.3f}s")
     lines.append("agreement: " + ("OK" if not failures else "FAILED"))
     sys.stdout.write("\n".join(lines) + "\n")
     if failures:

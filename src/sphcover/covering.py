@@ -66,6 +66,7 @@ __all__ = [
     "arccos_decimal",
     "covering_radius",
     "deep_hole_check",
+    "polar_system",
     "report_to_dict",
     "reports_to_csv",
     "reports_to_json",
@@ -229,13 +230,13 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
     On exact backends the products of the configuration's lifted polar
     rows (scale, -p) with the vertices' rays (t, x) (``VertexSet.rays``,
     which ``max_squared_norm`` reads too) are checked nonnegative by their
-    exact signs from one call of the kernel's ``product_signs``.  The float
-    backend bounds the inner products by 1 + FLOAT_CHECK_EPS, a block of
-    points of FLOAT_BLOCK_ENTRIES products at a time.
+    exact signs, in one call of the kernel's ``products_nonnegative``.  The
+    float backend bounds the inner products by 1 + FLOAT_CHECK_EPS, a block
+    of points of FLOAT_BLOCK_ENTRIES products at a time.
     """
     lift, rays = config.lift, vertices.rays[0]
     if config.field.is_exact:
-        feasible = (lift.kernel.product_signs(rays, lift.stack(1, -1)) >= 0).all()
+        feasible = lift.kernel.products_nonnegative(rays, lift.stack(1, -1))
     else:
         points, vs = lift.vectors, rays[:, 1:].T.copy()  # contiguous for BLAS
         blocks = row_blocks(len(points), len(rays), FLOAT_BLOCK_ENTRIES)
@@ -246,6 +247,42 @@ def _certify_vertices(vertices: VertexSet, config: Configuration) -> None:
         )
 
 
+def polar_system(config: Configuration, use_symmetry: bool = True) -> HPolytope:
+    """The system whose vertices ``covering_radius`` enumerates.
+
+    With ``use_symmetry`` the configuration must be invariant under all
+    coordinate permutations and under global negation (else
+    :class:`SymmetryError`), and from n = 2 on the system is the fundamental
+    cone plus one polar row per orbit representative.  Otherwise, and in
+    dimension 1, where there is no cone, it is the full polar, one row per
+    point.  Logs the system built at INFO, and warns above 1,000 rows of
+    full polar.
+    """
+    n, field = config.dimension, config.field
+    representatives = _orbit_representatives(config) if use_symmetry else None
+    if use_symmetry and representatives is None:
+        raise SymmetryError(
+            "configuration is not invariant under coordinate permutations "
+            "and negation; rerun without symmetry"
+        )
+    if use_symmetry and n >= 2:
+        rows = tuple(Halfspace(p, POLAR) for p in representatives)
+        poly = HPolytope(n, symmetry_cone(n, field) + rows, field)
+        name = "symmetry cone"
+    else:
+        poly, name = polar_hrep(config), "full polar"
+        if len(poly.halfspaces) > 1000:
+            logger.warning(
+                "enumerating %d halfspaces without reduction; this may take "
+                "very long",
+                len(poly.halfspaces),
+            )
+    logger.info(
+        "enumerating vertices: n=%d, %d halfspaces (%s)", n, len(poly.halfspaces), name
+    )
+    return poly
+
+
 def covering_radius(
     config: Configuration,
     use_symmetry: bool = True,
@@ -254,11 +291,9 @@ def covering_radius(
 ) -> CoveringReport:
     """Covering radius of a configuration via its polar vertices.
 
-    With ``use_symmetry`` the configuration must be invariant under all
-    coordinate permutations and under global negation.  Enumeration then
-    always runs on the fundamental cone with one polar constraint per orbit
-    representative, and every enumerated vertex is certified against all
-    original polar constraints.  Without it the full polar is enumerated.
+    The vertices enumerated are those of ``polar_system``.  With
+    ``use_symmetry`` every enumerated vertex is then certified against all
+    original polar constraints.
     """
     start = time.perf_counter()
     n = config.dimension
@@ -268,33 +303,7 @@ def covering_radius(
     report = validate(config)
     if not report.ok:
         raise ConfigurationError(f"invalid configuration: {report.failure}")
-    representatives = _orbit_representatives(config) if use_symmetry else None
-    if use_symmetry and representatives is None:
-        raise SymmetryError(
-            "configuration is not invariant under coordinate permutations "
-            "and negation; rerun without symmetry"
-        )
-
-    if use_symmetry and n >= 2:
-        halfspaces = symmetry_cone(n, field) + tuple(
-            Halfspace(p, POLAR) for p in representatives
-        )
-    else:
-        halfspaces = polar_hrep(config).halfspaces
-        if len(halfspaces) > 1000:
-            logger.warning(
-                "enumerating %d halfspaces without reduction; this may take "
-                "very long",
-                len(halfspaces),
-            )
-    poly = HPolytope(n, halfspaces, field)
-    logger.info(
-        "enumerating vertices: n=%d, %d halfspaces (%s)",
-        n,
-        len(halfspaces),
-        "symmetry cone" if use_symmetry else "full polar",
-    )
-    vertices = enumerate_vertices(poly)
+    vertices = enumerate_vertices(polar_system(config, use_symmetry))
     m_max, attaining = max_squared_norm(vertices)
     if use_symmetry:
         _certify_vertices(vertices, config)

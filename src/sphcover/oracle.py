@@ -28,8 +28,7 @@ __all__ = [
     "sampled_covering_radius",
 ]
 
-MAX_HALFSPACES = 40
-MAX_DIMENSION = 6
+MAX_SUBSETS = 400_000  # n-subsets beyond which the brute force refuses
 
 FLOAT_FEAS_EPS = 1e-9
 FLOAT_SOLVE_EPS = 1e-9  # float pivots at or below this count as zero
@@ -49,15 +48,14 @@ def brute_force_vertices(poly: HPolytope) -> VertexSet:
 
     Every full-rank n-subset of constraint boundaries is solved (exactly,
     by batched fraction-free elimination, on exact fields); solutions satisfying
-    all halfspaces are kept and deduplicated.  Guarded to small instances
-    because of the combinatorial explosion.
+    all halfspaces are kept and deduplicated.  The work is guarded by the
+    count of subsets: more than ``MAX_SUBSETS`` raise InstanceTooLarge.
     """
-    n = poly.dimension
-    m = len(poly.halfspaces)
-    if m > MAX_HALFSPACES or n > MAX_DIMENSION:
+    n, m = poly.dimension, len(poly.halfspaces)
+    if math.comb(m, n) > MAX_SUBSETS:
         raise InstanceTooLarge(
-            f"{m} halfspaces in dimension {n} exceeds the brute-force guard "
-            f"({MAX_HALFSPACES} halfspaces, dimension {MAX_DIMENSION})"
+            f"{math.comb(m, n)} {n}-subsets of {m} halfspaces exceed the "
+            f"brute-force guard of {MAX_SUBSETS} subsets"
         )
     if poly.field.is_exact:
         results = _exact_vertices(poly)

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,15 @@ class TestRadius:
             "sphcover: enumerating vertices: n=5, 9 halfspaces (symmetry cone)\n"
         )
 
+    def test_one_dimension_logs_the_full_polar(self, capsys, tmp_path):
+        """A symmetric 1-d configuration has no cone: the system logged is
+        the full polar that is built."""
+        generator = {"type": "subset_values", "support": 1, "a": "1", "b": "0"}
+        path = _config(tmp_path, generator, dimension=1)
+        code, _, err = run(capsys, "radius", path, "--timing")
+        assert code == 0
+        assert err == "sphcover: enumerating vertices: n=1, 2 halfspaces (full polar)\n"
+
 
 class TestOracle:
     def test_cube_fixture_agreement(self, capsys, cross4_path):
@@ -292,10 +302,37 @@ class TestOracle:
         assert err.splitlines()[-1] == "sphcover: error: --samples must be non-negative"
 
     def test_large_instance_skips_vertices(self, capsys):
-        code, out, err = run(capsys, "oracle", "table1:7")
+        """table1:12's reduced system has 5,200,300 12-subsets, beyond the
+        brute-force guard."""
+        code, out, err = run(capsys, "oracle", "table1:12")
         assert code == 0 and not err
         assert out.splitlines()[1].startswith("vertices: skipped (")
         assert out.splitlines()[-1] == "agreement: OK"
+
+    @pytest.mark.parametrize(
+        "n, count", [(5, 16), (6, 47), (7, 136), (8, 98), (9, 178)]
+    )
+    def test_builtin_reduced_system_agrees(self, capsys, n, count):
+        """The brute force solves the cone plus orbit representatives that
+        ``covering_radius`` enumerates, for every exact built-in through n=9."""
+        code, out, err = run(capsys, "oracle", f"table1:{n}")
+        assert (code, err) == (0, "")
+        vertices = f"vertices: {count} = {count}, OK"
+        assert out.splitlines()[1:] == [vertices, "agreement: OK"]
+
+    def test_timing_prints_wall_time(self, capsys):
+        """``--timing`` adds a wall time before the agreement line; without
+        it stdout holds no time."""
+        code, out, _ = run(capsys, "oracle", "table1:5")
+        assert code == 0 and out == (
+            "engine:   radius 0.88608 from 30 points\n"
+            "vertices: 16 = 16, OK\n"
+            "agreement: OK\n"
+        )
+        code, timed, _ = run(capsys, "oracle", "table1:5", "--timing")
+        lines = timed.splitlines()
+        assert code == 0 and re.fullmatch(r"wall time: \d+\.\d{3}s", lines[-2])
+        assert lines[:-2] + lines[-1:] == out.splitlines()
 
     def test_one_dimension_has_no_cone(self, capsys, tmp_path):
         """The engine's system of a 1-d configuration is its polar alone, as

@@ -30,7 +30,7 @@ from sphcover.configgen import (
     builtin_dimensions,
     config_to_float,
 )
-from sphcover.covering import _orbit_representatives
+from sphcover.covering import polar_system
 from sphcover.polytope import (
     POLAR,
     Halfspace,
@@ -49,22 +49,13 @@ GOLDEN = Path(__file__).parent / "data" / "dd-golden.json"
 INSERTED = "inserted %d/%d halfspaces, %d rays"
 
 
-def cone_system(config) -> HPolytope:
-    """The fundamental cone plus one polar row per orbit representative."""
-    n, field = config.dimension, config.field
-    reps = _orbit_representatives(config)
-    return HPolytope(
-        n, symmetry_cone(n, field) + tuple(Halfspace(p, POLAR) for p in reps), field
-    )
-
-
 def dd_system(name: str) -> HPolytope:
     """``full-<n>``, ``cone-<n>-exact`` or ``cone-<n>-float`` of the built-in."""
     kind, n, *field = name.split("-")
     config = builtin_configuration(int(n))
     if kind == "full":
         return polar_hrep(config)
-    return cone_system(config_to_float(config) if field == ["float"] else config)
+    return polar_system(config_to_float(config) if field == ["float"] else config)
 
 
 def dd_names() -> list:

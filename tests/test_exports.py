@@ -33,3 +33,27 @@ def test_no_function_body_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(hits) == []
+
+
+def _builder_callers(tree, scope: str):
+    """The scope of every call of ``symmetry_cone`` or ``polar_hrep`` under
+    ``tree``: its module, then each enclosing class or function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in ("symmetry_cone", "polar_hrep"):
+                yield scope
+        named = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        inner = f"{scope}.{node.name}" if isinstance(node, named) else scope
+        yield from _builder_callers(node, inner)
+
+
+def test_one_builder_of_the_dd_system():
+    """The system that the engine enumerates and the oracle brute-forces is
+    built in one place: inside the package only ``covering.polar_system``
+    calls ``symmetry_cone`` or ``polar_hrep``."""
+    callers = set()
+    for path in sorted(Path(sphcover.__file__).parent.rglob("*.py")):
+        callers.update(_builder_callers(ast.parse(path.read_text()), path.stem))
+    assert callers == {"covering.polar_system"}

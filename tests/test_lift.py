@@ -25,9 +25,9 @@ from sphcover.configgen import (
 )
 from sphcover.covering import (
     _certify_vertices,
-    _orbit_representatives,
     covering_radius,
     deep_hole_check,
+    polar_system,
 )
 from sphcover.polytope import (
     CONE,
@@ -37,7 +37,6 @@ from sphcover.polytope import (
     VertexSet,
     enumerate_vertices,
     polar_hrep,
-    symmetry_cone,
 )
 from sphcover.scalar import FLOAT, RATIONAL, Quadratic, dot, quadratic_field, sign_of
 
@@ -386,9 +385,9 @@ def sign_cases(draw, d):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([None, 2, 3, 5]), st.data())
 def test_product_signs_match_python_int_products(d, data):
-    """``product_signs`` against the signs of the products of Fractions or
-    Quadratics, on int64 stacks (when the entries fit) and on Python-int
-    stacks alike."""
+    """``products_nonnegative`` against the signs of the products of
+    Fractions or Quadratics, on each row alone and on the whole stack, on
+    int64 stacks (when the entries fit) and on Python-int stacks alike."""
     width, rays, rows = data.draw(sign_cases(d))
     kernel = _linalg.kernel_for(RATIONAL if d is None else quadratic_field(d))
     want = [[sign_of(x) for x in row] for row in reference_products(rays, rows, d)]
@@ -399,7 +398,12 @@ def test_product_signs_match_python_int_products(d, data):
             row_array = np.array(rows, dtype=dtype).reshape((len(rows), width) + parts)
         except OverflowError:  # entries past int64
             continue
-        assert kernel.product_signs(ray_array, row_array).tolist() == want
+        nonnegative = kernel.products_nonnegative
+        for j in range(len(rows)):
+            want_row = all(signs[j] >= 0 for signs in want)
+            assert nonnegative(ray_array, row_array[j:j + 1]) == want_row
+        want_all = all(s >= 0 for signs in want for s in signs)
+        assert nonnegative(ray_array, row_array) == want_all
 
 
 @pytest.mark.parametrize(
@@ -408,7 +412,8 @@ def test_product_signs_match_python_int_products(d, data):
 )
 def test_product_signs_where_float_signs_are_wrong(d, power, dtype):
     """The float64 product of a unit's conjugate with +-1 has the opposite
-    sign of the exact one; only the exact recompute gets it right."""
+    sign of the exact one; only the exact recompute gets it right, both
+    ways: a negative exact sign gives False, a positive one True."""
     kernel = _linalg.kernel_for(quadratic_field(d))
     value = unit_conjugate(d, power)
     rays = np.array([[value]], dtype=dtype)
@@ -416,7 +421,9 @@ def test_product_signs_where_float_signs_are_wrong(d, power, dtype):
     want = Quadratic(*value, d).sign()
     floats = kernel.floats(rays)[0] @ kernel.floats(rows)[0].T
     assert np.sign(floats).tolist() == [[-want, want]]
-    assert kernel.product_signs(rays, rows).tolist() == [[want, -want]]
+    assert kernel.products_nonnegative(rays, rows[:1]) == (want > 0)
+    assert kernel.products_nonnegative(rays, rows[1:]) == (want < 0)
+    assert not kernel.products_nonnegative(rays, rows)
 
 
 @st.composite
@@ -578,10 +585,7 @@ def test_vertex_rays_narrow_to_int64():
     the rays a vertex set derives from them are int64, equal to the
     Python-int rays."""
     config = builtin_configuration(7)
-    halfspaces = symmetry_cone(7, config.field) + tuple(
-        Halfspace(p, POLAR) for p in _orbit_representatives(config)
-    )
-    vertices = enumerate_vertices(HPolytope(7, halfspaces, config.field)).vertices
+    vertices = enumerate_vertices(polar_system(config)).vertices
     coords = [x for v in vertices for x in v]
     lift = _linalg.lift(coords, np.arange(len(coords)).reshape(len(vertices), -1))
     assert lift.scale >= 2**63

@@ -229,12 +229,17 @@ class TestBruteForce:
             assert tight == expected
 
     def test_guard(self):
+        """The guard counts n-subsets, not rows or dimension: the 7-cube's
+        3,432 are solved, the 11-cube's 705,432 and the 499,500 pairs of
+        1,000 rows in the plane are refused."""
+        cube = cube_hrep(7)
+        assert brute_force_vertices(cube) == enumerate_vertices(cube)
         with pytest.raises(InstanceTooLarge):
-            brute_force_vertices(cube_hrep(7))  # dimension 7 > 6
+            brute_force_vertices(cube_hrep(11))
         big = HPolytope(
             2,
             tuple(
-                Halfspace((F(k), F(1)), POLAR) for k in range(-20, 21)
+                Halfspace((F(k), F(1)), POLAR) for k in range(-500, 500)
             ),
             RATIONAL,
         )
